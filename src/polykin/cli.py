@@ -16,17 +16,6 @@ from .moments import MACRO_CSV_HEADER, compute_moments, write_macro_csv
 from .scenario import Scenario, make_initial, parse_scenario  # noqa: F401 (re-export)
 
 
-def _set_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        print("warning: threadpoolctl unavailable, --threads ignored", file=sys.stderr)
-
-
 def _out_dir(args, scn: Scenario) -> Path:
     out = Path(args.out or scn.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -71,12 +60,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _coupled_levels(scn: Scenario, levels: list[int], reference: int):
-    seen = set()
-    for lv in levels:
-        if lv in seen:
-            raise ValidationError("levels", f"duplicate level {lv}")
-        seen.add(lv)
+def _coupled_levels(levels: list[int], reference: int):
     if any(levels[i + 1] <= levels[i] for i in range(len(levels) - 1)):
         raise ValidationError("levels", f"levels must strictly increase: {levels}")
     if reference <= levels[-1]:
@@ -93,7 +77,7 @@ def cmd_convergence(args) -> int:
     if len(levels) < 3:
         raise ValidationError("levels", f"need at least 3 levels, got {levels}")
     reference = int(args.reference)
-    _coupled_levels(scn, levels, reference)
+    _coupled_levels(levels, reference)
     transport_only = args.transport_only or scn.transport_only
 
     def level_scenario(n_x: int) -> Scenario:
@@ -106,9 +90,7 @@ def cmd_convergence(args) -> int:
 
     fields: dict[int, DistField] = {}
     for n_x in levels + ([] if transport_only else [reference]):
-        lv_scn = level_scenario(n_x)
-        lv_scn.validate()
-        result = stepper.run(lv_scn, track_entropy=False)
+        result = stepper.run(level_scenario(n_x), track_entropy=False)
         fields[n_x] = result.final
         print(f"convergence: level n_x={n_x} done ({len(result.reports)} steps)")
 
@@ -150,14 +132,16 @@ def cmd_sweep(args) -> int:
     rows = []
     for kappa in kappas:
         k_scn = dataclasses.replace(scn, kappa=kappa)
-        k_scn.validate()
         n_steps = k_scn.n_steps()
         stride = max(1, n_steps // 10)
         result = stepper.run(k_scn, track_entropy=False, distance_stride=stride)
         finite = all(
             math.isfinite(r.norm_q) and math.isfinite(r.mass) for r in result.reports
         )
-        final_dist = equilibrium_distance(result.final, result.params, dt=k_scn.dt)
+        if result.reports:  # run() stores the distance of the last step
+            final_dist = result.reports[-1].eq_distance
+        else:
+            final_dist = equilibrium_distance(result.final, result.params, dt=k_scn.dt)
         trend = [r.eq_distance for r in result.reports if r.eq_distance is not None]
         rows.append((kappa, finite, final_dist, trend))
         print(f"sweep: kappa={kappa:g} finite={finite} |f-G(f)|_q={final_dist:.6e}")
@@ -174,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polykin",
         description="Semi-Lagrangian solver for the polyatomic ellipsoidal-BGK equation",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario and write step/macro CSV output")
@@ -201,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _set_threads(args.threads)
     try:
         return args.func(args)
     except PolykinError as exc:

@@ -75,19 +75,12 @@ def equilibrium_distance(fld: DistField, params: SchemeParams, dt: float = 0.0) 
 
 @dataclass(frozen=True)
 class StabilityEnvelope:
-    """Initial-data lower envelope c01*exp(-c02*(|v|^a + I^b)) plus step factors.
-
-    decay_factor is the per-step lower-bound attenuation kappa/(kappa + A*dt);
-    growth_factor is measured from the run (see check_envelopes) and defaults
-    to nan until then.
-    """
+    """Initial-data lower envelope c01*exp(-c02*(|v|^a + I^b))."""
 
     c01: float
     c02: float
     a_exp: float
     b_exp: float
-    decay_factor: float = math.nan
-    growth_factor: float = math.nan
 
     def __post_init__(self):
         if self.c01 <= 0 or self.c02 <= 0 or self.a_exp <= 0 or self.b_exp <= 0:
@@ -100,21 +93,19 @@ class StabilityEnvelope:
         i_pow = grid.i_nodes**self.b_exp
         return self.c01 * np.exp(-self.c02 * (speed_pow[:, None] + i_pow[None, :]))
 
-    def lattice_integral_ratios(self, grid: PhaseGrid) -> tuple[float, float]:
-        """Discrete mass and peak of the envelope relative to their continuum values.
+    def lattice_mass_ratio(self, grid: PhaseGrid) -> float:
+        """Discrete mass of the envelope relative to its continuum value.
 
-        The stability theory needs the lattice sums to track the integrals
-        within a factor of two on each side; the pair returned here makes that
-        smallness condition checkable at runtime.
+        The stability theory needs the lattice sum to track the integral
+        within a factor of two on each side; the ratio returned here makes
+        that smallness condition checkable at runtime.
         """
         tab = self.table(grid)
         disc_mass = float((tab @ grid.i_weights).sum()) * grid.dv**3
         a, b, c = self.a_exp, self.b_exp, self.c02
         cont_v = 4.0 * math.pi * math.gamma(3.0 / a) / (a * c ** (3.0 / a))
         cont_i = math.gamma(1.0 + 1.0 / b) / c ** (1.0 / b)
-        mass_ratio = disc_mass / (self.c01 * cont_v * cont_i)
-        peak_ratio = float(tab.max()) / self.c01
-        return mass_ratio, peak_ratio
+        return disc_mass / (self.c01 * cont_v * cont_i)
 
 
 @dataclass
@@ -186,7 +177,7 @@ def check_envelopes(run, envelope: StabilityEnvelope, rel_slack: float = 1e-12,
             if raise_on_violation:
                 raise EnvelopeViolated(n, f"lower slack {lo_slack!r}, upper slack {hi_slack!r}")
 
-    mass_ratio, _ = envelope.lattice_integral_ratios(run.grid)
+    mass_ratio = envelope.lattice_mass_ratio(run.grid)
     return EnvelopeReport(
         steps=len(reports),
         decay_factor=dec,

@@ -16,6 +16,8 @@ from .errors import GridMismatch, InvalidConfig, NegativeInitialData
 from .grid import GridConfig, PhaseGrid, build_grid
 
 _SNAP_MAGIC = b"PKSNAP01"
+# magic, n_x, n_v, n_i, v_max, i_max, pad, delta, q
+_SNAP_HEAD = struct.Struct("<8sqqqddddd")
 
 
 @dataclass
@@ -31,10 +33,6 @@ class DistField:
 
     def copy(self) -> "DistField":
         return DistField(self.values.copy(), self.grid)
-
-
-def zeros_like_grid(grid: PhaseGrid) -> DistField:
-    return DistField(np.zeros(grid.field_shape), grid)
 
 
 def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistField:
@@ -62,46 +60,38 @@ def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistFiel
     return DistField(values, grid)
 
 
+def _sup_norm(a: DistField, b: DistField | None, q: float, delta: float) -> float:
+    """sup over nodes of |a - b| (|a| without b) times the weight of order q, cell by cell."""
+    g = a.grid
+    w = g.norm_weight(q, delta)
+    fa = a.values.reshape(g.n_x, -1, g.n_i)
+    fb = None if b is None else b.values.reshape(g.n_x, -1, g.n_i)
+    out = 0.0
+    for i in range(g.n_x):
+        d = fa[i] if fb is None else fa[i] - fb[i]
+        out = max(out, float(np.max(np.abs(d) * w)))
+    return out
+
+
 def weighted_sup_norm(field: DistField, q: float, delta: float) -> float:
     """sup over nodes of |f| * (1 + |v|^2 + I^(2/delta))^(q/2)."""
     if q <= 0:
         raise InvalidConfig("q must be > 0")
-    g = field.grid
-    w = g.norm_weight(q, delta)
-    out = 0.0
-    flat = field.values.reshape(g.n_x, -1, g.n_i)
-    for i in range(g.n_x):
-        out = max(out, float(np.max(np.abs(flat[i]) * w)))
-    return out
+    return _sup_norm(field, None, q, delta)
 
 
 def error_sup_norm(a: DistField, b: DistField, q: float, delta: float) -> float:
     """Weighted sup norm of the pointwise difference of two same-grid fields."""
     if a.grid is not b.grid and a.grid != b.grid:
         raise GridMismatch("fields live on different grids")
-    g = a.grid
-    w = g.norm_weight(q, delta)
-    fa = a.values.reshape(g.n_x, -1, g.n_i)
-    fb = b.values.reshape(g.n_x, -1, g.n_i)
-    out = 0.0
-    for i in range(g.n_x):
-        out = max(out, float(np.max(np.abs(fa[i] - fb[i]) * w)))
-    return out
+    return _sup_norm(a, b, q, delta)
 
 
 def write_snapshot(path, field: DistField, delta: float, q: float) -> None:
     """Binary snapshot: header (grid extents, delta, q) + little-endian f64 payload."""
     g = field.grid
-    header = struct.pack(
-        "<8sqqqddd",
-        _SNAP_MAGIC,
-        g.n_x,
-        g.n_v,
-        g.n_i,
-        g.v_max,
-        g.n_i * g.di,
-        0.0,
-    ) + struct.pack("<dd", delta, q)
+    header = _SNAP_HEAD.pack(_SNAP_MAGIC, g.n_x, g.n_v, g.n_i, g.v_max, g.n_i * g.di, 0.0,
+                             delta, q)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(field.values.astype("<f8", copy=False).tobytes())
@@ -109,11 +99,18 @@ def write_snapshot(path, field: DistField, delta: float, q: float) -> None:
 
 def read_snapshot(path) -> tuple[DistField, float, float]:
     with open(path, "rb") as fh:
-        head = fh.read(8 + 3 * 8 + 3 * 8 + 2 * 8)
-        magic, n_x, n_v, n_i, v_max, i_max, _pad = struct.unpack("<8sqqqddd", head[:56])
-        delta, q = struct.unpack("<dd", head[56:])
+        head = fh.read(_SNAP_HEAD.size)
+        if len(head) < _SNAP_HEAD.size:
+            raise InvalidConfig(
+                f"{path}: snapshot header needs {_SNAP_HEAD.size} bytes, got {len(head)}"
+            )
+        magic, n_x, n_v, n_i, v_max, i_max, _pad, delta, q = _SNAP_HEAD.unpack(head)
         if magic != _SNAP_MAGIC:
             raise InvalidConfig(f"{path} is not a field snapshot")
         grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=v_max, n_i=n_i, i_max=i_max))
-        payload = np.frombuffer(fh.read(), dtype="<f8").reshape(grid.field_shape)
-    return DistField(payload.astype(float), grid), delta, q
+        payload = fh.read()
+    expected = 8 * n_x * n_v**3 * n_i
+    if len(payload) != expected:
+        raise InvalidConfig(f"{path}: snapshot payload needs {expected} bytes, got {len(payload)}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(grid.field_shape)
+    return DistField(values.astype(float), grid), delta, q

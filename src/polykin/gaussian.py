@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTemperature, NonSPDTensor
+from .errors import DegenerateTemperature, NonSPDTensor, PolykinError
 from .field import DistField
 from .grid import PhaseGrid
 from .moments import MacroCell, MacroFields
@@ -93,8 +93,7 @@ def gaussian_field(macro: MacroFields, grid: PhaseGrid, lambda_delta: float,
                 float(macro.rho[i]), macro.u[i], macro.t_blend[i],
                 float(macro.t_theta[i]), grid, lambda_delta, delta,
             )
-        except NonSPDTensor as exc:
-            raise NonSPDTensor(f"cell {i}: {exc}") from exc
-        except DegenerateTemperature as exc:
-            raise DegenerateTemperature(f"cell {i}: {exc}") from exc
+        except PolykinError as exc:
+            exc.args = (f"cell {i}: {exc}",)
+            raise
     return DistField(out, grid)

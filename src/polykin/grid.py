@@ -99,10 +99,6 @@ class PhaseGrid:
         return hash((self.n_x, self.n_v, self.v_max, self.n_i, self.di))
 
     @property
-    def velocity_shape(self) -> tuple[int, int, int]:
-        return (self.n_v, self.n_v, self.n_v)
-
-    @property
     def field_shape(self) -> tuple[int, int, int, int, int]:
         return (self.n_x, self.n_v, self.n_v, self.n_v, self.n_i)
 

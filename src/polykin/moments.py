@@ -48,9 +48,6 @@ class MacroFields:
     t_delta: np.ndarray
     t_theta: np.ndarray
     t_blend: np.ndarray
-    lam: float
-    nu_bar: float
-    dt: float
 
     def __len__(self) -> int:
         return self.rho.shape[0]
@@ -131,8 +128,7 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
 
     return MacroFields(
         rho=rho, u=u, theta_tensor=theta_tensor,
-        t_tr=t_tr, t_int=t_int, t_delta=t_delta, t_theta=t_theta,
-        t_blend=t_blend, lam=lam, nu_bar=nu_bar, dt=dt,
+        t_tr=t_tr, t_int=t_int, t_delta=t_delta, t_theta=t_theta, t_blend=t_blend,
     )
 
 

@@ -171,11 +171,8 @@ def make_initial(scn: Scenario, grid: PhaseGrid):
         rho = scn.rho_right + (scn.rho_left - scn.rho_right) * chi
         ux = scn.u_right + (scn.u_left - scn.u_right) * chi
         tt = scn.t_right + (scn.t_left - scn.t_right) * chi
-        du1 = v1 - ux
-        vel = np.exp(-(du1 * du1 + v2 * v2 + v3 * v3) / (2.0 * tt))
-        vel /= (2.0 * math.pi * tt) ** 1.5
-        eng = lam_delta * np.exp(-(i_nodes ** (2.0 / delta)) / tt) / tt ** (delta / 2.0)
-        return rho * vel * eng
+        return rho * _gaussian_shape(v1, v2, v3, i_nodes, (ux, 0.0, 0.0), tt, tt, delta,
+                                     lam_delta)
 
     return ic
 

@@ -47,7 +47,7 @@ class StepReport:
     energy_defect: float
     entropy: float
     norm_q: float
-    tilde_norm_q: float
+    tilde_norm_q: float | None = None  # set by step(), and by run() with an envelope
     gaussian_norm_q: float | None = None
     envelope_min_ratio: float | None = None
     eq_distance: float | None = None
@@ -110,8 +110,12 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
     dst = out.values.reshape(grid.n_x, grid.n_v**3, grid.n_i)
     gauss_norm = 0.0
     for i in range(grid.n_x):
-        m = _gaussian_flat(float(macro.rho[i]), macro.u[i], macro.t_blend[i],
-                           float(macro.t_theta[i]), grid, lambda_delta, params.delta)
+        try:
+            m = _gaussian_flat(float(macro.rho[i]), macro.u[i], macro.t_blend[i],
+                               float(macro.t_theta[i]), grid, lambda_delta, params.delta)
+        except PolykinError as exc:
+            exc.args = (f"cell {i}: {exc}",)
+            raise
         if norm_weight is not None:
             gauss_norm = max(gauss_norm, float(np.max(m * norm_weight)))
         _blend_into(src[i], m, c_f, c_m, dst[i])
@@ -136,26 +140,32 @@ def step(f: DistField, params: SchemeParams, dt: float,
     if advector is None:
         advector = Advector(f.grid, dt)
     f_tilde = advector.apply(f)
-    macro = compute_moments(f_tilde, params, dt)
-    out = relax(f_tilde, macro, params, dt)
-
+    out = DistField(np.empty(f.grid.field_shape), f.grid)
+    _relax_into(f_tilde, compute_moments(f_tilde, params, dt), params, dt, out)
     prev = conserved_quantities(f, params.delta)
-    cons = conserved_quantities(out, params.delta)
-    scales = _defect_scales(prev, params.delta)
-    report = StepReport(
-        step=0,
-        time=dt,
-        mass=cons[0],
-        momentum=cons[1],
-        energy=cons[2],
-        mass_defect=(cons[0] - prev[0]) / scales[0],
-        momentum_defect=float(np.linalg.norm(cons[1] - prev[1])) / scales[1],
-        energy_defect=(cons[2] - prev[2]) / scales[2],
-        entropy=entropy(out),
-        norm_q=weighted_sup_norm(out, params.q, params.delta),
-        tilde_norm_q=weighted_sup_norm(f_tilde, params.q, params.delta),
-    )
+    report = _step_report(0, dt, out, prev, _defect_scales(prev, params.delta), params, True,
+                          tilde_norm_q=weighted_sup_norm(f_tilde, params.q, params.delta))
     return out, report
+
+
+def _step_report(n: int, time: float, out: DistField, prev, scales, params: SchemeParams,
+                 track_entropy: bool, **monitors) -> StepReport:
+    """Report of step n from its output field, the conserved sums before it and the
+    defect scales; monitors fills the optional StepReport fields."""
+    mass, mom, energy = conserved_quantities(out, params.delta)
+    return StepReport(
+        step=n,
+        time=time,
+        mass=mass,
+        momentum=mom,
+        energy=energy,
+        mass_defect=(mass - prev[0]) / scales[0],
+        momentum_defect=float(np.linalg.norm(mom - prev[1])) / scales[1],
+        energy_defect=(energy - prev[2]) / scales[2],
+        entropy=entropy(out) if track_entropy else math.nan,
+        norm_q=weighted_sup_norm(out, params.q, params.delta),
+        **monitors,
+    )
 
 
 def _defect_scales(cons0, delta: float) -> tuple[float, float, float]:
@@ -187,9 +197,10 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True,
 
     snapshot_writer, when given, is called as writer(time, field) whenever the
     time after a step matches one of the scenario's snapshot times.  Reports
-    carry conserved quantities, relative per-step defects, entropy, weighted
-    norms, and (when the scenario certifies an envelope) the per-step envelope
-    margins used by the stability monitors.
+    carry conserved quantities, relative per-step defects, entropy, the weighted
+    norm of the output, and (when the scenario certifies an envelope) the norms
+    of f~ and of the Gaussian and the envelope margin that the stability
+    monitors read.
     """
     grid, params = scn.validate()
     n_steps = scn.n_steps()
@@ -233,28 +244,16 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True,
                 raise
 
         t_now = (n + 1) * scn.dt
-        cons = conserved_quantities(nxt, params.delta)
-        report = StepReport(
-            step=n,
-            time=t_now,
-            mass=cons[0],
-            momentum=cons[1],
-            energy=cons[2],
-            mass_defect=(cons[0] - prev_cons[0]) / scales[0],
-            momentum_defect=float(np.linalg.norm(cons[1] - prev_cons[1])) / scales[1],
-            energy_defect=(cons[2] - prev_cons[2]) / scales[2],
-            entropy=entropy(nxt) if track_entropy else math.nan,
-            norm_q=weighted_sup_norm(nxt, params.q, params.delta),
-            tilde_norm_q=weighted_sup_norm(tilde, params.q, params.delta),
-            gaussian_norm_q=gauss_norm,
-            envelope_min_ratio=(
-                _envelope_min_ratio(tilde, env_table) if env_table is not None else None
-            ),
-        )
+        monitors = {}
+        if envelope is not None:
+            monitors = dict(tilde_norm_q=weighted_sup_norm(tilde, params.q, params.delta),
+                            envelope_min_ratio=_envelope_min_ratio(tilde, env_table))
+        report = _step_report(n, t_now, nxt, prev_cons, scales, params, track_entropy,
+                              gaussian_norm_q=gauss_norm, **monitors)
         if distance_stride is not None and ((n + 1) % distance_stride == 0 or n == n_steps - 1):
             report.eq_distance = equilibrium_distance(nxt, params, dt=scn.dt)
         reports.append(report)
-        prev_cons = cons
+        prev_cons = (report.mass, report.momentum, report.energy)
 
         if snapshot_writer is not None and any(abs(t_now - t) <= 1e-9 for t in snapshot_times):
             snapshot_writer(t_now, nxt)

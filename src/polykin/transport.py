@@ -23,7 +23,6 @@ class Advector:
         if dt < 0:
             raise InvalidConfig("dt must be >= 0")
         self.grid = grid
-        self.dt = dt
         base = np.arange(grid.n_x)
         self._stencil = []  # per j: (lower idx, upper idx, b = 1 - a)
         for v in grid.v_axis:

@@ -26,6 +26,33 @@ def test_snapshot_rejects_foreign_file(tmp_path):
         read_snapshot(path)
 
 
+def _snapshot_bytes(tmp_path, small_grid):
+    from polykin import write_snapshot
+
+    path = tmp_path / "f.bin"
+    write_snapshot(path, DistField(np.ones(small_grid.field_shape), small_grid), 2.0, 8.0)
+    return path, path.read_bytes()
+
+
+def test_snapshot_rejects_short_header(tmp_path, small_grid):
+    from polykin import read_snapshot
+
+    path, data = _snapshot_bytes(tmp_path, small_grid)
+    path.write_bytes(data[:40])
+    with pytest.raises(InvalidConfig, match="header needs 72 bytes, got 40"):
+        read_snapshot(path)
+
+
+def test_snapshot_rejects_truncated_payload(tmp_path, small_grid):
+    from polykin import read_snapshot
+
+    path, data = _snapshot_bytes(tmp_path, small_grid)
+    path.write_bytes(data[:-8])
+    expected = 8 * 4 * 5**3 * 4
+    with pytest.raises(InvalidConfig, match=f"needs {expected} bytes, got {expected - 8}"):
+        read_snapshot(path)
+
+
 def test_field_shape_must_match_grid(small_grid):
     with pytest.raises(GridMismatch):
         DistField(np.zeros((1, 2, 3)), small_grid)
@@ -58,3 +85,4 @@ def test_run_error_names_the_step():
         with pytest.raises(PolykinError) as exc:
             run(scn)
     assert "step " in str(exc.value)
+    assert "cell " in str(exc.value)

@@ -219,6 +219,16 @@ class TestSweepCli:
         scn = write(tmp_path, SMOOTH)
         assert main(["sweep", str(scn), "--kappa", "1,0", "--out", str(tmp_path / "o")]) == 2
 
+    def test_zero_step_sweep_writes_finite_distance(self, tmp_path):
+        # no steps, no reports: the distance is taken from the initial field
+        scn = write(tmp_path, SMOOTH.replace("t_final = 0.2", "t_final = 0.0"))
+        out = tmp_path / "sw"
+        assert main(["sweep", str(scn), "--kappa", "1", "--out", str(out)]) == 0
+        _, row = (out / "sweep.csv").read_text().splitlines()
+        kappa, finite, dist = row.split(",")
+        assert finite == "1"
+        assert math.isfinite(float(dist)) and float(dist) > 0.0
+
     def test_smoke_sweep(self, tmp_path):
         scn = write(tmp_path, SMOOTH)
         out = tmp_path / "sw"

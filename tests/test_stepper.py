@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from polykin import (
     compute_moments,
     error_sup_norm,
     gaussian_field,
+    make_initial,
     normalizer_discrete,
     relax,
     run,
+    sample,
     step,
 )
 from polykin.errors import ValidationError
@@ -145,6 +149,22 @@ class TestRun:
                        v_max=2.0, i_max=2.0, snapshot_times=(0.2, 0.5))
         run(scn, snapshot_writer=lambda t, f: times.append(t))
         assert times == [pytest.approx(0.2), pytest.approx(0.5)]
+
+    def test_step_and_run_share_one_pipeline(self):
+        # advection of x-uniform data is exact, so step() from the nodal samples
+        # and run()'s first step from the exact feet see the same f~
+        scn = Scenario(n_x=4, n_v=7, n_i=6, dt=0.1, t_final=0.1, v_max=3.0, i_max=4.0,
+                       nu=0.3, theta=0.7, kappa=0.1, u0=(0.3, -0.1, 0.2))
+        grid, params = scn.validate()
+        out, rep = step(sample(make_initial(scn, grid), grid, 0.0), params, scn.dt)
+        res = run(scn)
+        assert (out.values == res.final.values).all()
+        mine = dataclasses.asdict(rep)
+        theirs = dataclasses.asdict(res.reports[0])
+        assert np.isfinite(mine.pop("tilde_norm_q"))
+        assert theirs.pop("tilde_norm_q") is None  # no envelope monitor
+        assert np.array_equal(mine.pop("momentum"), theirs.pop("momentum"))
+        assert mine == theirs
 
     def test_reports_carry_monitor_fields(self):
         scn = Scenario(n_x=4, n_v=5, n_i=4, dt=0.1, t_final=0.3,
