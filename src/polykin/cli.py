@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import stepper
 from .diagnostics import equilibrium_distance, observed_order
-from .errors import PolykinError, ValidationError
+from .errors import NonFiniteField, PolykinError, ValidationError
 from .field import DistField, error_sup_norm, sample, write_snapshot
 from .moments import MACRO_CSV_HEADER, compute_moments, write_macro_csv
 from .scenario import Scenario, make_initial, parse_scenario  # noqa: F401 (re-export)
@@ -83,7 +83,8 @@ def cmd_convergence(args) -> int:
     def level_scenario(n_x: int) -> Scenario:
         # coupled refinement dx = dt; in transport-only mode dt stays fixed and
         # only the spatial mesh refines, isolating the interpolation error
-        override = {"n_x": n_x, "transport_only": transport_only}
+        override = {"n_x": n_x, "transport_only": transport_only,
+                    "envelope": "off", "snapshot_times": ()}  # neither is read here
         if not transport_only:
             override["dt"] = 1.0 / n_x
         return dataclasses.replace(scn, **override)
@@ -131,7 +132,7 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for kappa in kappas:
-        k_scn = dataclasses.replace(scn, kappa=kappa)
+        k_scn = dataclasses.replace(scn, kappa=kappa, envelope="off")  # monitors unread
         n_steps = k_scn.n_steps()
         stride = max(1, n_steps // 10)
         result = stepper.run(k_scn, track_entropy=False, distance_stride=stride)
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except PolykinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NonFiniteField) else 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -36,6 +36,14 @@ class ZeroDensity(PolykinError, ArithmeticError):
         self.rho = rho
 
 
+class NonFiniteField(PolykinError, ArithmeticError):
+    """A spatial cell holds NaN or infinite entries (exit code 3)."""
+
+    def __init__(self, cell: int, rho: float):
+        super().__init__(f"cell {cell} has non-finite density {rho!r}")
+        self.cell = cell
+
+
 class NegativeField(PolykinError, ValueError):
     """A distribution that must be nonnegative has negative entries."""
 
@@ -55,14 +63,6 @@ class DegenerateTemperature(PolykinError, ArithmeticError):
 
 class BoundViolated(PolykinError, AssertionError):
     """A quadratic-form sandwich bound failed beyond tolerance."""
-
-
-class EnvelopeViolated(PolykinError, AssertionError):
-    """A runtime stability envelope was crossed."""
-
-    def __init__(self, step: int, detail: str):
-        super().__init__(f"envelope violated at step {step}: {detail}")
-        self.step = step
 
 
 class DegenerateTable(PolykinError, ValueError):

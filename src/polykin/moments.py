@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolated, NegativeField, ZeroDensity
+from .errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
 from .field import DistField
 from .grid import PhaseGrid
 from .params import SchemeParams, blend_factors
 
 _ZERO_DENSITY_FLOOR = 1e-300
+_SANDWICH_SLACK = 1e-12  # relative tolerance of tensor_sandwich_check
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,12 @@ class MacroFields:
         )
 
 
+def energy_contraction(values: np.ndarray, grid: PhaseGrid, delta: float) -> np.ndarray:
+    """values @ [w, w*eps] over (..., n_v^3, n_i) tables: energy integrals of f and eps*f."""
+    wk = grid.i_weights
+    return values @ np.column_stack((wk, wk * grid.energy_eps(delta)))
+
+
 def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
                       dt: float) -> MacroFields:
     """Moments of a (n_cells, n_v^3, n_i) stack of distribution tables."""
@@ -75,17 +82,14 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
 
     nv = grid.n_v
     dv3 = grid.dv**3
-    eps = grid.energy_eps(params.delta)
-    wk = grid.i_weights
-
-    # one BLAS pass gives both the energy-contracted table and the
-    # eps-weighted totals
-    w2 = np.column_stack((wk, wk * eps))
-    contracted = values @ w2                      # (n_cells, nvol, 2)
+    contracted = energy_contraction(values, grid, params.delta)  # (n_cells, nvol, 2)
     g = contracted[..., 0]
     eps_tot = contracted[..., 1].sum(axis=1)
 
     rho = dv3 * g.sum(axis=1)
+    bad = np.nonzero(~np.isfinite(rho))[0]  # NaN slips past the sign check above
+    if bad.size:
+        raise NonFiniteField(int(bad[0]), float(rho[bad[0]]))
     bad = np.nonzero(rho <= _ZERO_DENSITY_FLOOR)[0]
     if bad.size:
         raise ZeroDensity(int(bad[0]), float(rho[bad[0]]))
@@ -161,8 +165,7 @@ class SandwichReport:
 
 
 def tensor_sandwich_check(cell: MacroCell, params: SchemeParams, dt: float,
-                          trials: int, rng: np.random.Generator | None = None,
-                          rel_slack: float = 1e-12) -> SandwichReport:
+                          trials: int, rng: np.random.Generator | None = None) -> SandwichReport:
     """Verify the quadratic-form bounds of the blended tensor on random directions.
 
     For unit vectors k the blended tensor satisfies
@@ -174,7 +177,7 @@ def tensor_sandwich_check(cell: MacroCell, params: SchemeParams, dt: float,
         theta*t_delta  <=  t_theta  <=  (delta + 3*(1-theta))/delta * t_delta.
 
     Margins are reported in units of the bound scale; a violation beyond
-    rel_slack raises BoundViolated with the offending direction.
+    _SANDWICH_SLACK raises BoundViolated with the offending direction.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -192,7 +195,7 @@ def tensor_sandwich_check(cell: MacroCell, params: SchemeParams, dt: float,
         qf = float(k @ cell.t_blend @ k)
         lo_margin = (qf - lower) / scale
         hi_margin = (upper - qf) / scale
-        if lo_margin < -rel_slack or hi_margin < -rel_slack:
+        if lo_margin < -_SANDWICH_SLACK or hi_margin < -_SANDWICH_SLACK:
             raise BoundViolated(
                 f"sandwich failed for k={k}: form={qf!r}, bounds=({lower!r}, {upper!r})"
             )
@@ -203,7 +206,7 @@ def tensor_sandwich_check(cell: MacroCell, params: SchemeParams, dt: float,
     tt_lo = (cell.t_theta - params.theta * cell.t_delta) / t_scale
     tt_hi = ((params.delta + 3.0 * (1.0 - params.theta)) / params.delta * cell.t_delta
              - cell.t_theta) / t_scale
-    if tt_lo < -rel_slack or tt_hi < -rel_slack:
+    if tt_lo < -_SANDWICH_SLACK or tt_hi < -_SANDWICH_SLACK:
         raise BoundViolated(
             f"relaxation temperature outside its bounds: t_theta={cell.t_theta!r}, "
             f"t_delta={cell.t_delta!r}"

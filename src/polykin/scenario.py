@@ -10,7 +10,7 @@ smoothed over a few cells (raw jumps behind a flag).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .grid import GridConfig, PhaseGrid, build_grid
 from .params import SchemeParams, normalizer_discrete
 
 IC_KINDS = ("maxwellian", "smooth", "riemann")
+ENVELOPE_MODES = ("off", "auto", "explicit")
 
 
 @dataclass
@@ -92,6 +93,16 @@ class Scenario:
             raise ValidationError("dt", f"t_final/dt = {n!r} is not an integer step count")
         return int(round(n))
 
+    def snapshot_steps(self) -> list[int]:
+        """Step number 1 <= n <= N of each snapshot time, which must lie within 1e-9 of n*dt."""
+        n_steps, steps = self.n_steps(), []
+        for t in self.snapshot_times:
+            n = round(t / self.dt) if math.isfinite(t / self.dt) else 0
+            if not (1 <= n <= n_steps and abs(n * self.dt - t) <= 1e-9):
+                raise ValidationError("snapshot_times", f"{t!r} is not a step time in (0, t_final]")
+            steps.append(n)
+        return steps
+
     def validate(self) -> tuple[PhaseGrid, SchemeParams]:
         if self.ic not in IC_KINDS:
             raise ValidationError("ic", f"unknown initial condition {self.ic!r}")
@@ -99,7 +110,9 @@ class Scenario:
             raise ValidationError("dt", "time step must be > 0")
         if self.t_final < 0:
             raise ValidationError("t_final", "final time must be >= 0")
-        self.n_steps()
+        if self.envelope not in ENVELOPE_MODES:
+            raise ValidationError("envelope", f"unknown envelope mode {self.envelope!r}")
+        self.snapshot_steps()  # also checks that t_final/dt is a step count
         try:
             params = SchemeParams(
                 nu=self.nu, theta=self.theta, delta=self.delta,
@@ -191,8 +204,6 @@ def certified_envelope(scn: Scenario, grid: PhaseGrid) -> StabilityEnvelope | No
     """
     if scn.envelope == "off":
         return None
-    if scn.envelope not in ("auto", "explicit"):
-        raise ValidationError("envelope", f"unknown envelope mode {scn.envelope!r}")
     if scn.envelope == "explicit":
         if scn.c01 is None or scn.c02 is None:
             raise ValidationError("envelope", "explicit envelope needs c01 and c02")
@@ -222,8 +233,7 @@ def certified_envelope(scn: Scenario, grid: PhaseGrid) -> StabilityEnvelope | No
         grid.i_nodes[None, None, None, :],
     )
 
-    _, _, _, vsq = grid.velocity_tables()
-    shape = np.exp(-c02 * ((vsq ** (a / 2.0))[:, None] + (grid.i_nodes**b)[None, :]))
+    shape = StabilityEnvelope(c01=1.0, c02=c02, a_exp=a, b_exp=b).table(grid)
     ratio = profile_min.reshape(grid.n_v**3, grid.n_i) / shape
     c01 = float(ratio.min()) * (1.0 - 1e-9)  # headroom over the monitors' 1e-12 slack
     if c01 <= 0:
@@ -233,27 +243,33 @@ def certified_envelope(scn: Scenario, grid: PhaseGrid) -> StabilityEnvelope | No
 
 # ---- scenario file parsing ----
 
-_INT_KEYS = {"n_x", "n_v", "n_i"}
-_FLOAT_KEYS = {
-    "dt", "t_final", "v_max", "i_max", "nu", "theta", "delta", "kappa", "q",
-    "rho0", "temperature", "t_tr", "t_int", "alpha",
-    "rho_left", "u_left", "t_left", "rho_right", "u_right", "t_right",
-    "smooth_cells", "c01", "c02", "a_exp", "b_exp",
-    "u0x", "u0y", "u0z",
-}
-_BOOL_KEYS = {"raw_jump", "transport_only"}
-_STR_KEYS = {"ic", "envelope", "out_dir"}
-_LIST_KEYS = {"snapshot_times"}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _parse_bool(val: str) -> bool:
+    if val.lower() not in _TRUE + _FALSE:
+        raise ValueError(f"expected one of {', '.join(_TRUE + _FALSE)}, got {val!r}")
+    return val.lower() in _TRUE
+
+
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple[float, ...]": lambda val: tuple(float(t) for t in val.split(",") if t.strip())}
+# Scenario field annotations are strings under `from __future__ import annotations`;
+# u0 is read component by component as u0x, u0y, u0z
+_KEY_PARSERS = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(Scenario)
+                if f.type.removesuffix(" | None") in _PARSERS}
+_KEY_PARSERS.update(u0x=float, u0y=float, u0z=float)
 
 
 def parse_scenario(path) -> Scenario:
     """Parse and validate a key-value scenario file.
 
-    Raises ParseError with the offending line number on malformed input and
-    ValidationError with the field name on inadmissible values.
+    Raises ParseError with the offending line number on malformed input, an
+    unknown key or a repeated key, and ValidationError with the field name on
+    inadmissible values.
     """
     values: dict = {}
-    u0 = [0.0, 0.0, 0.0]
+    seen: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -263,31 +279,21 @@ def parse_scenario(path) -> Scenario:
                 raise ParseError(str(path), line_no, f"expected 'key = value', got {raw.strip()!r}")
             key, _, val = line.partition("=")
             key = key.strip().lower()
-            val = val.strip()
+            if key not in _KEY_PARSERS:
+                raise ParseError(str(path), line_no, f"unknown key {key!r}")
+            if key in seen:
+                raise ParseError(str(path), line_no,
+                                 f"duplicate key {key!r}, first set on line {seen[key]}")
+            seen[key] = line_no
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(val)
-                elif key in _FLOAT_KEYS:
-                    if key in ("u0x", "u0y", "u0z"):
-                        u0["xyz".index(key[-1])] = float(val)
-                    else:
-                        values[key] = float(val)
-                elif key in _BOOL_KEYS:
-                    values[key] = val.lower() in ("1", "true", "yes", "on")
-                elif key in _STR_KEYS:
-                    values[key] = val
-                elif key in _LIST_KEYS:
-                    values[key] = tuple(float(t) for t in val.split(",") if t.strip())
-                else:
-                    raise ParseError(str(path), line_no, f"unknown key {key!r}")
-            except ParseError:
-                raise
+                values[key] = _KEY_PARSERS[key](val.strip())
             except ValueError as exc:
                 raise ParseError(str(path), line_no, f"bad value for {key!r}: {exc}") from exc
 
-    for required in ("n_x", "n_v", "n_i", "dt", "t_final"):
-        if required not in values:
-            raise ValidationError(required, "missing required key")
-    scn = Scenario(u0=tuple(u0), **values)
+    for f in fields(Scenario):
+        if f.default is MISSING and f.name not in values:
+            raise ValidationError(f.name, "missing required key")
+    u0 = tuple(values.pop(f"u0{c}", 0.0) for c in "xyz")
+    scn = Scenario(u0=u0, **values)
     scn.validate()
     return scn

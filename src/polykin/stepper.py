@@ -71,11 +71,6 @@ class RunResult:
     def collision_freq(self) -> float:
         return collision_frequency(self.params.nu, self.params.theta)
 
-    @property
-    def decay_factor(self) -> float:
-        a_dt = self.collision_freq * self.dt
-        return self.params.kappa / (self.params.kappa + a_dt)
-
 
 def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float,
                 out: np.ndarray) -> None:
@@ -96,12 +91,10 @@ def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float,
 
 
 def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
-                dt: float, out: DistField, norm_weight: np.ndarray | None = None,
-                lambda_delta: float | None = None) -> float | None:
+                dt: float, out: DistField, norm_weight: np.ndarray | None = None) -> float | None:
     """Blend f~ with its Gaussian cell by cell; optionally track the Gaussian norm."""
     grid = f_tilde.grid
-    if lambda_delta is None:
-        lambda_delta = normalizer_discrete(params.delta, grid)
+    lambda_delta = normalizer_discrete(params.delta, grid)
     a = collision_frequency(params.nu, params.theta)
     c_f = params.kappa / (params.kappa + a * dt)
     c_m = a * dt / (params.kappa + a * dt)
@@ -132,14 +125,11 @@ def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
     return out
 
 
-def step(f: DistField, params: SchemeParams, dt: float,
-         advector: Advector | None = None) -> tuple[DistField, StepReport]:
+def step(f: DistField, params: SchemeParams, dt: float) -> tuple[DistField, StepReport]:
     """One full scheme step; the report is populated from the output field."""
     if dt <= 0:
         raise InvalidConfig("step requires dt > 0")
-    if advector is None:
-        advector = Advector(f.grid, dt)
-    f_tilde = advector.apply(f)
+    f_tilde = Advector(f.grid, dt).apply(f)
     out = DistField(np.empty(f.grid.field_shape), f.grid)
     _relax_into(f_tilde, compute_moments(f_tilde, params, dt), params, dt, out)
     prev = conserved_quantities(f, params.delta)
@@ -195,12 +185,11 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True,
         distance_stride: int | None = None) -> RunResult:
     """Execute a scenario: N_t scheme steps from exactly sampled initial data.
 
-    snapshot_writer, when given, is called as writer(time, field) whenever the
-    time after a step matches one of the scenario's snapshot times.  Reports
-    carry conserved quantities, relative per-step defects, entropy, the weighted
-    norm of the output, and (when the scenario certifies an envelope) the norms
-    of f~ and of the Gaussian and the envelope margin that the stability
-    monitors read.
+    snapshot_writer, when given, is called as writer(time, field) after each step
+    that Scenario.snapshot_steps names.  Reports carry conserved quantities,
+    relative per-step defects, entropy, the weighted norm of the output, and
+    (when the scenario certifies an envelope) the norms of f~ and of the
+    Gaussian and the envelope margin that the stability monitors read.
     """
     grid, params = scn.validate()
     n_steps = scn.n_steps()
@@ -213,7 +202,6 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True,
     if n_steps == 0:
         return RunResult(grid, params, scn.dt, [], cur, initial_norm, initial_cons)
 
-    lam_delta = normalizer_discrete(params.delta, grid)
     advector = Advector(grid, scn.dt)
     tilde = DistField(np.empty(grid.field_shape), grid)
     nxt = DistField(np.empty(grid.field_shape), grid)
@@ -222,7 +210,7 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True,
 
     scales = _defect_scales(initial_cons, params.delta)
     prev_cons = initial_cons
-    snapshot_times = list(scn.snapshot_times)
+    snapshot_steps = scn.snapshot_steps()
     reports: list[StepReport] = []
 
     for n in range(n_steps):
@@ -237,8 +225,7 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True,
         else:
             try:
                 macro = compute_moments(tilde, params, scn.dt)
-                gauss_norm = _relax_into(tilde, macro, params, scn.dt, nxt,
-                                         norm_weight=norm_weight, lambda_delta=lam_delta)
+                gauss_norm = _relax_into(tilde, macro, params, scn.dt, nxt, norm_weight=norm_weight)
             except PolykinError as exc:
                 exc.args = (f"step {n}: {exc}",)
                 raise
@@ -255,7 +242,7 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True,
         reports.append(report)
         prev_cons = (report.mass, report.momentum, report.energy)
 
-        if snapshot_writer is not None and any(abs(t_now - t) <= 1e-9 for t in snapshot_times):
+        if snapshot_writer is not None and n + 1 in snapshot_steps:
             snapshot_writer(t_now, nxt)
 
         cur, nxt = nxt, cur

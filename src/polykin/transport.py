@@ -51,6 +51,6 @@ class Advector:
         return out
 
 
-def advect(field: DistField, dt: float, out: DistField | None = None) -> DistField:
+def advect(field: DistField, dt: float) -> DistField:
     """One advection pass: out[i,j,k] = a*f[s,j,k] + (1-a)*f[s+1,j,k]."""
-    return Advector(field.grid, dt).apply(field, out)
+    return Advector(field.grid, dt).apply(field)

@@ -125,6 +125,19 @@ class TestEnvelopes:
         assert all(r >= ratios[0] * (1 - 1e-12) for r in ratios)
         assert all(r >= 1.0 - 1e-12 for r in ratios)
 
+    def test_transport_only_run_keeps_both_envelopes(self):
+        # no Gaussian is built, so A*dt = 0 and neither bound may move
+        from polykin import certified_envelope
+
+        scn = Scenario(n_x=8, n_v=5, n_i=4, dt=0.05, t_final=0.5, v_max=2.0, i_max=2.0,
+                       ic="smooth", envelope="auto", transport_only=True)
+        grid, _ = scn.validate()
+        report = check_envelopes(run(scn), certified_envelope(scn, grid))
+        assert report.lower_violations == 0
+        assert report.upper_violations == 0
+        assert report.decay_factor == 1.0
+        assert report.growth_factor == 1.0
+
     def test_missing_monitor_data_is_an_error(self):
         res = run(self.scenario(envelope="off"))
         env = StabilityEnvelope(c01=1.0, c02=0.5, a_exp=2.0, b_exp=2.0)

@@ -15,7 +15,7 @@ from polykin import (
     table_moments,
     tensor_sandwich_check,
 )
-from polykin.errors import BoundViolated, NegativeField, ZeroDensity
+from polykin.errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
 from tests.conftest import random_field_values
 from tests.test_field import maxwellian
 
@@ -116,6 +116,16 @@ class TestComputeMoments:
         vals[1, 2, 2, 2, 1] = -1e-9
         with pytest.raises(NegativeField):
             compute_moments(DistField(vals, small_grid), default_params, dt=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_names_the_cell(self, small_grid, default_params, rng, bad):
+        # NaN passes the sign check; both must stop before the Gaussian is built
+        vals = random_field_values(rng, small_grid)
+        vals[2, 1, 3, 0, 2] = bad
+        with pytest.raises(NonFiniteField) as exc, np.errstate(invalid="ignore"):
+            compute_moments(DistField(vals, small_grid), default_params, dt=0.1)
+        assert exc.value.cell == 2
+        assert "cell 2" in str(exc.value)
 
     def test_table_moments_matches_field_path(self, small_grid, default_params, rng):
         vals = random_field_values(rng, small_grid) + 1e-3

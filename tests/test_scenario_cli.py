@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from polykin import parse_scenario, read_snapshot
+from polykin import Scenario, parse_scenario, read_snapshot, stepper
 from polykin.cli import main
-from polykin.errors import ParseError, ValidationError
+from polykin.errors import NonFiniteField, ParseError, ValidationError
 
 MINIMAL = """
 # smallest viable configuration
@@ -71,6 +71,32 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_scenario(path)
 
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        path = write(tmp_path, MINIMAL + "dt = 0.1\n")
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(path)
+        assert exc.value.line_no == 8
+        assert "line 6" in str(exc.value)
+
+    def test_misspelt_boolean_rejected(self, tmp_path):
+        path = write(tmp_path, MINIMAL + "raw_jump = ture\n")
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(path)
+        assert exc.value.line_no == 8
+
+    def test_unknown_envelope_mode_rejected(self, tmp_path):
+        # sweep and convergence never certify an envelope, so validation must catch it
+        path = write(tmp_path, SMOOTH + "envelope = bogus\n")
+        assert main(["sweep", str(path), "--kappa", "1", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("t", [0.15, 0.6, 0.0], ids=["off_lattice", "past_end", "zero"])
+    def test_snapshot_time_must_be_a_step_time(self, t):
+        scn = Scenario(n_x=4, n_v=5, n_i=4, dt=0.1, t_final=0.5, v_max=2.0, i_max=2.0,
+                       snapshot_times=(t,))
+        with pytest.raises(ValidationError) as exc:
+            scn.validate()
+        assert exc.value.field == "snapshot_times"
+
     def test_missing_required_key(self, tmp_path):
         path = write(tmp_path, "n_x = 8\nn_v = 5\nn_i = 4\ndt = 0.1\n")
         with pytest.raises(ValidationError) as exc:
@@ -106,6 +132,15 @@ class TestSimulate:
         assert main(["simulate", str(scn), "--out", str(out2)]) == 0
         assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
         assert (out1 / "macro.csv").read_bytes() == (out2 / "macro.csv").read_bytes()
+
+    def test_non_finite_field_exits_3(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NonFiniteField(3, math.nan)
+
+        monkeypatch.setattr(stepper, "run", fail)
+        scn = write(tmp_path, SMOOTH)
+        assert main(["simulate", str(scn), "--out", str(tmp_path / "o")]) == 3
+        assert "cell 3" in capsys.readouterr().err
 
     def test_validation_failure_exits_nonzero(self, tmp_path, capsys):
         scn = write(tmp_path, MINIMAL + "theta = 0.0\n")
@@ -218,6 +253,12 @@ class TestSweepCli:
     def test_nonpositive_kappa_rejected(self, tmp_path):
         scn = write(tmp_path, SMOOTH)
         assert main(["sweep", str(scn), "--kappa", "1,0", "--out", str(tmp_path / "o")]) == 2
+
+    def test_sweep_runs_without_envelope_monitor(self, tmp_path):
+        # auto certification rejects two-state data, but a sweep reads no monitor
+        text = SMOOTH.replace("ic = smooth", "ic = riemann") + "envelope = auto\n"
+        scn = write(tmp_path, text)
+        assert main(["sweep", str(scn), "--kappa", "1", "--out", str(tmp_path / "o")]) == 0
 
     def test_zero_step_sweep_writes_finite_distance(self, tmp_path):
         # no steps, no reports: the distance is taken from the initial field
