@@ -13,7 +13,7 @@ from .diagnostics import equilibrium_distance, observed_order
 from .errors import NonFiniteField, PolykinError, ValidationError
 from .field import DistField, error_sup_norm, sample, write_snapshot
 from .moments import MACRO_CSV_HEADER, compute_moments, write_macro_csv
-from .scenario import Scenario, make_initial, parse_scenario  # noqa: F401 (re-export)
+from .scenario import Scenario, make_initial, parse_scenario
 
 
 def _out_dir(args, scn: Scenario) -> Path:
@@ -133,23 +133,17 @@ def cmd_sweep(args) -> int:
     rows = []
     for kappa in kappas:
         k_scn = dataclasses.replace(scn, kappa=kappa, envelope="off")  # monitors unread
-        n_steps = k_scn.n_steps()
-        stride = max(1, n_steps // 10)
-        result = stepper.run(k_scn, track_entropy=False, distance_stride=stride)
+        result = stepper.run(k_scn, track_entropy=False)
         finite = all(
             math.isfinite(r.norm_q) and math.isfinite(r.mass) for r in result.reports
         )
-        if result.reports:  # run() stores the distance of the last step
-            final_dist = result.reports[-1].eq_distance
-        else:
-            final_dist = equilibrium_distance(result.final, result.params, dt=k_scn.dt)
-        trend = [r.eq_distance for r in result.reports if r.eq_distance is not None]
-        rows.append((kappa, finite, final_dist, trend))
+        final_dist = equilibrium_distance(result.final, result.params, dt=k_scn.dt)
+        rows.append((kappa, finite, final_dist))
         print(f"sweep: kappa={kappa:g} finite={finite} |f-G(f)|_q={final_dist:.6e}")
 
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("kappa,finite,final_equilibrium_distance\n")
-        for kappa, finite, final_dist, _ in rows:
+        for kappa, finite, final_dist in rows:
             fh.write("%.17g,%d,%.17g\n" % (kappa, int(finite), final_dist))
     return 0
 

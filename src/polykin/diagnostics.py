@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
-from .errors import DegenerateTable, NegativeField
+from .errors import DegenerateTable, InvalidConfig, NegativeField
 from .field import DistField, error_sup_norm
 from .gaussian import gaussian_field
 from .grid import PhaseGrid
@@ -52,9 +51,11 @@ def entropy(fld: DistField) -> float:
     wk = g.i_weights
     cellw = g.dx * g.dv**3
     total = 0.0
-    flat = fld.values.reshape(g.n_x, -1, g.n_i)
-    for i in range(g.n_x):
-        total += float((xlogy(flat[i], flat[i]) @ wk).sum())
+    for cell in fld.values.reshape(g.n_x, -1, g.n_i):
+        # the mask is f != 0, not f > 0: NaN and inf propagate as they would in xlogy
+        flogf = np.log(cell, out=np.zeros_like(cell), where=cell != 0)
+        flogf *= cell
+        total += float((flogf @ wk).sum())
     return cellw * total
 
 
@@ -83,7 +84,7 @@ class StabilityEnvelope:
 
     def __post_init__(self):
         if self.c01 <= 0 or self.c02 <= 0 or self.a_exp <= 0 or self.b_exp <= 0:
-            raise ValueError("envelope parameters must be strictly positive")
+            raise InvalidConfig("envelope parameters must be strictly positive")
 
     def table(self, grid: PhaseGrid) -> np.ndarray:
         """Envelope values over (velocity-cube, energy) nodes, flattened to 2D."""
@@ -139,7 +140,7 @@ def check_envelopes(run, envelope: StabilityEnvelope) -> EnvelopeReport:
     """
     reports = run.reports
     if not reports or reports[0].envelope_min_ratio is None:
-        raise ValueError("run was not executed with an envelope monitor")
+        raise InvalidConfig("run was not executed with an envelope monitor")
 
     a_dt = run.collision_freq * run.dt if reports[0].gaussian_norm_q is not None else 0.0
     dec = run.kappa / (run.kappa + a_dt)

@@ -31,9 +31,6 @@ class DistField:
                 f"array shape {self.values.shape} does not match grid {self.grid.field_shape}"
             )
 
-    def copy(self) -> "DistField":
-        return DistField(self.values.copy(), self.grid)
-
 
 def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistField:
     """Sample f0 at ((x_i - v_j1*shift_dt) mod 1, v_j, I_k).

@@ -104,6 +104,11 @@ class Scenario:
         return steps
 
     def validate(self) -> tuple[PhaseGrid, SchemeParams]:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ValidationError(f.name, f"{x!r} is not a finite number")
         if self.ic not in IC_KINDS:
             raise ValidationError("ic", f"unknown initial condition {self.ic!r}")
         if self.dt <= 0:
@@ -112,6 +117,13 @@ class Scenario:
             raise ValidationError("t_final", "final time must be >= 0")
         if self.envelope not in ENVELOPE_MODES:
             raise ValidationError("envelope", f"unknown envelope mode {self.envelope!r}")
+        if self.envelope != "off":
+            for name in ("a_exp", "b_exp", "c01", "c02"):
+                v = getattr(self, name)
+                if v is not None and v <= 0:
+                    raise ValidationError(name, "envelope constants must be > 0")
+        if self.ic == "riemann" and not self.raw_jump and self.smooth_cells <= 0:
+            raise ValidationError("smooth_cells", "the jump must be smoothed over > 0 cells")
         self.snapshot_steps()  # also checks that t_final/dt is a step count
         try:
             params = SchemeParams(

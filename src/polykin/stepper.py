@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import conserved_quantities, entropy, equilibrium_distance
+# unused here, but benchmarks/spans.py wraps stepper.equilibrium_distance
+from .diagnostics import conserved_quantities, entropy, equilibrium_distance  # noqa: F401
 from .errors import InvalidConfig, PolykinError
 from .field import DistField, sample, weighted_sup_norm
 from .gaussian import _gaussian_flat
@@ -50,7 +51,6 @@ class StepReport:
     tilde_norm_q: float | None = None  # set by step(), and by run() with an envelope
     gaussian_norm_q: float | None = None
     envelope_min_ratio: float | None = None
-    eq_distance: float | None = None
 
 
 @dataclass
@@ -181,8 +181,7 @@ def _envelope_min_ratio(f_tilde: DistField, env_table: np.ndarray) -> float:
     return worst
 
 
-def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True,
-        distance_stride: int | None = None) -> RunResult:
+def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunResult:
     """Execute a scenario: N_t scheme steps from exactly sampled initial data.
 
     snapshot_writer, when given, is called as writer(time, field) after each step
@@ -237,8 +236,6 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True,
                             envelope_min_ratio=_envelope_min_ratio(tilde, env_table))
         report = _step_report(n, t_now, nxt, prev_cons, scales, params, track_entropy,
                               gaussian_norm_q=gauss_norm, **monitors)
-        if distance_stride is not None and ((n + 1) % distance_stride == 0 or n == n_steps - 1):
-            report.eq_distance = equilibrium_distance(nxt, params, dt=scn.dt)
         reports.append(report)
         prev_cons = (report.mass, report.momentum, report.energy)
 

@@ -18,9 +18,13 @@ from hypothesis.extra.numpy import arrays
 from polykin import (
     DistField,
     GridConfig,
+    SchemeParams,
     advect,
     build_grid,
+    conserved_quantities,
     read_snapshot,
+    table_moments,
+    tensor_sandwich_check,
     weighted_sup_norm,
     write_snapshot,
 )
@@ -64,6 +68,30 @@ def test_advection_keeps_sign_and_never_raises_the_weighted_norm(f, dt):
     out = advect(f, dt)
     assert (out.values >= 0).all()
     assert weighted_sup_norm(out, 8.0, 2.0) <= weighted_sup_norm(f, 8.0, 2.0)
+
+
+@PROPERTY
+@given(f=fields(), dt=st.floats(0.0, 10.0))
+def test_periodic_advection_conserves_mass_momentum_and_energy(f, dt):
+    mass, mom, energy = conserved_quantities(f, 2.0)
+    mass_out, mom_out, energy_out = conserved_quantities(advect(f, dt), 2.0)
+    assert abs(mass_out - mass) <= 1e-12 * mass
+    assert abs(energy_out - energy) <= 1e-12 * energy
+    assert np.linalg.norm(mom_out - mom) <= 1e-12 * mass * f.grid.v_max
+
+
+@PROPERTY
+@given(data=st.data(), f=fields(), bump=st.floats(1e-3, 1e6),
+       nu=st.floats(-0.5, 1.0, exclude_min=True, exclude_max=True),
+       theta=st.floats(0.0, 1.0, exclude_min=True), delta=st.floats(0.5, 2.0),
+       dt=st.floats(0.0, 1e6))
+def test_tensor_sandwich_holds_for_nonnegative_tables(data, f, bump, nu, theta, delta, dt):
+    # one cell of a nonnegative field, with one entry raised so the density is positive;
+    # the blend factors depend on dt/kappa alone, so kappa = 1 loses no case
+    table = f.values[0].reshape(-1, f.grid.n_i).copy()
+    table.flat[data.draw(st.integers(0, table.size - 1))] += bump
+    params = SchemeParams(nu=nu, theta=theta, delta=delta, kappa=1.0, q=8.0)
+    tensor_sandwich_check(table_moments(table, f.grid, params, dt), params, dt, trials=50)
 
 
 @PROPERTY

@@ -40,6 +40,13 @@ def write(tmp_path, text, name="scn.txt"):
     return p
 
 
+def override(text, extra):
+    """text with the lines of extra replacing any line that sets the same key."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + extra.splitlines()) + "\n"
+
+
 class TestParse:
     def test_minimal_file_gets_defaults(self, tmp_path):
         scn = parse_scenario(write(tmp_path, MINIMAL))
@@ -96,6 +103,37 @@ class TestParse:
         with pytest.raises(ValidationError) as exc:
             scn.validate()
         assert exc.value.field == "snapshot_times"
+
+    @pytest.mark.parametrize("extra, key", [
+        ("t_final = nan", "t_final"),
+        ("t_final = inf", "t_final"),
+        ("v_max = nan", "v_max"),
+        ("kappa = nan", "kappa"),
+        ("rho0 = nan", "rho0"),
+        ("u0y = -inf", "u0"),
+        ("snapshot_times = 0.1, nan", "snapshot_times"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, extra, key):
+        path = write(tmp_path, override(SMOOTH, extra))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        ("envelope = explicit\nc01 = -1\nc02 = 0.5", "c01"),
+        ("envelope = explicit\nc01 = 1\nc02 = 0", "c02"),
+        ("envelope = auto\na_exp = 0", "a_exp"),
+        ("envelope = auto\nb_exp = -1", "b_exp"),
+        ("ic = riemann\nsmooth_cells = 0", "smooth_cells"),
+        ("ic = riemann\nsmooth_cells = -2", "smooth_cells"),
+    ])
+    def test_non_positive_shape_constant_exits_2(self, tmp_path, capsys, extra, key):
+        path = write(tmp_path, override(SMOOTH, extra))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+
+    def test_raw_jump_ignores_smooth_cells(self):
+        Scenario(n_x=4, n_v=5, n_i=4, dt=0.1, t_final=0.5, v_max=2.0, i_max=2.0,
+                 ic="riemann", raw_jump=True, smooth_cells=0.0).validate()
 
     def test_missing_required_key(self, tmp_path):
         path = write(tmp_path, "n_x = 8\nn_v = 5\nn_i = 4\ndt = 0.1\n")
