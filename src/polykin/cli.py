@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import stepper
 from .diagnostics import equilibrium_distance, observed_order
-from .errors import NonFiniteField, PolykinError, ValidationError
+from .errors import NonFiniteField, NonFiniteGaussian, PolykinError, ValidationError
 from .field import DistField, error_sup_norm, sample, write_snapshot
 from .moments import MACRO_CSV_HEADER, compute_moments, write_macro_csv
 from .scenario import Scenario, make_initial, parse_scenario
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except PolykinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, NonFiniteField) else 2
+        return 3 if isinstance(exc, (NonFiniteField, NonFiniteGaussian)) else 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -31,7 +31,7 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     mass = 0.0
     mom = np.zeros(3)
     energy = 0.0
-    contracted = energy_contraction(fld.values.reshape(g.n_x, -1, g.n_i), g, delta)
+    contracted = energy_contraction(fld.cells, g, delta)
     for i in range(g.n_x):
         a = contracted[i]                    # (nvol, 2): plain and eps-weighted
         g0 = a[:, 0]
@@ -51,9 +51,11 @@ def entropy(fld: DistField) -> float:
     wk = g.i_weights
     cellw = g.dx * g.dv**3
     total = 0.0
-    for cell in fld.values.reshape(g.n_x, -1, g.n_i):
+    flogf = np.empty(fld.cells.shape[1:])  # one cell table, reused
+    for cell in fld.cells:
         # the mask is f != 0, not f > 0: NaN and inf propagate as they would in xlogy
-        flogf = np.log(cell, out=np.zeros_like(cell), where=cell != 0)
+        flogf.fill(0.0)
+        np.log(cell, out=flogf, where=cell != 0)
         flogf *= cell
         total += float((flogf @ wk).sum())
     return cellw * total

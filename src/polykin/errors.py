@@ -20,7 +20,7 @@ class DegenerateGrid(PolykinError, ArithmeticError):
 
 
 class NegativeInitialData(PolykinError, ValueError):
-    """Initial condition sampled to a negative value."""
+    """Initial condition sampled to a negative or non-finite value."""
 
 
 class GridMismatch(PolykinError, ValueError):
@@ -59,6 +59,10 @@ class NonSPDTensor(PolykinError, ArithmeticError):
 
 class DegenerateTemperature(PolykinError, ArithmeticError):
     """Relaxation temperature is non-positive."""
+
+
+class NonFiniteGaussian(PolykinError, ArithmeticError):
+    """A cell's Gaussian prefactor overflowed or underflowed (exit code 3)."""
 
 
 class BoundViolated(PolykinError, AssertionError):

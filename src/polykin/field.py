@@ -7,6 +7,7 @@ relaxation work streams contiguous (j, k) blocks.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -30,6 +31,14 @@ class DistField:
             raise GridMismatch(
                 f"array shape {self.values.shape} does not match grid {self.grid.field_shape}"
             )
+        if not self.values.flags.c_contiguous:
+            raise GridMismatch("field values must be C-contiguous, spatial index outermost")
+
+    @property
+    def cells(self) -> np.ndarray:
+        """The (n_x, n_v**3, n_i) view: one (velocity-cube, energy) table per spatial cell."""
+        g = self.grid
+        return self.values.reshape(g.n_x, g.n_v**3, g.n_i)
 
 
 def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistField:
@@ -50,10 +59,13 @@ def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistFiel
         v[None, None, None, :, None],
         grid.i_nodes[None, None, None, None, :],
     )
-    values = np.broadcast_to(values, grid.field_shape).astype(float, copy=True)
-    m = values.min()
-    if m < 0:
-        raise NegativeInitialData(f"initial data has negative sample {m!r}")
+    values = np.broadcast_to(values, grid.field_shape).astype(float, order="C")
+    lo, hi = float(values.min()), float(values.max())  # min is NaN if any sample is
+    for s in (lo, hi):
+        if not math.isfinite(s):
+            raise NegativeInitialData(f"initial data has non-finite sample {s!r}")
+    if lo < 0:
+        raise NegativeInitialData(f"initial data has negative sample {lo!r}")
     return DistField(values, grid)
 
 
@@ -61,8 +73,8 @@ def _sup_norm(a: DistField, b: DistField | None, q: float, delta: float) -> floa
     """sup over nodes of |a - b| (|a| without b) times the weight of order q, cell by cell."""
     g = a.grid
     w = g.norm_weight(q, delta)
-    fa = a.values.reshape(g.n_x, -1, g.n_i)
-    fb = None if b is None else b.values.reshape(g.n_x, -1, g.n_i)
+    fa = a.cells
+    fb = None if b is None else b.cells
     out = 0.0
     for i in range(g.n_x):
         d = fa[i] if fb is None else fa[i] - fb[i]
@@ -91,7 +103,7 @@ def write_snapshot(path, field: DistField, delta: float, q: float) -> None:
                              delta, q)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(field.values.astype("<f8", copy=False).tobytes())
+        fh.write(field.values.astype("<f8", copy=False).data)
 
 
 def read_snapshot(path) -> tuple[DistField, float, float]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTemperature, NonSPDTensor, PolykinError
+from .errors import DegenerateTemperature, NonFiniteGaussian, NonSPDTensor, PolykinError
 from .field import DistField
 from .grid import PhaseGrid
 from .moments import MacroCell, MacroFields
@@ -52,8 +52,9 @@ def factor_spd(t_blend: np.ndarray) -> SpdFactor:
 
 
 def _gaussian_flat(rho: float, u: np.ndarray, t_blend: np.ndarray, t_theta: float,
-                   grid: PhaseGrid, lambda_delta: float, delta: float) -> np.ndarray:
-    """Gaussian values over (velocity-cube, energy) nodes, flattened to 2D."""
+                   grid: PhaseGrid, lambda_delta: float, delta: float,
+                   out: np.ndarray) -> np.ndarray:
+    """Gaussian values over (velocity-cube, energy) nodes, written into the 2D table out."""
     if t_theta <= 0.0:
         raise DegenerateTemperature(f"relaxation temperature {t_theta!r} <= 0")
     fac = factor_spd(t_blend)
@@ -71,29 +72,28 @@ def _gaussian_flat(rho: float, u: np.ndarray, t_blend: np.ndarray, t_theta: floa
     pref = rho * lambda_delta / (
         _TWO_PI_CUBED_SQRT * lw[0, 0] * lw[1, 1] * lw[2, 2] * t_theta ** (delta / 2.0)
     )
-    return pref * ev[:, None] * ei[None, :]
+    if not 0.0 < pref < math.inf:  # ev, ei <= 1, so a finite pref bounds the table
+        raise NonFiniteGaussian(f"Gaussian prefactor {float(pref)!r} is not positive and finite")
+    return np.multiply(pref * ev[:, None], ei[None, :], out=out)
 
 
 def eval_gaussian(cell: MacroCell, grid: PhaseGrid, lambda_delta: float,
                   delta: float) -> np.ndarray:
     """Gaussian value table of one cell, shaped (n_v, n_v, n_v, n_i)."""
     flat = _gaussian_flat(cell.rho, cell.u, cell.t_blend, cell.t_theta,
-                          grid, lambda_delta, delta)
+                          grid, lambda_delta, delta, np.empty((grid.n_v**3, grid.n_i)))
     return flat.reshape(grid.n_v, grid.n_v, grid.n_v, grid.n_i)
 
 
 def gaussian_field(macro: MacroFields, grid: PhaseGrid, lambda_delta: float,
                    delta: float) -> DistField:
     """Evaluate the per-cell Gaussians of a whole MacroFields into a field."""
-    out = np.empty(grid.field_shape)
-    flat = out.reshape(grid.n_x, grid.n_v**3, grid.n_i)
-    for i in range(len(macro)):
+    out = DistField(np.empty(grid.field_shape), grid)
+    for i, cell in enumerate(out.cells):
         try:
-            flat[i] = _gaussian_flat(
-                float(macro.rho[i]), macro.u[i], macro.t_blend[i],
-                float(macro.t_theta[i]), grid, lambda_delta, delta,
-            )
+            _gaussian_flat(float(macro.rho[i]), macro.u[i], macro.t_blend[i],
+                           float(macro.t_theta[i]), grid, lambda_delta, delta, cell)
         except PolykinError as exc:
             exc.args = (f"cell {i}: {exc}",)
             raise
-    return DistField(out, grid)
+    return out

@@ -143,9 +143,7 @@ def compute_moments(field: DistField, params: SchemeParams, dt: float) -> MacroF
     tensor; pass dt = 0 to obtain the unblended (continuous-form) tensor for
     diagnostics.
     """
-    g = field.grid
-    stack = field.values.reshape(g.n_x, g.n_v**3, g.n_i)
-    return _moments_of_stack(stack, g, params, dt)
+    return _moments_of_stack(field.cells, field.grid, params, dt)
 
 
 def table_moments(table: np.ndarray, grid: PhaseGrid, params: SchemeParams,

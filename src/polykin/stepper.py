@@ -84,10 +84,10 @@ def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float,
         np.subtract(m, ft, out=out)
         out *= c_m
         out += ft
-    else:
-        np.subtract(ft, m, out=out)
-        out *= c_f
-        out += m
+    else:  # out may be m itself, so the difference takes its own buffer
+        d = ft - m
+        d *= c_f
+        np.add(m, d, out=out)
 
 
 def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
@@ -99,19 +99,18 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
     c_f = params.kappa / (params.kappa + a * dt)
     c_m = a * dt / (params.kappa + a * dt)
 
-    src = f_tilde.values.reshape(grid.n_x, grid.n_v**3, grid.n_i)
-    dst = out.values.reshape(grid.n_x, grid.n_v**3, grid.n_i)
+    src, dst = f_tilde.cells, out.cells
     gauss_norm = 0.0
     for i in range(grid.n_x):
-        try:
+        try:  # the Gaussian is written into the output cell and blended there in place
             m = _gaussian_flat(float(macro.rho[i]), macro.u[i], macro.t_blend[i],
-                               float(macro.t_theta[i]), grid, lambda_delta, params.delta)
+                               float(macro.t_theta[i]), grid, lambda_delta, params.delta, dst[i])
         except PolykinError as exc:
             exc.args = (f"cell {i}: {exc}",)
             raise
         if norm_weight is not None:
             gauss_norm = max(gauss_norm, float(np.max(m * norm_weight)))
-        _blend_into(src[i], m, c_f, c_m, dst[i])
+        _blend_into(src[i], m, c_f, c_m, m)
     return gauss_norm if norm_weight is not None else None
 
 
@@ -173,11 +172,9 @@ def _defect_scales(cons0, delta: float) -> tuple[float, float, float]:
 
 
 def _envelope_min_ratio(f_tilde: DistField, env_table: np.ndarray) -> float:
-    g = f_tilde.grid
-    flat = f_tilde.values.reshape(g.n_x, -1, g.n_i)
     worst = math.inf
-    for i in range(g.n_x):
-        worst = min(worst, float(np.min(flat[i] / env_table)))
+    for cell in f_tilde.cells:
+        worst = min(worst, float(np.min(cell / env_table)))
     return worst
 
 
@@ -202,7 +199,7 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
         return RunResult(grid, params, scn.dt, [], cur, initial_norm, initial_cons)
 
     advector = Advector(grid, scn.dt)
-    tilde = DistField(np.empty(grid.field_shape), grid)
+    tilde = sample(ic, grid, scn.dt)  # exact foot values for step 0, no initial error
     nxt = DistField(np.empty(grid.field_shape), grid)
     env_table = envelope.table(grid) if envelope is not None else None
     norm_weight = grid.norm_weight(params.q, params.delta) if envelope is not None else None
@@ -213,9 +210,7 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
     reports: list[StepReport] = []
 
     for n in range(n_steps):
-        if n == 0:
-            tilde = sample(ic, grid, scn.dt)  # exact foot values, no initial error
-        else:
+        if n > 0:
             advector.apply(cur, out=tilde)
 
         gauss_norm = None

@@ -58,6 +58,11 @@ def test_field_shape_must_match_grid(small_grid):
         DistField(np.zeros((1, 2, 3)), small_grid)
 
 
+def test_field_values_must_be_c_ordered(small_grid):
+    with pytest.raises(GridMismatch, match="C-contiguous"):
+        DistField(np.asfortranarray(np.ones(small_grid.field_shape)), small_grid)
+
+
 def test_foot_rejects_negative_dt(small_grid):
     with pytest.raises(InvalidConfig):
         small_grid.foot(0, 1.0, -0.1)

@@ -63,6 +63,18 @@ class TestSample:
         with pytest.raises(NegativeInitialData):
             sample(lambda x, v1, v2, v3, i: v1 + 0.0 * (x + v2 + v3 + i), small_grid)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_rejected(self, small_grid, bad):
+        with pytest.raises(NegativeInitialData, match=f"non-finite sample {bad!r}$"):
+            sample(lambda x, v1, v2, v3, i: bad + 0.0 * (x + v1 + v2 + v3 + i), small_grid)
+
+    def test_x_independent_data_is_sampled_in_c_order(self, small_grid):
+        # the samples broadcast along x, yet must come out spatial index outermost
+        f = sample(lambda x, v1, v2, v3, i: np.exp(-(v1**2 + v2**2 + v3**2) - i), small_grid)
+        assert f.values.flags.c_contiguous
+        assert np.shares_memory(f.cells, f.values)
+        assert f.cells.shape == (small_grid.n_x, small_grid.n_v**3, small_grid.n_i)
+
 
 class TestWeightedSupNorm:
     def test_zero_field(self, small_grid):

@@ -21,13 +21,18 @@ from polykin import (
     SchemeParams,
     advect,
     build_grid,
+    compute_moments,
     conserved_quantities,
+    gaussian_field,
+    normalizer_discrete,
     read_snapshot,
+    step,
     table_moments,
     tensor_sandwich_check,
     weighted_sup_norm,
     write_snapshot,
 )
+from polykin.errors import PolykinError
 from polykin.stepper import _blend_into
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -58,6 +63,9 @@ def test_blend_stays_nonnegative_and_inside_operand_span(data, c_m):
     _blend_into(ft, m, 1.0 - c_m, c_m, out)
     assert (out >= 0).all()
     assert (out >= np.minimum(ft, m)).all() and (out <= np.maximum(ft, m)).all()
+    in_place = m.copy()  # the relaxation blends into the table holding the Gaussian
+    _blend_into(ft, in_place, 1.0 - c_m, c_m, in_place)
+    assert in_place.tobytes() == out.tobytes()
     _blend_into(ft, ft, 1.0 - c_m, c_m, out)
     assert out.tobytes() == ft.tobytes()
 
@@ -92,6 +100,28 @@ def test_tensor_sandwich_holds_for_nonnegative_tables(data, f, bump, nu, theta, 
     table.flat[data.draw(st.integers(0, table.size - 1))] += bump
     params = SchemeParams(nu=nu, theta=theta, delta=delta, kappa=1.0, q=8.0)
     tensor_sandwich_check(table_moments(table, f.grid, params, dt), params, dt, trials=50)
+
+
+@PROPERTY
+@given(f=fields(), kappa_exp=st.floats(-8.0, 2.0), dt=st.floats(1e-3, 1.0),
+       nu=st.floats(-0.5, 1.0, exclude_min=True, exclude_max=True),
+       theta=st.floats(0.0, 1.0, exclude_min=True))
+def test_one_step_is_stable_for_any_knudsen_number(f, kappa_exp, dt, nu, theta):
+    # the step is a convex blend of f~ and its Gaussian G(f~) at every kappa, so it
+    # keeps the sign and cannot raise the weighted norm above both operands
+    # (Russo, Santagati, Yun, SIAM J. Numer. Anal. 2012)
+    params = SchemeParams(nu=nu, theta=theta, delta=2.0, kappa=10.0**kappa_exp, q=8.0)
+    try:
+        out, report = step(f, params, dt)
+    except PolykinError as exc:
+        assert "cell " in str(exc)
+        return
+    tilde = advect(f, dt)
+    gauss = gaussian_field(compute_moments(tilde, params, dt), f.grid,
+                           normalizer_discrete(2.0, f.grid), 2.0)
+    assert np.isfinite(out.values).all() and (out.values >= 0).all()
+    assert report.norm_q <= max(weighted_sup_norm(tilde, 8.0, 2.0),
+                                weighted_sup_norm(gauss, 8.0, 2.0))
 
 
 @PROPERTY

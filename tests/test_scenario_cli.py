@@ -33,6 +33,8 @@ ic = smooth
 alpha = 0.2
 """
 
+TINY = "n_x = 4\nn_v = 5\nn_i = 4\ndt = 0.1\nt_final = 0.2\nic = smooth\n"
+
 
 def write(tmp_path, text, name="scn.txt"):
     p = tmp_path / name
@@ -179,6 +181,20 @@ class TestSimulate:
         scn = write(tmp_path, SMOOTH)
         assert main(["simulate", str(scn), "--out", str(tmp_path / "o")]) == 3
         assert "cell 3" in capsys.readouterr().err
+
+    def test_non_finite_initial_data_exits_2(self, tmp_path, capsys):
+        # (2*pi*T)^1.5 underflows, so every sample of the Gaussian initial data is +inf
+        path = write(tmp_path, TINY + "temperature = 1e-300\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: initial data has non-finite sample inf" in err
+
+    def test_non_finite_gaussian_exits_3_naming_step_and_cell(self, tmp_path, capsys):
+        # the temperature collapses at step 1 and the Gaussian prefactor overflows
+        path = write(tmp_path, TINY + "kappa = 1e-300\nrho0 = 1e300\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "step " in err and "cell " in err and "Gaussian prefactor inf" in err
 
     def test_validation_failure_exits_nonzero(self, tmp_path, capsys):
         scn = write(tmp_path, MINIMAL + "theta = 0.0\n")
