@@ -8,13 +8,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTable, InvalidConfig, NegativeField
-from .field import DistField, error_sup_norm
+from .field import DistField, error_sup_norm, row_tiles
 from .gaussian import gaussian_field
 from .grid import PhaseGrid
 from .moments import compute_moments, energy_contraction
 from .params import SchemeParams, normalizer_discrete
 
 _MONITOR_SLACK = 1e-12  # relative tolerance of check_envelopes
+
+
+def cell_conserved(cell: np.ndarray, grid: PhaseGrid, delta: float) -> tuple:
+    """(mass, m1, m2, m3, energy) sums of one (n_v^3, n_i) cell table, before the cell weight."""
+    v1, v2, v3, vsq = grid.velocity_tables()
+    a = energy_contraction(cell, grid, delta)  # (nvol, 2): plain and eps-weighted
+    g0 = a[:, 0]
+    return g0.sum(), g0 @ v1, g0 @ v2, g0 @ v3, 0.5 * (g0 @ vsq) + a[:, 1].sum()
+
+
+def conserved_totals(cell_sums: list[tuple], grid: PhaseGrid) -> tuple[float, np.ndarray, float]:
+    """(mass, momentum, energy) from the cell_conserved sums of every cell, added in cell order."""
+    sums = [0.0] * 5
+    for cs in cell_sums:
+        sums = [s + c for s, c in zip(sums, cs)]
+    t = grid.dx * grid.dv**3 * np.array(sums)
+    return t[0], t[1:4], t[4]
 
 
 def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarray, float]:
@@ -24,23 +41,16 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     |v|^2/2 + I^(2/delta).  Reductions run cell by cell with a fixed tree
     shape, so results are bit-reproducible for a given grid.
     """
-    g = fld.grid
-    v1, v2, v3, vsq = g.velocity_tables()
-    cellw = g.dx * g.dv**3
+    return conserved_totals([cell_conserved(c, fld.grid, delta) for c in fld.cells], fld.grid)
 
-    mass = 0.0
-    mom = np.zeros(3)
-    energy = 0.0
-    contracted = energy_contraction(fld.cells, g, delta)
-    for i in range(g.n_x):
-        a = contracted[i]                    # (nvol, 2): plain and eps-weighted
-        g0 = a[:, 0]
-        mass += g0.sum()
-        mom[0] += g0 @ v1
-        mom[1] += g0 @ v2
-        mom[2] += g0 @ v3
-        energy += 0.5 * (g0 @ vsq) + a[:, 1].sum()
-    return cellw * mass, cellw * mom, cellw * energy
+
+def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray) -> None:
+    """rows = (t ln t) @ wk over one row tile, with 0 ln 0 := 0."""
+    # the mask is t != 0, not t > 0: NaN and inf propagate as they would in xlogy
+    b = np.zeros(t.shape)
+    np.log(t, out=b, where=t != 0)
+    b *= t
+    np.matmul(b, wk, out=rows)
 
 
 def entropy(fld: DistField) -> float:
@@ -48,17 +58,14 @@ def entropy(fld: DistField) -> float:
     g = fld.grid
     if fld.values.min() < 0:
         raise NegativeField("entropy requires a nonnegative field")
-    wk = g.i_weights
-    cellw = g.dx * g.dv**3
+    tiles = row_tiles(g.n_v**3, g.n_i)
+    rows = np.empty(g.n_v**3)
     total = 0.0
-    flogf = np.empty(fld.cells.shape[1:])  # one cell table, reused
     for cell in fld.cells:
-        # the mask is f != 0, not f > 0: NaN and inf propagate as they would in xlogy
-        flogf.fill(0.0)
-        np.log(cell, out=flogf, where=cell != 0)
-        flogf *= cell
-        total += float((flogf @ wk).sum())
-    return cellw * total
+        for s in tiles:
+            tile_flogf(cell[s], g.i_weights, rows[s])
+        total += float(rows.sum())
+    return g.dx * g.dv**3 * total
 
 
 def equilibrium_distance(fld: DistField, params: SchemeParams, dt: float = 0.0) -> float:

@@ -69,16 +69,43 @@ def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistFiel
     return DistField(values, grid)
 
 
+# Row tiles of about 256 KB: a tile written by one pass is still in cache when
+# the next pass over the same cell reads it.
+TILE_BYTES = 256 * 1024
+
+
+def row_tiles(n_rows: int, n_i: int) -> list[slice]:
+    """Row slices of an (n_rows, n_i) cell table of TILE_BYTES each; the last may be short."""
+    rows = max(1, TILE_BYTES // (8 * n_i))
+    return [slice(r, min(r + rows, n_rows)) for r in range(0, n_rows, rows)]
+
+
+def tile_sup(a: np.ndarray, b: np.ndarray | None, w: np.ndarray) -> float:
+    """max of |a - b| (|a| without b) times w over one row tile."""
+    if b is None:
+        t = np.abs(a)
+    else:
+        t = a - b
+        np.abs(t, out=t)
+    t *= w
+    return float(t.max())
+
+
+def max_nan(acc: float, x: float) -> float:
+    """max(acc, x) that keeps a NaN once it has been seen."""
+    return x if x != x else max(acc, x)
+
+
 def _sup_norm(a: DistField, b: DistField | None, q: float, delta: float) -> float:
-    """sup over nodes of |a - b| (|a| without b) times the weight of order q, cell by cell."""
+    """sup over nodes of |a - b| (|a| without b) times the weight of order q, tile by tile."""
     g = a.grid
     w = g.norm_weight(q, delta)
-    fa = a.cells
+    tiles = row_tiles(g.n_v**3, g.n_i)
     fb = None if b is None else b.cells
     out = 0.0
-    for i in range(g.n_x):
-        d = fa[i] if fb is None else fa[i] - fb[i]
-        out = max(out, float(np.max(np.abs(d) * w)))
+    for i, cell in enumerate(a.cells):
+        for s in tiles:
+            out = max_nan(out, tile_sup(cell[s], None if fb is None else fb[i][s], w[s]))
     return out
 
 

@@ -61,17 +61,20 @@ def _gaussian_flat(rho: float, u: np.ndarray, t_blend: np.ndarray, t_theta: floa
     lw = fac.lower
     v1, v2, v3, _ = grid.velocity_tables()
 
-    # forward substitution of L z = (v - u), vectorized over nodes
-    z1 = (v1 - u[0]) / lw[0, 0]
-    z2 = ((v2 - u[1]) - lw[1, 0] * z1) / lw[1, 1]
-    z3 = ((v3 - u[2]) - lw[2, 0] * z1 - lw[2, 1] * z2) / lw[2, 2]
-    quad = z1 * z1 + z2 * z2 + z3 * z3
+    # an overflow here leaves a zero or inf that the prefactor check below names,
+    # so numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        # forward substitution of L z = (v - u), vectorized over nodes
+        z1 = (v1 - u[0]) / lw[0, 0]
+        z2 = ((v2 - u[1]) - lw[1, 0] * z1) / lw[1, 1]
+        z3 = ((v3 - u[2]) - lw[2, 0] * z1 - lw[2, 1] * z2) / lw[2, 2]
+        quad = z1 * z1 + z2 * z2 + z3 * z3
 
-    ev = np.exp(-0.5 * quad)
-    ei = np.exp(-grid.energy_eps(delta) / t_theta)
-    pref = rho * lambda_delta / (
-        _TWO_PI_CUBED_SQRT * lw[0, 0] * lw[1, 1] * lw[2, 2] * t_theta ** (delta / 2.0)
-    )
+        ev = np.exp(-0.5 * quad)
+        ei = np.exp(-grid.energy_eps(delta) / t_theta)
+        pref = rho * lambda_delta / (
+            _TWO_PI_CUBED_SQRT * lw[0, 0] * lw[1, 1] * lw[2, 2] * t_theta ** (delta / 2.0)
+        )
     if not 0.0 < pref < math.inf:  # ev, ei <= 1, so a finite pref bounds the table
         raise NonFiniteGaussian(f"Gaussian prefactor {float(pref)!r} is not positive and finite")
     return np.multiply(pref * ev[:, None], ei[None, :], out=out)

@@ -120,6 +120,14 @@ class PhaseGrid:
             self._cache[key] = self.i_nodes ** (2.0 / delta)
         return self._cache[key]
 
+    def energy_moment_weights(self, delta: float) -> np.ndarray:
+        """(n_i, 2) columns [w, w*eps] of the energy quadrature."""
+        key = ("ew", float(delta))
+        if key not in self._cache:
+            w = self.i_weights
+            self._cache[key] = np.column_stack((w, w * self.energy_eps(delta)))
+        return self._cache[key]
+
     def norm_weight(self, q: float, delta: float) -> np.ndarray:
         """(1 + |v|^2 + eps)^(q/2) over (velocity-cube, energy) nodes, flattened to 2D."""
         key = ("nw", float(q), float(delta))

@@ -68,8 +68,7 @@ class MacroFields:
 
 def energy_contraction(values: np.ndarray, grid: PhaseGrid, delta: float) -> np.ndarray:
     """values @ [w, w*eps] over (..., n_v^3, n_i) tables: energy integrals of f and eps*f."""
-    wk = grid.i_weights
-    return values @ np.column_stack((wk, wk * grid.energy_eps(delta)))
+    return values @ grid.energy_moment_weights(delta)
 
 
 def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,

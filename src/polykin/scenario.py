@@ -21,6 +21,15 @@ from .params import SchemeParams, normalizer_discrete
 
 IC_KINDS = ("maxwellian", "smooth", "riemann")
 ENVELOPE_MODES = ("off", "auto", "explicit")
+MAX_STEPS = 1_000_000  # a run keeps one StepReport per step in memory
+
+
+def _power(base: float, exponent: float) -> float:
+    """base**exponent in floats, inf where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -89,6 +98,8 @@ class Scenario:
         if self.t_final == 0.0:
             return 0
         n = self.t_final / self.dt
+        if n > MAX_STEPS:
+            raise ValidationError("dt", f"t_final/dt = {n:.6g} steps exceeds the cap {MAX_STEPS}")
         if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
             raise ValidationError("dt", f"t_final/dt = {n!r} is not an integer step count")
         return int(round(n))
@@ -151,17 +162,43 @@ class Scenario:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValidationError(name, "temperatures must be positive")
+        self._check_representable()
         return grid, params
+
+    def _check_representable(self) -> None:
+        """Reject inputs whose Gaussian normalisation, internal energy or norm weight overflows."""
+        if self.ic == "riemann":
+            temps = ("t_left", "t_right")
+        else:
+            temps = tuple(k if getattr(self, k) is not None else "temperature"
+                          for k in ("t_tr", "t_int"))
+        for name in temps:
+            t = getattr(self, name)
+            if max(_power(2.0 * math.pi * t, 1.5), _power(t, self.delta / 2.0)) == math.inf:
+                raise ValidationError(name, f"{t!r} overflows the Gaussian normalisation "
+                                            "(2*pi*T)^1.5 or T^(delta/2)")
+        i_max, v_max = self.resolved_i_max(), self.resolved_v_max()
+        eps_max = _power(i_max, 2.0 / self.delta)
+        if eps_max == math.inf:
+            raise ValidationError("delta", f"internal energy i_max^(2/delta) overflows "
+                                           f"(i_max = {i_max!r}, delta = {self.delta!r})")
+        q = self.resolved_q()
+        if _power(1.0 + 3.0 * v_max * v_max + eps_max, q / 2.0) == math.inf:
+            raise ValidationError("q", f"norm weight (1 + |v|^2 + i_max^(2/delta))^(q/2) overflows "
+                                       f"(v_max = {v_max!r}, i_max = {i_max!r}, q = {q!r})")
 
 
 def _gaussian_shape(v1, v2, v3, i_nodes, u, t_tr, t_int, delta, lam_delta):
-    du1 = v1 - u[0]
-    du2 = v2 - u[1]
-    du3 = v3 - u[2]
-    vel = np.exp(-(du1 * du1 + du2 * du2 + du3 * du3) / (2.0 * t_tr))
-    vel /= (2.0 * math.pi * t_tr) ** 1.5
-    eng = lam_delta * np.exp(-(i_nodes ** (2.0 / delta)) / t_int) / t_int ** (delta / 2.0)
-    return vel * eng
+    # extreme temperatures may overflow or underflow here; sample() rejects the
+    # non-finite values that result, so numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        du1 = v1 - u[0]
+        du2 = v2 - u[1]
+        du3 = v3 - u[2]
+        vel = np.exp(-(du1 * du1 + du2 * du2 + du3 * du3) / (2.0 * t_tr))
+        vel /= (2.0 * math.pi * t_tr) ** 1.5
+        eng = lam_delta * np.exp(-(i_nodes ** (2.0 / delta)) / t_int) / t_int ** (delta / 2.0)
+        return vel * eng
 
 
 def make_initial(scn: Scenario, grid: PhaseGrid):

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import cell_conserved, conserved_quantities, conserved_totals, entropy, tile_flogf
 # unused here, but benchmarks/spans.py wraps stepper.equilibrium_distance
-from .diagnostics import conserved_quantities, entropy, equilibrium_distance  # noqa: F401
+from .diagnostics import equilibrium_distance  # noqa: F401
 from .errors import InvalidConfig, PolykinError
-from .field import DistField, sample, weighted_sup_norm
+from .field import DistField, max_nan, row_tiles, sample, tile_sup, weighted_sup_norm
 from .gaussian import _gaussian_flat
 from .grid import PhaseGrid
 from .moments import MacroFields, compute_moments
@@ -90,17 +91,30 @@ def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float,
         np.add(m, d, out=out)
 
 
-def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
-                dt: float, out: DistField, norm_weight: np.ndarray | None = None) -> float | None:
-    """Blend f~ with its Gaussian cell by cell; optionally track the Gaussian norm."""
+def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt: float,
+                out: DistField, track_entropy: bool = True, gauss_norm: bool = False):
+    """Blend f~ with its Gaussian into out, cell by cell, in one pass per cell.
+
+    Each cell's Gaussian is written into its output cell; then, row tile by row
+    tile while the tile is in cache, f~ is blended into it and the tile's
+    weighted sup and f ln f rows are taken.  Returns the output's conserved
+    sums, entropy (NaN unless track_entropy), weighted norm, and the Gaussian's
+    weighted norm (None unless gauss_norm): what conserved_quantities, entropy
+    and weighted_sup_norm give on out, bit for bit.
+    """
     grid = f_tilde.grid
     lambda_delta = normalizer_discrete(params.delta, grid)
     a = collision_frequency(params.nu, params.theta)
     c_f = params.kappa / (params.kappa + a * dt)
     c_m = a * dt / (params.kappa + a * dt)
+    w = grid.norm_weight(params.q, params.delta)
+    tiles = row_tiles(grid.n_v**3, grid.n_i)
+    flogf_rows = np.empty(grid.n_v**3)
 
     src, dst = f_tilde.cells, out.cells
-    gauss_norm = 0.0
+    cell_sums = []
+    total_flogf = 0.0
+    norm = g_norm = 0.0
     for i in range(grid.n_x):
         try:  # the Gaussian is written into the output cell and blended there in place
             m = _gaussian_flat(float(macro.rho[i]), macro.u[i], macro.t_blend[i],
@@ -108,10 +122,26 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
         except PolykinError as exc:
             exc.args = (f"cell {i}: {exc}",)
             raise
-        if norm_weight is not None:
-            gauss_norm = max(gauss_norm, float(np.max(m * norm_weight)))
-        _blend_into(src[i], m, c_f, c_m, m)
-    return gauss_norm if norm_weight is not None else None
+        for s in tiles:
+            t = m[s]
+            if gauss_norm:
+                g_norm = max_nan(g_norm, tile_sup(t, None, w[s]))
+            _blend_into(src[i][s], t, c_f, c_m, t)
+            norm = max_nan(norm, tile_sup(t, None, w[s]))
+            if track_entropy:
+                tile_flogf(t, grid.i_weights, flogf_rows[s])
+        if track_entropy:
+            total_flogf += float(flogf_rows.sum())
+        cell_sums.append(cell_conserved(m, grid, params.delta))
+    ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
+    return conserved_totals(cell_sums, grid), ent, norm, g_norm if gauss_norm else None
+
+
+def _output_sums(out: DistField, params: SchemeParams, track_entropy: bool):
+    """The first three results of _relax_into, for an output it did not write."""
+    ent = entropy(out) if track_entropy else math.nan
+    return (conserved_quantities(out, params.delta), ent,
+            weighted_sup_norm(out, params.q, params.delta))
 
 
 def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
@@ -120,7 +150,7 @@ def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
     if dt <= 0:
         raise InvalidConfig("relax requires dt > 0")
     out = DistField(np.empty(f_tilde.grid.field_shape), f_tilde.grid)
-    _relax_into(f_tilde, macro, params, dt, out)
+    _relax_into(f_tilde, macro, params, dt, out, track_entropy=False)
     return out
 
 
@@ -130,18 +160,17 @@ def step(f: DistField, params: SchemeParams, dt: float) -> tuple[DistField, Step
         raise InvalidConfig("step requires dt > 0")
     f_tilde = Advector(f.grid, dt).apply(f)
     out = DistField(np.empty(f.grid.field_shape), f.grid)
-    _relax_into(f_tilde, compute_moments(f_tilde, params, dt), params, dt, out)
+    sums = _relax_into(f_tilde, compute_moments(f_tilde, params, dt), params, dt, out)[:3]
     prev = conserved_quantities(f, params.delta)
-    report = _step_report(0, dt, out, prev, _defect_scales(prev, params.delta), params, True,
+    report = _step_report(0, dt, sums, prev, _defect_scales(prev, params.delta),
                           tilde_norm_q=weighted_sup_norm(f_tilde, params.q, params.delta))
     return out, report
 
 
-def _step_report(n: int, time: float, out: DistField, prev, scales, params: SchemeParams,
-                 track_entropy: bool, **monitors) -> StepReport:
-    """Report of step n from its output field, the conserved sums before it and the
-    defect scales; monitors fills the optional StepReport fields."""
-    mass, mom, energy = conserved_quantities(out, params.delta)
+def _step_report(n: int, time: float, sums, prev, scales, **monitors) -> StepReport:
+    """Report of step n from the output's (conserved sums, entropy, weighted norm), the
+    conserved sums before it and the defect scales; monitors fills the optional fields."""
+    (mass, mom, energy), ent, norm = sums
     return StepReport(
         step=n,
         time=time,
@@ -149,12 +178,19 @@ def _step_report(n: int, time: float, out: DistField, prev, scales, params: Sche
         momentum=mom,
         energy=energy,
         mass_defect=(mass - prev[0]) / scales[0],
-        momentum_defect=float(np.linalg.norm(mom - prev[1])) / scales[1],
+        momentum_defect=_norm(mom - prev[1]) / scales[1],
         energy_defect=(energy - prev[2]) / scales[2],
-        entropy=entropy(out) if track_entropy else math.nan,
-        norm_q=weighted_sup_norm(out, params.q, params.delta),
+        entropy=ent,
+        norm_q=norm,
         **monitors,
     )
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a momentum, by math.hypot where sqrt(v.v) overflows (|v| > 1e154)."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    return math.hypot(*v) if n == math.inf else n
 
 
 def _defect_scales(cons0, delta: float) -> tuple[float, float, float]:
@@ -166,7 +202,7 @@ def _defect_scales(cons0, delta: float) -> tuple[float, float, float]:
     mass0, mom0, e0 = cons0
     mass_scale = max(abs(mass0), 1e-300)
     t_scale = max(2.0 * e0 / ((3.0 + delta) * mass_scale), 1e-300)
-    mom_scale = max(float(np.linalg.norm(mom0)), mass_scale * math.sqrt(t_scale), 1e-300)
+    mom_scale = max(_norm(mom0), mass_scale * math.sqrt(t_scale), 1e-300)
     energy_scale = max(abs(e0), 1e-300)
     return mass_scale, mom_scale, energy_scale
 
@@ -202,7 +238,6 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
     tilde = sample(ic, grid, scn.dt)  # exact foot values for step 0, no initial error
     nxt = DistField(np.empty(grid.field_shape), grid)
     env_table = envelope.table(grid) if envelope is not None else None
-    norm_weight = grid.norm_weight(params.q, params.delta) if envelope is not None else None
 
     scales = _defect_scales(initial_cons, params.delta)
     prev_cons = initial_cons
@@ -216,10 +251,12 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
         gauss_norm = None
         if scn.transport_only:
             nxt.values[:] = tilde.values
+            sums = _output_sums(nxt, params, track_entropy)
         else:
             try:
                 macro = compute_moments(tilde, params, scn.dt)
-                gauss_norm = _relax_into(tilde, macro, params, scn.dt, nxt, norm_weight=norm_weight)
+                *sums, gauss_norm = _relax_into(tilde, macro, params, scn.dt, nxt,
+                                                track_entropy, gauss_norm=envelope is not None)
             except PolykinError as exc:
                 exc.args = (f"step {n}: {exc}",)
                 raise
@@ -229,7 +266,7 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
         if envelope is not None:
             monitors = dict(tilde_norm_q=weighted_sup_norm(tilde, params.q, params.delta),
                             envelope_min_ratio=_envelope_min_ratio(tilde, env_table))
-        report = _step_report(n, t_now, nxt, prev_cons, scales, params, track_entropy,
+        report = _step_report(n, t_now, sums, prev_cons, scales,
                               gaussian_norm_q=gauss_norm, **monitors)
         reports.append(report)
         prev_cons = (report.mass, report.momentum, report.energy)

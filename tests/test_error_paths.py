@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from polykin import DistField, compute_moments, normalizer_discrete, relax
+from polykin import Advector, DistField, compute_moments, normalizer_discrete, relax
 from polykin.errors import DegenerateGrid, GridMismatch, InvalidConfig
 from tests.conftest import random_field_values
 
@@ -66,6 +66,12 @@ def test_field_values_must_be_c_ordered(small_grid):
 def test_foot_rejects_negative_dt(small_grid):
     with pytest.raises(InvalidConfig):
         small_grid.foot(0, 1.0, -0.1)
+
+
+def test_advection_rejects_writing_into_its_input(small_grid, rng):
+    f = DistField(random_field_values(rng, small_grid), small_grid)
+    with pytest.raises(InvalidConfig, match="its own input"):
+        Advector(small_grid, 0.1).apply(f, out=f)
 
 
 def test_relax_rejects_nonpositive_dt(small_grid, default_params, rng):

@@ -4,6 +4,10 @@ The relaxation writes each Gaussian into the output cell and blends it there,
 gaussian_field writes straight into its field, and entropy reuses one cell
 buffer.  tracemalloc sees numpy's data buffers, so a pass that builds a
 second full table per cell shows up as a peak of two tables or more.
+
+The blend, the weighted sup norms and the entropy walk each cell in row tiles
+of field.TILE_BYTES, so on cells much larger than a tile they hold a small
+fraction of a cell table: the last tests pin them under a quarter.
 """
 
 from __future__ import annotations
@@ -20,17 +24,21 @@ from polykin import (
     build_grid,
     compute_moments,
     entropy,
+    error_sup_norm,
     gaussian_field,
     normalizer_discrete,
     relax,
+    weighted_sup_norm,
 )
+from polykin.stepper import _relax_into
 
 GRID = build_grid(GridConfig(n_x=4, n_v=9, v_max=3.0, n_i=64, i_max=8.0))
-CELL_BYTES = GRID.n_v**3 * GRID.n_i * 8
+# 5 MB cells, about twenty row tiles each
+LARGE = build_grid(GridConfig(n_x=2, n_v=17, v_max=3.0, n_i=128, i_max=8.0))
 
 
-def _tables_beyond_output(fn) -> float:
-    """Peak traced memory of fn() beyond the field it returns, in cell tables."""
+def _tables_beyond_output(fn, grid=GRID) -> float:
+    """Peak traced memory of fn() beyond the field it returns, in cell tables of grid."""
     fn()  # fills the grid's cached node tables outside the measurement
     tracemalloc.start()
     try:
@@ -40,7 +48,7 @@ def _tables_beyond_output(fn) -> float:
     finally:
         tracemalloc.stop()
     out_bytes = result.values.nbytes if isinstance(result, DistField) else 0
-    return (peak - base - out_bytes) / CELL_BYTES
+    return (peak - base - out_bytes) / (grid.n_v**3 * grid.n_i * 8)
 
 
 @pytest.fixture
@@ -64,3 +72,31 @@ def test_gaussian_field_writes_into_its_field(field):
 
 def test_entropy_reuses_one_cell_buffer(field):
     assert _tables_beyond_output(lambda: entropy(field)) < 1.5
+
+
+@pytest.fixture
+def large_fields(rng):
+    return [DistField(rng.random(LARGE.field_shape) + 0.05, LARGE) for _ in range(2)]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e-3])  # c_m <= 1/2, c_m > 1/2
+def test_fused_relax_pass_holds_under_a_quarter_table(large_fields, kappa):
+    f, out = large_fields
+    params = SchemeParams(nu=0.0, theta=1.0, delta=2.0, kappa=kappa, q=8.0)
+    macro = compute_moments(f, params, dt=0.1)
+
+    def fused():  # blend, both norms, entropy and conserved sums, into a given output
+        _relax_into(f, macro, params, 0.1, out, track_entropy=True, gauss_norm=True)
+
+    assert _tables_beyond_output(fused, LARGE) < 0.25
+
+
+@pytest.mark.parametrize("name", ["weighted_sup_norm", "error_sup_norm", "entropy"])
+def test_tiled_reductions_hold_under_a_quarter_table(large_fields, name):
+    a, b = large_fields
+    reduce = {
+        "weighted_sup_norm": lambda: weighted_sup_norm(a, 8.0, 2.0),
+        "error_sup_norm": lambda: error_sup_norm(a, b, 8.0, 2.0),
+        "entropy": lambda: entropy(a),
+    }[name]
+    assert _tables_beyond_output(reduce, LARGE) < 0.25

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +205,43 @@ class TestSimulate:
         scn = write(tmp_path, MINIMAL + "theta = 0.0\n")
         assert main(["simulate", str(scn), "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestExtremeFiniteInputs:
+    def test_step_count_cap_exits_2_at_once(self, tmp_path, capsys):
+        path = write(tmp_path, override(TINY, "dt = 1e-300"))
+        start = time.perf_counter()
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "error: dt: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        ("delta = 1e-3\ni_max = 2.0", "delta"),  # i_max^(2/delta) = 2^2000
+        ("temperature = 1e300", "temperature"),  # (2*pi*T)^1.5
+        ("q = 1e300", "q"),  # the norm weight (1 + |v|^2 + eps)^(q/2)
+    ])
+    def test_overflowing_resolved_quantity_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                                  extra, key):
+        path = write(tmp_path, override(TINY, extra))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, code", [
+        ("temperature = 1e-300", 2),  # the samples overflow to +inf
+        ("kappa = 1e-300\nrho0 = 1e300", 3),  # the step-1 Gaussian prefactor overflows
+    ])
+    def test_typed_error_comes_without_numpy_warnings(self, tmp_path, extra, code):
+        path = write(tmp_path, TINY + extra + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polykin.cli", "simulate", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == code
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestConvergenceCli:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from polykin import (
     SchemeParams,
     advect,
     compute_moments,
+    conserved_quantities,
+    entropy,
     error_sup_norm,
     gaussian_field,
     make_initial,
@@ -19,8 +22,10 @@ from polykin import (
     run,
     sample,
     step,
+    weighted_sup_norm,
 )
 from polykin.errors import ValidationError
+from polykin.field import row_tiles
 from polykin.stepper import _blend_into
 from tests.conftest import random_field_values
 
@@ -174,3 +179,56 @@ class TestRun:
             assert rep.envelope_min_ratio is not None
             assert rep.gaussian_norm_q is not None
             assert np.isfinite(rep.tilde_norm_q)
+
+
+# 729 velocity rows of 128 energies: row tiles of 256, 256 and a partial 217 per cell
+TILED = dict(n_x=3, n_v=9, n_i=128, v_max=3.0, i_max=8.0, dt=0.05, t_final=0.1,
+             nu=0.3, theta=0.7, u0=(0.2, 0.0, -0.1), snapshot_times=(0.05, 0.1))
+
+
+def _assert_report_is_of(rep, out, params, track_entropy=True):
+    """The fused pass reports what the standalone diagnostics give on its output, bitwise."""
+    mass, mom, energy = conserved_quantities(out, params.delta)
+    assert (rep.mass, rep.energy) == (mass, energy)
+    assert rep.momentum.tobytes() == mom.tobytes()
+    assert rep.norm_q == weighted_sup_norm(out, params.q, params.delta)
+    if track_entropy:
+        assert rep.entropy == entropy(out)
+    else:
+        assert math.isnan(rep.entropy)
+
+
+class TestFusedPass:
+    def test_grid_has_several_tiles_and_a_partial_one(self):
+        tiles = row_tiles(TILED["n_v"] ** 3, TILED["n_i"])
+        assert len(tiles) == 3 and tiles[-1].stop - tiles[-1].start < tiles[0].stop
+
+    @pytest.mark.parametrize("envelope", ["off", "auto"])
+    @pytest.mark.parametrize("track_entropy", [True, False])
+    @pytest.mark.parametrize("kappa", [1.0, 1e-6])  # c_m <= 1/2, c_m > 1/2
+    def test_run_reports_equal_standalone_diagnostics(self, kappa, track_entropy, envelope):
+        scn = Scenario(kappa=kappa, envelope=envelope, **TILED)
+        outs = []
+        res = run(scn, track_entropy=track_entropy,
+                  snapshot_writer=lambda t, f: outs.append(DistField(f.values.copy(), f.grid)))
+        assert len(outs) == len(res.reports) == 2
+        for rep, out in zip(res.reports, outs):
+            _assert_report_is_of(rep, out, res.params, track_entropy)
+        if envelope == "auto":
+            grid, params = res.grid, res.params
+            tilde = sample(make_initial(scn, grid), grid, scn.dt)  # step 0's f~
+            gauss = gaussian_field(compute_moments(tilde, params, scn.dt), grid,
+                                   normalizer_discrete(params.delta, grid), params.delta)
+            assert res.reports[0].gaussian_norm_q == weighted_sup_norm(gauss, params.q,
+                                                                       params.delta)
+        else:
+            assert res.reports[0].gaussian_norm_q is None
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e-6])
+    def test_step_report_equals_standalone_diagnostics(self, kappa, rng):
+        grid, _ = Scenario(**TILED).validate()
+        f = DistField(random_field_values(rng, grid, sparsity=0.2), grid)
+        params = SchemeParams(nu=0.3, theta=0.7, delta=2.0, kappa=kappa, q=8.0)
+        out, rep = step(f, params, 0.05)
+        _assert_report_is_of(rep, out, params)
+        assert rep.tilde_norm_q == weighted_sup_norm(advect(f, 0.05), 8.0, 2.0)
