@@ -27,9 +27,9 @@ import numpy as np
 from .diagnostics import cell_conserved, conserved_quantities, conserved_totals, entropy, tile_flogf
 # unused here, but benchmarks/spans.py wraps stepper.equilibrium_distance
 from .diagnostics import equilibrium_distance  # noqa: F401
-from .errors import InvalidConfig, PolykinError
+from .errors import InvalidConfig, NegativeInitialData, PolykinError
 from .field import DistField, max_nan, row_tiles, sample, tile_sup, weighted_sup_norm
-from .gaussian import _gaussian_flat
+from .gaussian import _gaussian_flat, cell_blocks, gaussian_table
 from .grid import PhaseGrid
 from .moments import MacroFields, compute_moments
 from .params import SchemeParams, collision_frequency, normalizer_discrete
@@ -95,12 +95,13 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt
                 out: DistField, track_entropy: bool = True, gauss_norm: bool = False):
     """Blend f~ with its Gaussian into out, cell by cell, in one pass per cell.
 
-    Each cell's Gaussian is written into its output cell; then, row tile by row
-    tile while the tile is in cache, f~ is blended into it and the tile's
-    weighted sup and f ln f rows are taken.  Returns the output's conserved
-    sums, entropy (NaN unless track_entropy), weighted norm, and the Gaussian's
-    weighted norm (None unless gauss_norm): what conserved_quantities, entropy
-    and weighted_sup_norm give on out, bit for bit.
+    The Gaussian factors are evaluated for a block of cells at once
+    (gaussian.cell_blocks).  Each cell's Gaussian is written into its output
+    cell; then, row tile by row tile while the tile is in cache, f~ is blended
+    into it and the tile's weighted sup and f ln f rows are taken.  Returns the
+    output's conserved sums, entropy (NaN unless track_entropy), weighted norm,
+    and the Gaussian's weighted norm (None unless gauss_norm): what
+    conserved_quantities, entropy and weighted_sup_norm give on out, bit for bit.
     """
     grid = f_tilde.grid
     lambda_delta = normalizer_discrete(params.delta, grid)
@@ -115,24 +116,24 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt
     cell_sums = []
     total_flogf = 0.0
     norm = g_norm = 0.0
-    for i in range(grid.n_x):
-        try:  # the Gaussian is written into the output cell and blended there in place
-            m = _gaussian_flat(float(macro.rho[i]), macro.u[i], macro.t_blend[i],
-                               float(macro.t_theta[i]), grid, lambda_delta, params.delta, dst[i])
-        except PolykinError as exc:
-            exc.args = (f"cell {i}: {exc}",)
-            raise
-        for s in tiles:
-            t = m[s]
-            if gauss_norm:
-                g_norm = max_nan(g_norm, tile_sup(t, None, w[s]))
-            _blend_into(src[i][s], t, c_f, c_m, t)
-            norm = max_nan(norm, tile_sup(t, None, w[s]))
+    for cells in cell_blocks(grid):
+        pev, ei = _gaussian_flat(macro.rho[cells], macro.u[cells], macro.t_blend[cells],
+                                 macro.t_theta[cells], grid, lambda_delta, params.delta,
+                                 cells.start)
+        for i, pev_i, ei_i in zip(range(cells.start, cells.stop), pev, ei):
+            # the Gaussian is written into the output cell and blended there in place
+            m = gaussian_table(pev_i, ei_i, dst[i])
+            for s in tiles:
+                t = m[s]
+                if gauss_norm:
+                    g_norm = max_nan(g_norm, tile_sup(t, None, w[s]))
+                _blend_into(src[i][s], t, c_f, c_m, t)
+                norm = max_nan(norm, tile_sup(t, None, w[s]))
+                if track_entropy:
+                    tile_flogf(t, grid.i_weights, flogf_rows[s])
             if track_entropy:
-                tile_flogf(t, grid.i_weights, flogf_rows[s])
-        if track_entropy:
-            total_flogf += float(flogf_rows.sum())
-        cell_sums.append(cell_conserved(m, grid, params.delta))
+                total_flogf += float(flogf_rows.sum())
+            cell_sums.append(cell_conserved(m, grid, params.delta))
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
     return conserved_totals(cell_sums, grid), ent, norm, g_norm if gauss_norm else None
 
@@ -208,10 +209,22 @@ def _defect_scales(cons0, delta: float) -> tuple[float, float, float]:
 
 
 def _envelope_min_ratio(f_tilde: DistField, env_table: np.ndarray) -> float:
+    """min of f~ / envelope over the nodes, tile by tile; a cell holding a NaN quotient is
+    skipped, as min() skips NaN."""
+    tiles = row_tiles(f_tilde.grid.n_v**3, f_tilde.grid.n_i)
     worst = math.inf
     for cell in f_tilde.cells:
-        worst = min(worst, float(np.min(cell / env_table)))
+        worst = min(worst, float(np.min([np.min(cell[s] / env_table[s]) for s in tiles])))
     return worst
+
+
+def _sample_initial(scn: Scenario, ic, grid: PhaseGrid, shift_dt: float) -> DistField:
+    """sample(ic, grid, shift_dt), whose errors also name the scenario's initial condition."""
+    try:
+        return sample(ic, grid, shift_dt)
+    except NegativeInitialData as exc:
+        exc.args = (f"{exc} (ic = {scn.ic})",)
+        raise
 
 
 def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunResult:
@@ -228,14 +241,14 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
     ic = make_initial(scn, grid)
     envelope = certified_envelope(scn, grid)
 
-    cur = sample(ic, grid, 0.0)
+    cur = _sample_initial(scn, ic, grid, 0.0)
     initial_norm = weighted_sup_norm(cur, params.q, params.delta)
     initial_cons = conserved_quantities(cur, params.delta)
     if n_steps == 0:
         return RunResult(grid, params, scn.dt, [], cur, initial_norm, initial_cons)
 
     advector = Advector(grid, scn.dt)
-    tilde = sample(ic, grid, scn.dt)  # exact foot values for step 0, no initial error
+    tilde = _sample_initial(scn, ic, grid, scn.dt)  # exact foot values: no initial error
     nxt = DistField(np.empty(grid.field_shape), grid)
     env_table = envelope.table(grid) if envelope is not None else None
 

@@ -5,9 +5,11 @@ gaussian_field writes straight into its field, and entropy reuses one cell
 buffer.  tracemalloc sees numpy's data buffers, so a pass that builds a
 second full table per cell shows up as a peak of two tables or more.
 
-The blend, the weighted sup norms and the entropy walk each cell in row tiles
-of field.TILE_BYTES, so on cells much larger than a tile they hold a small
-fraction of a cell table: the last tests pin them under a quarter.
+The blend, the weighted sup norms, the entropy and the envelope ratio walk
+each cell in row tiles of field.TILE_BYTES, so on cells much larger than a tile
+they hold a small fraction of a cell table: the last tests pin them under a
+quarter.  The Gaussian factors of a relaxation come in blocks of cells of about
+one tile, so its peak does not grow with the number of cells.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from polykin import (
     relax,
     weighted_sup_norm,
 )
-from polykin.stepper import _relax_into
+from polykin.diagnostics import StabilityEnvelope
+from polykin.stepper import _envelope_min_ratio, _relax_into
 
 GRID = build_grid(GridConfig(n_x=4, n_v=9, v_max=3.0, n_i=64, i_max=8.0))
 # 5 MB cells, about twenty row tiles each
@@ -91,12 +94,28 @@ def test_fused_relax_pass_holds_under_a_quarter_table(large_fields, kappa):
     assert _tables_beyond_output(fused, LARGE) < 0.25
 
 
-@pytest.mark.parametrize("name", ["weighted_sup_norm", "error_sup_norm", "entropy"])
+@pytest.mark.parametrize("name", ["weighted_sup_norm", "error_sup_norm", "entropy",
+                                  "envelope_min_ratio"])
 def test_tiled_reductions_hold_under_a_quarter_table(large_fields, name):
     a, b = large_fields
+    env_table = StabilityEnvelope(0.01, 0.5, 2.0, 2.0).table(LARGE)
     reduce = {
         "weighted_sup_norm": lambda: weighted_sup_norm(a, 8.0, 2.0),
         "error_sup_norm": lambda: error_sup_norm(a, b, 8.0, 2.0),
         "entropy": lambda: entropy(a),
+        "envelope_min_ratio": lambda: _envelope_min_ratio(a, env_table),
     }[name]
     assert _tables_beyond_output(reduce, LARGE) < 0.25
+
+
+def test_relax_pass_peak_does_not_grow_with_the_cell_count(rng):
+    # Gaussian factors come in blocks of about one tile, whatever n_x is
+    params = SchemeParams(nu=0.0, theta=1.0, delta=2.0, kappa=1.0, q=8.0)
+    peaks = []
+    for n_x in (16, 64):
+        grid = build_grid(GridConfig(n_x=n_x, n_v=17, v_max=3.0, n_i=16, i_max=8.0))
+        f, out = (DistField(rng.random(grid.field_shape) + 0.05, grid) for _ in range(2))
+        macro = compute_moments(f, params, dt=0.1)
+        peaks.append(_tables_beyond_output(
+            lambda: _relax_into(f, macro, params, 0.1, out, gauss_norm=True), grid))
+    assert peaks[1] - peaks[0] < 0.25, peaks

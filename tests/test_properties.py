@@ -7,12 +7,17 @@ examples.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,9 +25,12 @@ from polykin import (
     Advector,
     DistField,
     GridConfig,
+    MacroFields,
+    Scenario,
     SchemeParams,
     advect,
     build_grid,
+    relax,
     compute_moments,
     conserved_quantities,
     gaussian_field,
@@ -34,7 +42,10 @@ from polykin import (
     weighted_sup_norm,
     write_snapshot,
 )
-from polykin.errors import PolykinError
+from polykin import cli
+from polykin.errors import DegenerateTemperature, NonFiniteGaussian, PolykinError
+from polykin.field import TILE_BYTES
+from polykin.gaussian import cell_blocks, factor_spd
 from polykin.stepper import _blend_into
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -158,3 +169,168 @@ def test_snapshot_round_trip_is_bitwise(f, delta, q):
     assert back.values.tobytes() == f.values.tobytes()
     assert (delta_back, q_back) == (delta, q)
     assert back.grid.field_shape == f.grid.field_shape
+
+
+def _oracle_table(rho, u, t_blend, t_theta, grid, lambda_delta, delta):
+    """One cell's Gaussian table as the per-cell evaluator wrote it before cells came
+    in blocks: the reference the block evaluator must match bit for bit."""
+    if t_theta <= 0.0:
+        raise DegenerateTemperature(f"relaxation temperature {t_theta!r} <= 0")
+    lw = factor_spd(t_blend).lower
+    v1, v2, v3, _ = grid.velocity_tables()
+    with np.errstate(all="ignore"):
+        z1 = (v1 - u[0]) / lw[0, 0]
+        z2 = ((v2 - u[1]) - lw[1, 0] * z1) / lw[1, 1]
+        z3 = ((v3 - u[2]) - lw[2, 0] * z1 - lw[2, 1] * z2) / lw[2, 2]
+        quad = z1 * z1 + z2 * z2 + z3 * z3
+        ev = np.exp(-0.5 * quad)
+        ei = np.exp(-grid.energy_eps(delta) / t_theta)
+        pref = rho * lambda_delta / (
+            (2.0 * math.pi) ** 1.5 * lw[0, 0] * lw[1, 1] * lw[2, 2] * t_theta ** (delta / 2.0)
+        )
+    if not 0.0 < pref < math.inf:
+        raise NonFiniteGaussian(f"Gaussian prefactor {float(pref)!r} is not positive and finite")
+    return pref * ev[:, None] * ei[None, :]
+
+
+def _oracle_tables(macro, grid, lambda_delta, delta):
+    """The per-cell loop: yields every cell's table in order, or raises the first
+    failing cell's error named as the stepper names it."""
+    for i in range(len(macro)):
+        try:
+            yield _oracle_table(float(macro.rho[i]), macro.u[i], macro.t_blend[i],
+                                float(macro.t_theta[i]), grid, lambda_delta, delta)
+        except PolykinError as exc:
+            exc.args = (f"cell {i}: {exc}",)
+            raise
+
+
+def _random_macro(rng, n_x, v_max):
+    """Moments of n_x cells: SPD tensors (with a small antisymmetric part, which the
+    evaluator symmetrises away), drifts up to 1.5 v_max, densities and temperatures."""
+    a = rng.uniform(-2.0, 2.0, (n_x, 3, 3))
+    t_blend = a @ a.transpose(0, 2, 1) + rng.uniform(1e-3, 4.0, (n_x, 1, 1)) * np.eye(3)
+    t_blend += 1e-3 * (a - a.transpose(0, 2, 1))
+    nan = np.full(n_x, np.nan)  # read by nothing here
+    return MacroFields(
+        rho=10.0 ** rng.uniform(-3.0, 3.0, n_x), u=rng.uniform(-1.5, 1.5, (n_x, 3)) * v_max,
+        theta_tensor=t_blend.copy(), t_tr=nan, t_int=nan, t_delta=nan,
+        t_theta=rng.uniform(0.05, 20.0, n_x), t_blend=t_blend,
+    )
+
+
+def _block_size(n_v: int) -> int:
+    return max(1, TILE_BYTES // (8 * n_v**3))
+
+
+@st.composite
+def block_grids(draw):
+    """A grid of two or three Gaussian blocks, of 2 to 9 cells, whose last block is short."""
+    n_v = draw(st.sampled_from([15, 17, 19, 21, 25]))
+    b = _block_size(n_v)
+    n_x = draw(st.integers(1, 2)) * b + draw(st.integers(1, b - 1))
+    return build_grid(GridConfig(
+        n_x=n_x, n_v=n_v, v_max=draw(st.floats(1.0, 8.0)), n_i=draw(st.integers(1, 64)),
+        i_max=draw(st.floats(1.0, 30.0)),
+    ))
+
+
+@PROPERTY
+@given(grid=block_grids(), delta=st.sampled_from([1.0, 1.5, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_gaussians_equal_the_per_cell_oracle(grid, delta, seed):
+    blocks = cell_blocks(grid)
+    assert len(blocks) >= 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    assert blocks[0] == slice(0, _block_size(grid.n_v))
+    macro = _random_macro(np.random.default_rng(seed), grid.n_x, grid.v_max)
+    lam = normalizer_discrete(delta, grid)
+    field = gaussian_field(macro, grid, lam, delta)
+    for cell, expected in zip(field.cells, _oracle_tables(macro, grid, lam, delta)):
+        assert cell.tobytes() == expected.tobytes()
+
+
+ERROR_GRID = build_grid(GridConfig(n_x=14, n_v=17, v_max=4.0, n_i=4, i_max=8.0))  # 6, 6, 2
+
+
+def _non_spd(macro, i):
+    macro.t_blend[i] = np.diag([1.0, -1.0, 1.0])
+
+
+def _zero_t_theta(macro, i):
+    macro.t_theta[i] = 0.0
+
+
+def _overflowing_prefactor(macro, i):
+    macro.rho[i], macro.t_blend[i] = 1e308, 1e-12 * np.eye(3)
+
+
+@pytest.mark.parametrize("faults", [
+    [_non_spd],
+    [_zero_t_theta],
+    [_overflowing_prefactor],
+    # a stacked factor that fails must not pre-empt an earlier cell's error
+    [_overflowing_prefactor, _non_spd],
+    [_non_spd, _zero_t_theta],
+])
+def test_block_gaussian_errors_name_the_cell_the_per_cell_loop_names(faults):
+    grid = ERROR_GRID
+    blocks = cell_blocks(grid)
+    assert [b.stop - b.start for b in blocks] == [6, 6, 2]
+    macro = _random_macro(np.random.default_rng(3), grid.n_x, grid.v_max)
+    for i, fault in enumerate(faults, start=blocks[1].start + 1):  # second block, second cell
+        fault(macro, i)
+    lam = normalizer_discrete(2.0, grid)
+    with pytest.raises(PolykinError) as expected:
+        list(_oracle_tables(macro, grid, lam, 2.0))
+    assert str(expected.value).startswith(f"cell {blocks[1].start + 1}: ")
+    params = SchemeParams(nu=0.0, theta=1.0, delta=2.0, kappa=1.0, q=8.0)
+    tilde = DistField(np.zeros(grid.field_shape), grid)
+    for evaluate in (lambda: gaussian_field(macro, grid, lam, 2.0),
+                     lambda: relax(tilde, macro, params, 0.1)):
+        with pytest.raises(PolykinError) as got:
+            evaluate()
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+
+FINITE_EXTREME = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+TINY_SCENARIO = "n_x = 4\nn_v = 5\nn_i = 4\nt_final = 0.2\nic = smooth\n"
+SCENARIO_KEYS = {f.name for f in dataclasses.fields(Scenario)} | {"u0x", "u0y", "u0z"}
+
+
+def _all_finite(csv_path: Path) -> bool:
+    rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
+    return all(math.isfinite(float(tok)) for row in rows for tok in row.split(","))
+
+
+@PROPERTY
+@given(extra=st.fixed_dictionaries(
+    {"dt": st.one_of(st.just(0.1), FINITE_EXTREME)},
+    optional={
+        "rho0": FINITE_EXTREME, "temperature": FINITE_EXTREME, "kappa": FINITE_EXTREME,
+        "v_max": FINITE_EXTREME, "i_max": FINITE_EXTREME, "q": FINITE_EXTREME,
+        "u0x": FINITE_EXTREME.map(lambda x: -x), "alpha": st.floats(0.0, 0.999),
+        "delta": st.floats(-6.0, 0.5).map(lambda e: 10.0**e),
+    }))
+# counterexamples the search found: an initial-data error that named no key, and an exit 0
+# with an infinite entropy in steps.csv
+@example(extra={"dt": 0.1, "temperature": 1e-89})
+@example(extra={"dt": 0.1, "v_max": 1e-26, "i_max": 1e-290, "temperature": 1e17, "u0x": -1.0,
+                "q": 10.0, "delta": 1.0, "alpha": 0.0})
+def test_finite_extreme_scenarios_exit_typed_and_never_write_non_finite_output(extra):
+    # no finite input escapes as a traceback (exit 1), an unnamed error or a NaN in a CSV
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scn.txt"
+        path.write_text(TINY_SCENARIO + "".join(f"{k} = {v!r}\n" for k, v in extra.items()),
+                        encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["simulate", str(path), "--out", str(Path(tmp) / "o")])
+        err = err.getvalue()
+        assert code in (0, 2, 3), err
+        if code == 0:
+            assert _all_finite(Path(tmp) / "o" / "steps.csv")
+            assert _all_finite(Path(tmp) / "o" / "macro.csv")
+        else:
+            named = set(re.findall(r"[a-z_0-9]+", err)) & SCENARIO_KEYS
+            assert named or re.search(r"\b(cell|step) \d", err), err
