@@ -49,10 +49,7 @@ def cmd_simulate(args) -> int:
         for t_row, macro in macro_rows:
             write_macro_csv(fh, t_row, grid, macro)
 
-    bad = [r.step for r in result.reports  # every number steps.csv holds
-           if not all(map(math.isfinite, (r.mass, *r.momentum, r.energy, r.mass_defect,
-                                          r.momentum_defect, r.energy_defect, r.entropy,
-                                          r.norm_q)))]
+    bad = [r.step for r in result.reports if not all(map(math.isfinite, r.csv_row()))]
     if bad:
         print(f"error: non-finite report at step {bad[0]}", file=sys.stderr)
         return 3

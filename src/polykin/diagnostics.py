@@ -49,7 +49,8 @@ def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray) -> None:
     # the mask is t != 0, not t > 0: NaN and inf propagate as they would in xlogy
     b = np.zeros(t.shape)
     np.log(t, out=b, where=t != 0)
-    b *= t
+    with np.errstate(over="ignore"):  # an infinite f ln f is reported as a non-finite entropy
+        b *= t
     np.matmul(b, wk, out=rows)
 
 

@@ -80,12 +80,13 @@ def row_tiles(n_rows: int, n_i: int) -> list[slice]:
     return [slice(r, min(r + rows, n_rows)) for r in range(0, n_rows, rows)]
 
 
-def tile_sup(a: np.ndarray, b: np.ndarray | None, w: np.ndarray) -> float:
-    """max of |a - b| (|a| without b) times w over one row tile."""
+def tile_sup(a: np.ndarray, b: np.ndarray | None, w: np.ndarray,
+             t: np.ndarray | None = None) -> float:
+    """max of |a - b| (|a| without b) times w over one row tile, taken in t (new if None)."""
     if b is None:
-        t = np.abs(a)
+        t = np.abs(a, out=t)
     else:
-        t = a - b
+        t = np.subtract(a, b, out=t)
         np.abs(t, out=t)
     t *= w
     return float(t.max())

@@ -125,7 +125,7 @@ def _gaussian_flat(rho: np.ndarray, u: np.ndarray, t_blend: np.ndarray, t_theta:
 
 
 def gaussian_table(pev: np.ndarray, ei: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write one cell's (n_v**3, n_i) table from its factor rows: out[j, k] = pev[j] * ei[k].
+    """Write a cell's table, or a row tile of it, from factor rows: out[j, k] = pev[j] * ei[k].
 
     Every entry is the one product a broadcast multiply gives, bit for bit;
     einsum writes a (4913, 16) table in about 100 us against 150-170 us.

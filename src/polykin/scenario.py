@@ -100,8 +100,8 @@ class Scenario:
         n = self.t_final / self.dt
         if n > MAX_STEPS:
             raise ValidationError("dt", f"t_final/dt = {n:.6g} steps exceeds the cap {MAX_STEPS}")
-        if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
-            raise ValidationError("dt", f"t_final/dt = {n!r} is not an integer step count")
+        if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)) or round(n) == 0:
+            raise ValidationError("dt", f"t_final/dt = {n!r} is not a positive integer step count")
         return int(round(n))
 
     def snapshot_steps(self) -> list[int]:

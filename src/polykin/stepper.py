@@ -53,6 +53,11 @@ class StepReport:
     gaussian_norm_q: float | None = None
     envelope_min_ratio: float | None = None
 
+    def csv_row(self) -> tuple:
+        """The numbers of this report's steps.csv row, in STEP_CSV_HEADER's order."""
+        return (self.time, self.mass, *self.momentum, self.energy, self.mass_defect,
+                self.momentum_defect, self.energy_defect, self.entropy, self.norm_q)
+
 
 @dataclass
 class RunResult:
@@ -73,35 +78,35 @@ class RunResult:
         return collision_frequency(self.params.nu, self.params.theta)
 
 
-def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float,
-                out: np.ndarray) -> None:
-    """out = c_f*ft + c_m*m, written around whichever weight is <= 1/2.
+def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float) -> None:
+    """ft = c_f*ft + c_m*m in place, written around whichever weight is <= 1/2; m is scratch.
 
     With the smaller weight multiplying the difference, the result can never
     round below zero or outside the span of its operands, and equal operands
     blend to themselves bit-exactly.
     """
-    if c_m <= 0.5:
-        np.subtract(m, ft, out=out)
-        out *= c_m
-        out += ft
-    else:  # out may be m itself, so the difference takes its own buffer
-        d = ft - m
-        d *= c_f
-        np.add(m, d, out=out)
+    if c_m <= 0.5:  # ft + c_m*(m - ft)
+        m -= ft
+        m *= c_m
+        ft += m
+    else:  # m + c_f*(ft - m)
+        ft -= m
+        ft *= c_f
+        ft += m
 
 
 def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt: float,
-                out: DistField, track_entropy: bool = True, gauss_norm: bool = False):
-    """Blend f~ with its Gaussian into out, cell by cell, in one pass per cell.
+                track_entropy: bool = True, gauss_norm: bool = False):
+    """Overwrite f~ with its blend with its Gaussian, cell by cell, in one pass per cell.
 
     The Gaussian factors are evaluated for a block of cells at once
-    (gaussian.cell_blocks).  Each cell's Gaussian is written into its output
-    cell; then, row tile by row tile while the tile is in cache, f~ is blended
-    into it and the tile's weighted sup and f ln f rows are taken.  Returns the
-    output's conserved sums, entropy (NaN unless track_entropy), weighted norm,
-    and the Gaussian's weighted norm (None unless gauss_norm): what
-    conserved_quantities, entropy and weighted_sup_norm give on out, bit for bit.
+    (gaussian.cell_blocks).  Each cell is walked in row tiles: the tile's
+    Gaussian is written into one reused tile buffer, f~'s tile is blended with
+    it in place while both are in cache, and the tile's weighted sup and f ln f
+    rows are taken.  Returns the output's conserved sums, entropy (NaN unless
+    track_entropy), weighted norm, and the Gaussian's weighted norm (None unless
+    gauss_norm): what conserved_quantities, entropy and weighted_sup_norm give
+    on the output, bit for bit.
     """
     grid = f_tilde.grid
     lambda_delta = normalizer_discrete(params.delta, grid)
@@ -111,8 +116,8 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt
     w = grid.norm_weight(params.q, params.delta)
     tiles = row_tiles(grid.n_v**3, grid.n_i)
     flogf_rows = np.empty(grid.n_v**3)
+    buf = None
 
-    src, dst = f_tilde.cells, out.cells
     cell_sums = []
     total_flogf = 0.0
     norm = g_norm = 0.0
@@ -120,20 +125,21 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt
         pev, ei = _gaussian_flat(macro.rho[cells], macro.u[cells], macro.t_blend[cells],
                                  macro.t_theta[cells], grid, lambda_delta, params.delta,
                                  cells.start)
-        for i, pev_i, ei_i in zip(range(cells.start, cells.stop), pev, ei):
-            # the Gaussian is written into the output cell and blended there in place
-            m = gaussian_table(pev_i, ei_i, dst[i])
+        if buf is None:  # taken once the factor pass's temporaries are freed
+            buf = np.empty((tiles[0].stop, grid.n_i))
+        for cell, pev_i, ei_i in zip(f_tilde.cells[cells], pev, ei):
             for s in tiles:
-                t = m[s]
+                m = gaussian_table(pev_i[s], ei_i, buf[: s.stop - s.start])
                 if gauss_norm:
-                    g_norm = max_nan(g_norm, tile_sup(t, None, w[s]))
-                _blend_into(src[i][s], t, c_f, c_m, t)
-                norm = max_nan(norm, tile_sup(t, None, w[s]))
+                    g_norm = max_nan(g_norm, tile_sup(m, None, w[s]))
+                t = cell[s]
+                _blend_into(t, m, c_f, c_m)
+                norm = max_nan(norm, tile_sup(t, None, w[s], m))  # m is scratch by now
                 if track_entropy:
                     tile_flogf(t, grid.i_weights, flogf_rows[s])
             if track_entropy:
                 total_flogf += float(flogf_rows.sum())
-            cell_sums.append(cell_conserved(m, grid, params.delta))
+            cell_sums.append(cell_conserved(cell, grid, params.delta))
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
     return conserved_totals(cell_sums, grid), ent, norm, g_norm if gauss_norm else None
 
@@ -147,11 +153,11 @@ def _output_sums(out: DistField, params: SchemeParams, track_entropy: bool):
 
 def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
           dt: float) -> DistField:
-    """Implicit relaxation solved in closed form: convex blend of f~ and G(f~)."""
+    """Implicit relaxation solved in closed form: convex blend of f~ and G(f~), in a new field."""
     if dt <= 0:
         raise InvalidConfig("relax requires dt > 0")
-    out = DistField(np.empty(f_tilde.grid.field_shape), f_tilde.grid)
-    _relax_into(f_tilde, macro, params, dt, out, track_entropy=False)
+    out = DistField(f_tilde.values.copy(), f_tilde.grid)
+    _relax_into(out, macro, params, dt, track_entropy=False)
     return out
 
 
@@ -159,12 +165,13 @@ def step(f: DistField, params: SchemeParams, dt: float) -> tuple[DistField, Step
     """One full scheme step; the report is populated from the output field."""
     if dt <= 0:
         raise InvalidConfig("step requires dt > 0")
-    f_tilde = Advector(f.grid, dt).apply(f)
-    out = DistField(np.empty(f.grid.field_shape), f.grid)
-    sums = _relax_into(f_tilde, compute_moments(f_tilde, params, dt), params, dt, out)[:3]
+    out = Advector(f.grid, dt).apply(f)  # f~, which the relaxation overwrites
+    macro = compute_moments(out, params, dt)
+    tilde_norm = weighted_sup_norm(out, params.q, params.delta)  # of f~, so before that
+    sums = _relax_into(out, macro, params, dt)[:3]
     prev = conserved_quantities(f, params.delta)
     report = _step_report(0, dt, sums, prev, _defect_scales(prev, params.delta),
-                          tilde_norm_q=weighted_sup_norm(f_tilde, params.q, params.delta))
+                          tilde_norm_q=tilde_norm)
     return out, report
 
 
@@ -249,7 +256,6 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
 
     advector = Advector(grid, scn.dt)
     tilde = _sample_initial(scn, ic, grid, scn.dt)  # exact foot values: no initial error
-    nxt = DistField(np.empty(grid.field_shape), grid)
     env_table = envelope.table(grid) if envelope is not None else None
 
     scales = _defect_scales(initial_cons, params.delta)
@@ -261,33 +267,33 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
         if n > 0:
             advector.apply(cur, out=tilde)
 
+        monitors = {}  # of f~, read before the relaxation overwrites it
+        if envelope is not None:
+            monitors = dict(tilde_norm_q=weighted_sup_norm(tilde, params.q, params.delta),
+                            envelope_min_ratio=_envelope_min_ratio(tilde, env_table))
+
         gauss_norm = None
         if scn.transport_only:
-            nxt.values[:] = tilde.values
-            sums = _output_sums(nxt, params, track_entropy)
+            sums = _output_sums(tilde, params, track_entropy)
         else:
             try:
                 macro = compute_moments(tilde, params, scn.dt)
-                *sums, gauss_norm = _relax_into(tilde, macro, params, scn.dt, nxt,
-                                                track_entropy, gauss_norm=envelope is not None)
+                *sums, gauss_norm = _relax_into(tilde, macro, params, scn.dt, track_entropy,
+                                                gauss_norm=envelope is not None)
             except PolykinError as exc:
                 exc.args = (f"step {n}: {exc}",)
                 raise
 
         t_now = (n + 1) * scn.dt
-        monitors = {}
-        if envelope is not None:
-            monitors = dict(tilde_norm_q=weighted_sup_norm(tilde, params.q, params.delta),
-                            envelope_min_ratio=_envelope_min_ratio(tilde, env_table))
         report = _step_report(n, t_now, sums, prev_cons, scales,
                               gaussian_norm_q=gauss_norm, **monitors)
         reports.append(report)
         prev_cons = (report.mass, report.momentum, report.energy)
 
         if snapshot_writer is not None and n + 1 in snapshot_steps:
-            snapshot_writer(t_now, nxt)
+            snapshot_writer(t_now, tilde)
 
-        cur, nxt = nxt, cur
+        cur, tilde = tilde, cur
 
     return RunResult(grid, params, scn.dt, reports, cur, initial_norm, initial_cons)
 
@@ -301,10 +307,4 @@ STEP_CSV_HEADER = (
 def write_step_csv(fh, reports: list[StepReport]) -> None:
     fh.write(STEP_CSV_HEADER)
     for r in reports:
-        fh.write(
-            "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-            % (
-                r.time, r.mass, r.momentum[0], r.momentum[1], r.momentum[2], r.energy,
-                r.mass_defect, r.momentum_defect, r.energy_defect, r.entropy, r.norm_q,
-            )
-        )
+        fh.write(",".join("%.17g" % x for x in r.csv_row()) + "\n")

@@ -1,15 +1,19 @@
-"""Per-cell passes hold about one cell table beyond their output, not two.
+"""Per-cell passes hold about one cell table beyond their output, not two, and a run
+holds two fields.
 
-The relaxation writes each Gaussian into the output cell and blends it there,
-gaussian_field writes straight into its field, and entropy reuses one cell
-buffer.  tracemalloc sees numpy's data buffers, so a pass that builds a
-second full table per cell shows up as a peak of two tables or more.
+The relaxation overwrites f~ with its output: each tile's Gaussian goes into
+one reused tile buffer and f~'s tile is blended with it there.  relax() copies
+f~ into its output first; gaussian_field writes straight into its field, and
+entropy reuses one cell buffer.  tracemalloc sees numpy's data buffers, so a
+pass that builds a second full table per cell shows up as a peak of two tables
+or more.
 
 The blend, the weighted sup norms, the entropy and the envelope ratio walk
 each cell in row tiles of field.TILE_BYTES, so on cells much larger than a tile
-they hold a small fraction of a cell table: the last tests pin them under a
+they hold a small fraction of a cell table: those tests pin them under a
 quarter.  The Gaussian factors of a relaxation come in blocks of cells of about
-one tile, so its peak does not grow with the number of cells.
+one tile, so its peak does not grow with the number of cells.  run() keeps f^n
+and f~ and no third field, so its peak stays under two and a half fields.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import pytest
 from polykin import (
     DistField,
     GridConfig,
+    Scenario,
     SchemeParams,
     build_grid,
     compute_moments,
@@ -30,6 +35,7 @@ from polykin import (
     gaussian_field,
     normalizer_discrete,
     relax,
+    run,
     weighted_sup_norm,
 )
 from polykin.diagnostics import StabilityEnvelope
@@ -84,12 +90,12 @@ def large_fields(rng):
 
 @pytest.mark.parametrize("kappa", [1.0, 1e-3])  # c_m <= 1/2, c_m > 1/2
 def test_fused_relax_pass_holds_under_a_quarter_table(large_fields, kappa):
-    f, out = large_fields
+    f = large_fields[0]
     params = SchemeParams(nu=0.0, theta=1.0, delta=2.0, kappa=kappa, q=8.0)
     macro = compute_moments(f, params, dt=0.1)
 
-    def fused():  # blend, both norms, entropy and conserved sums, into a given output
-        _relax_into(f, macro, params, 0.1, out, track_entropy=True, gauss_norm=True)
+    def fused():  # blend, both norms, entropy and conserved sums, in the given field
+        _relax_into(f, macro, params, 0.1, track_entropy=True, gauss_norm=True)
 
     assert _tables_beyond_output(fused, LARGE) < 0.25
 
@@ -114,8 +120,25 @@ def test_relax_pass_peak_does_not_grow_with_the_cell_count(rng):
     peaks = []
     for n_x in (16, 64):
         grid = build_grid(GridConfig(n_x=n_x, n_v=17, v_max=3.0, n_i=16, i_max=8.0))
-        f, out = (DistField(rng.random(grid.field_shape) + 0.05, grid) for _ in range(2))
+        f = DistField(rng.random(grid.field_shape) + 0.05, grid)
         macro = compute_moments(f, params, dt=0.1)
         peaks.append(_tables_beyond_output(
-            lambda: _relax_into(f, macro, params, 0.1, out, gauss_norm=True), grid))
+            lambda: _relax_into(f, macro, params, 0.1, gauss_norm=True), grid))
     assert peaks[1] - peaks[0] < 0.25, peaks
+
+
+def test_run_holds_two_fields_while_stepping():
+    # f^n and f~, which the relaxation overwrites with f^(n+1); x-uniform initial
+    # data are sampled through a temporary of one cell, 1/16 of a field here
+    scn = Scenario(n_x=16, n_v=9, v_max=4.0, n_i=32, i_max=8.0, ic="maxwellian",
+                   dt=0.05, t_final=0.1)
+    grid, _ = scn.validate()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = (peak - base) / (8 * np.prod(grid.field_shape))
+    assert fields < 2.5, fields

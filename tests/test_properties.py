@@ -72,14 +72,16 @@ def test_blend_stays_nonnegative_and_inside_operand_span(data, c_m):
     shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 6)))
     ft = data.draw(arrays(np.float64, shape, elements=NONNEG, fill=st.nothing()))
     m = data.draw(arrays(np.float64, shape, elements=NONNEG, fill=st.nothing()))
-    out = np.empty(shape)
-    _blend_into(ft, m, 1.0 - c_m, c_m, out)
+    c_f = 1.0 - c_m
+    out = ft.copy()  # the relaxation blends into f~ and takes the Gaussian as scratch
+    _blend_into(out, m.copy(), c_f, c_m)
     assert (out >= 0).all()
     assert (out >= np.minimum(ft, m)).all() and (out <= np.maximum(ft, m)).all()
-    in_place = m.copy()  # the relaxation blends into the table holding the Gaussian
-    _blend_into(ft, in_place, 1.0 - c_m, c_m, in_place)
-    assert in_place.tobytes() == out.tobytes()
-    _blend_into(ft, ft, 1.0 - c_m, c_m, out)
+    # the weight <= 1/2 multiplies the difference
+    formula = ft + c_m * (m - ft) if c_m <= 0.5 else m + c_f * (ft - m)
+    assert out.tobytes() == formula.tobytes()
+    out = ft.copy()
+    _blend_into(out, ft.copy(), c_f, c_m)
     assert out.tobytes() == ft.tobytes()
 
 
@@ -156,6 +158,21 @@ def test_one_step_is_stable_for_any_knudsen_number(f, kappa_exp, dt, nu, theta):
     assert np.isfinite(out.values).all() and (out.values >= 0).all()
     assert report.norm_q <= max(weighted_sup_norm(tilde, 8.0, 2.0),
                                 weighted_sup_norm(gauss, 8.0, 2.0))
+
+
+@PROPERTY
+@given(f=fields(), kappa_exp=st.floats(-8.0, 2.0), dt=st.floats(1e-3, 1.0))
+def test_relax_and_step_leave_their_inputs_unchanged(f, kappa_exp, dt):
+    # the relaxation overwrites the field it is given: relax() hands it a copy of
+    # f~, step() the advected field
+    params = SchemeParams(nu=0.5, theta=0.8, delta=2.0, kappa=10.0**kappa_exp, q=8.0)
+    before = f.values.tobytes()
+    with contextlib.suppress(PolykinError):  # a degenerate cell raises, typed
+        relax(f, compute_moments(f, params, dt), params, dt)
+    assert f.values.tobytes() == before
+    with contextlib.suppress(PolykinError):
+        step(f, params, dt)
+    assert f.values.tobytes() == before
 
 
 @PROPERTY

@@ -215,6 +215,13 @@ class TestExtremeFiniteInputs:
         assert time.perf_counter() - start < 1.0
         assert "error: dt: " in capsys.readouterr().err
 
+    def test_step_count_rounding_to_zero_exits_2(self, tmp_path, capsys):
+        # t_final/dt = 2e-10 is within 1e-9 of the integer 0
+        path = write(tmp_path, override(TINY, "dt = 1e9"))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error: dt: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "steps.csv").exists()
+
     @pytest.mark.parametrize("extra, key", [
         ("delta = 1e-3\ni_max = 2.0", "delta"),  # i_max^(2/delta) = 2^2000
         ("temperature = 1e300", "temperature"),  # (2*pi*T)^1.5
@@ -229,6 +236,9 @@ class TestExtremeFiniteInputs:
     @pytest.mark.parametrize("extra, code", [
         ("temperature = 1e-300", 2),  # the samples overflow to +inf
         ("kappa = 1e-300\nrho0 = 1e300", 3),  # the step-1 Gaussian prefactor overflows
+        # f ln f overflows in the step-1 entropy
+        ("v_max = 1e-26\ni_max = 1e-290\ntemperature = 1e17\ndelta = 1\nu0x = -1\n"
+         "q = 10\nalpha = 0", 3),
     ])
     def test_typed_error_comes_without_numpy_warnings(self, tmp_path, extra, code):
         path = write(tmp_path, TINY + extra + "\n")
@@ -275,6 +285,20 @@ class TestConvergenceCli:
         assert lines[0] == "level,h,error,observed_order"
         assert len(lines) == 4
         assert (out / "convergence.md").exists()
+
+    def test_readme_transport_only_command_gives_second_order(self, tmp_path):
+        # the README's transport-only command, run from the root of the tree
+        root = Path(__file__).resolve().parents[1]
+        line = next(ln for ln in (root / "README.md").read_text(encoding="utf-8").splitlines()
+                    if ln.startswith("polykin convergence") and "--transport-only" in ln)
+        argv = line.split()[1:]
+        assert argv[1] == "scenarios/transport_wave.txt"
+        argv[1] = str(root / argv[1])
+        out = tmp_path / "conv"
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = (out / "convergence.csv").read_text().splitlines()[2:]  # header, coarsest
+        orders = [float(row.rsplit(",", 1)[1]) for row in rows]
+        assert len(orders) == 2 and all(1.75 <= o <= 2.25 for o in orders), orders
 
 
 class TestInitialConditionFamilies:

@@ -11,6 +11,7 @@ from polykin import (
     Scenario,
     SchemeParams,
     advect,
+    certified_envelope,
     compute_moments,
     conserved_quantities,
     entropy,
@@ -26,7 +27,7 @@ from polykin import (
 )
 from polykin.errors import ValidationError
 from polykin.field import row_tiles
-from polykin.stepper import _blend_into
+from polykin.stepper import _blend_into, _envelope_min_ratio
 from tests.conftest import random_field_values
 
 
@@ -34,17 +35,17 @@ class TestBlendKernel:
     def test_equal_operands_blend_to_themselves_exactly(self, rng):
         x = rng.random((5, 7))
         for c_m in (0.1, 0.5, 0.9, 1.0 - 1e-15):
-            out = np.empty_like(x)
-            _blend_into(x, x, 1.0 - c_m, c_m, out)
-            assert (out == x).all()
+            ft = x.copy()
+            _blend_into(ft, x.copy(), 1.0 - c_m, c_m)
+            assert (ft == x).all()
 
     def test_stays_within_operand_span(self, rng):
         for _ in range(200):
             a = rng.random(64)
             b = rng.random(64)
             c_m = rng.random()
-            out = np.empty(64)
-            _blend_into(a, b, 1.0 - c_m, c_m, out)
+            out = a.copy()
+            _blend_into(out, b.copy(), 1.0 - c_m, c_m)
             assert (out >= np.minimum(a, b)).all()
             assert (out <= np.maximum(a, b)).all()
 
@@ -219,8 +220,12 @@ class TestFusedPass:
             tilde = sample(make_initial(scn, grid), grid, scn.dt)  # step 0's f~
             gauss = gaussian_field(compute_moments(tilde, params, scn.dt), grid,
                                    normalizer_discrete(params.delta, grid), params.delta)
-            assert res.reports[0].gaussian_norm_q == weighted_sup_norm(gauss, params.q,
-                                                                       params.delta)
+            rep = res.reports[0]
+            assert rep.gaussian_norm_q == weighted_sup_norm(gauss, params.q, params.delta)
+            # the f~ monitors are read before the relaxation overwrites f~
+            assert rep.tilde_norm_q == weighted_sup_norm(tilde, params.q, params.delta)
+            env_table = certified_envelope(scn, grid).table(grid)
+            assert rep.envelope_min_ratio == _envelope_min_ratio(tilde, env_table)
         else:
             assert res.reports[0].gaussian_norm_q is None
 
