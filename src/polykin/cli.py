@@ -16,15 +16,22 @@ from .moments import MACRO_CSV_HEADER, compute_moments, write_macro_csv
 from .scenario import Scenario, make_initial, parse_scenario
 
 
-def _out_dir(args, scn: Scenario) -> Path:
-    out = Path(args.out or scn.out_dir or ".")
+def _out_dir(args) -> Path:
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _number(option: str, text: str, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(option, f"expected {kind.__name__}, got {text.strip()!r}") from None
+
+
 def cmd_simulate(args) -> int:
     scn = parse_scenario(args.scenario)
-    out = _out_dir(args, scn)
+    out = _out_dir(args)
     grid, params = scn.validate()
 
     snapshots = []
@@ -60,8 +67,8 @@ def cmd_simulate(args) -> int:
 
 
 def _coupled_levels(levels: list[int], reference: int):
-    if any(levels[i + 1] <= levels[i] for i in range(len(levels) - 1)):
-        raise ValidationError("levels", f"levels must strictly increase: {levels}")
+    if levels[0] < 1 or any(levels[i + 1] <= levels[i] for i in range(len(levels) - 1)):
+        raise ValidationError("levels", f"levels must be positive and strictly increase: {levels}")
     if reference <= levels[-1]:
         raise ValidationError("reference", "reference must be finer than every level")
     for lv in levels + [reference]:
@@ -71,11 +78,11 @@ def _coupled_levels(levels: list[int], reference: int):
 
 def cmd_convergence(args) -> int:
     scn = parse_scenario(args.scenario)
-    out = _out_dir(args, scn)
-    levels = [int(t) for t in args.levels.split(",") if t.strip()]
+    out = _out_dir(args)
+    levels = [_number("levels", t, int) for t in args.levels.split(",") if t.strip()]
     if len(levels) < 3:
         raise ValidationError("levels", f"need at least 3 levels, got {levels}")
-    reference = int(args.reference)
+    reference = _number("reference", args.reference, int)
     _coupled_levels(levels, reference)
     transport_only = args.transport_only or scn.transport_only
 
@@ -121,13 +128,10 @@ def cmd_convergence(args) -> int:
 
 def cmd_sweep(args) -> int:
     scn = parse_scenario(args.scenario)
-    out = _out_dir(args, scn)
-    kappas = [float(t) for t in args.kappa.split(",") if t.strip()]
-    if not kappas:
-        raise ValidationError("kappa", "empty kappa list")
-    for k in kappas:
-        if k <= 0:
-            raise ValidationError("kappa", f"kappa must be > 0, got {k}")
+    out = _out_dir(args)
+    kappas = [_number("kappa", t, float) for t in args.kappa.split(",") if t.strip()]
+    if not kappas or any(k <= 0 for k in kappas):
+        raise ValidationError("kappa", f"need one or more kappa values > 0, got {kappas}")
 
     rows = []
     for kappa in kappas:

@@ -12,7 +12,7 @@ from .field import DistField, error_sup_norm, row_tiles
 from .gaussian import gaussian_field
 from .grid import PhaseGrid
 from .moments import compute_moments, energy_contraction
-from .params import SchemeParams, normalizer_discrete
+from .params import SchemeParams, collision_frequency, normalizer_discrete
 
 _MONITOR_SLACK = 1e-12  # relative tolerance of check_envelopes
 
@@ -93,8 +93,8 @@ class StabilityEnvelope:
     b_exp: float
 
     def __post_init__(self):
-        if self.c01 <= 0 or self.c02 <= 0 or self.a_exp <= 0 or self.b_exp <= 0:
-            raise InvalidConfig("envelope parameters must be strictly positive")
+        if not all(0 < c < math.inf for c in (self.c01, self.c02, self.a_exp, self.b_exp)):
+            raise InvalidConfig("envelope parameters must be finite and strictly positive")
 
     def table(self, grid: PhaseGrid) -> np.ndarray:
         """Envelope values over (velocity-cube, energy) nodes, flattened to 2D."""
@@ -116,6 +116,18 @@ class StabilityEnvelope:
         cont_v = 4.0 * math.pi * math.gamma(3.0 / a) / (a * c ** (3.0 / a))
         cont_i = math.gamma(1.0 + 1.0 / b) / c ** (1.0 / b)
         return disc_mass / (self.c01 * cont_v * cont_i)
+
+
+def masked_min_ratio(cell: np.ndarray, table: np.ndarray) -> float:
+    """min of cell / table, tile by tile, over the nodes where the envelope table is > 0 (where
+    it underflows to 0 it bounds nothing); a NaN quotient is skipped, as min() skips NaN."""
+    worst = math.inf
+    for s in row_tiles(*table.shape):
+        env = table[s]
+        with np.errstate(over="ignore"):  # an overflowing quotient is +inf: it bounds nothing
+            q = np.divide(cell[s], env, out=np.full(env.shape, math.inf), where=env > 0)
+        worst = min(worst, float(q.min()))
+    return worst
 
 
 @dataclass
@@ -152,7 +164,8 @@ def check_envelopes(run, envelope: StabilityEnvelope) -> EnvelopeReport:
     if not reports or reports[0].envelope_min_ratio is None:
         raise InvalidConfig("run was not executed with an envelope monitor")
 
-    a_dt = run.collision_freq * run.dt if reports[0].gaussian_norm_q is not None else 0.0
+    built = reports[0].gaussian_norm_q is not None
+    a_dt = collision_frequency(run.params.nu, run.params.theta) * run.dt if built else 0.0
     dec = run.kappa / (run.kappa + a_dt)
     norm0 = max(run.initial_norm_q, reports[0].tilde_norm_q)
 

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .diagnostics import StabilityEnvelope
+from .diagnostics import StabilityEnvelope, masked_min_ratio
 from .errors import InvalidConfig, OutOfRange, ParseError, ValidationError
 from .grid import GridConfig, PhaseGrid, build_grid
 from .params import SchemeParams, normalizer_discrete
@@ -73,7 +73,6 @@ class Scenario:
     # run options
     transport_only: bool = False
     snapshot_times: tuple[float, ...] = ()
-    out_dir: str | None = None
 
     # ---- derived quantities ----
 
@@ -283,8 +282,8 @@ def certified_envelope(scn: Scenario, grid: PhaseGrid) -> StabilityEnvelope | No
     )
 
     shape = StabilityEnvelope(c01=1.0, c02=c02, a_exp=a, b_exp=b).table(grid)
-    ratio = profile_min.reshape(grid.n_v**3, grid.n_i) / shape
-    c01 = float(ratio.min()) * (1.0 - 1e-9)  # headroom over the monitors' 1e-12 slack
+    ratio = masked_min_ratio(profile_min.reshape(shape.shape), shape)
+    c01 = ratio * (1.0 - 1e-9)  # headroom over the monitors' 1e-12 slack
     if c01 <= 0:
         raise ValidationError("envelope", "initial data does not admit a positive envelope")
     return StabilityEnvelope(c01=c01, c02=c02, a_exp=a, b_exp=b)

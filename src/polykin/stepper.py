@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import cell_conserved, conserved_quantities, conserved_totals, entropy, tile_flogf
-# unused here, but benchmarks/spans.py wraps stepper.equilibrium_distance
-from .diagnostics import equilibrium_distance  # noqa: F401
+from .diagnostics import (cell_conserved, conserved_quantities, conserved_totals, masked_min_ratio,
+                          tile_flogf)
+# unused here, but benchmarks/spans.py wraps stepper.entropy and stepper.equilibrium_distance
+from .diagnostics import entropy, equilibrium_distance  # noqa: F401
 from .errors import InvalidConfig, NegativeInitialData, PolykinError
 from .field import DistField, max_nan, row_tiles, sample, tile_sup, weighted_sup_norm
 from .gaussian import _gaussian_flat, cell_blocks, gaussian_table
@@ -73,10 +74,6 @@ class RunResult:
     def kappa(self) -> float:
         return self.params.kappa
 
-    @property
-    def collision_freq(self) -> float:
-        return collision_frequency(self.params.nu, self.params.theta)
-
 
 def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float) -> None:
     """ft = c_f*ft + c_m*m in place, written around whichever weight is <= 1/2; m is scratch.
@@ -95,7 +92,7 @@ def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float) -> None:
         ft += m
 
 
-def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt: float,
+def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemeParams, dt: float,
                 track_entropy: bool = True, gauss_norm: bool = False):
     """Overwrite f~ with its blend with its Gaussian, cell by cell, in one pass per cell.
 
@@ -106,7 +103,8 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt
     rows are taken.  Returns the output's conserved sums, entropy (NaN unless
     track_entropy), weighted norm, and the Gaussian's weighted norm (None unless
     gauss_norm): what conserved_quantities, entropy and weighted_sup_norm give
-    on the output, bit for bit.
+    on the output, bit for bit.  With macro None (transport only) f~ is kept as
+    it stands and the Gaussian norm is None.
     """
     grid = f_tilde.grid
     lambda_delta = normalizer_discrete(params.delta, grid)
@@ -120,20 +118,22 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt
 
     cell_sums = []
     total_flogf = 0.0
-    norm = g_norm = 0.0
+    norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None else None)
     for cells in cell_blocks(grid):
-        pev, ei = _gaussian_flat(macro.rho[cells], macro.u[cells], macro.t_blend[cells],
-                                 macro.t_theta[cells], grid, lambda_delta, params.delta,
-                                 cells.start)
+        if macro is not None:
+            pev, ei = _gaussian_flat(macro.rho[cells], macro.u[cells], macro.t_blend[cells],
+                                     macro.t_theta[cells], grid, lambda_delta, params.delta,
+                                     cells.start)
         if buf is None:  # taken once the factor pass's temporaries are freed
             buf = np.empty((tiles[0].stop, grid.n_i))
-        for cell, pev_i, ei_i in zip(f_tilde.cells[cells], pev, ei):
+        for i, cell in enumerate(f_tilde.cells[cells]):
             for s in tiles:
-                m = gaussian_table(pev_i[s], ei_i, buf[: s.stop - s.start])
-                if gauss_norm:
-                    g_norm = max_nan(g_norm, tile_sup(m, None, w[s]))
-                t = cell[s]
-                _blend_into(t, m, c_f, c_m)
+                t, m = cell[s], buf[: s.stop - s.start]
+                if macro is not None:
+                    gaussian_table(pev[i][s], ei[i], m)
+                    if g_norm is not None:
+                        g_norm = max_nan(g_norm, tile_sup(m, None, w[s]))
+                    _blend_into(t, m, c_f, c_m)
                 norm = max_nan(norm, tile_sup(t, None, w[s], m))  # m is scratch by now
                 if track_entropy:
                     tile_flogf(t, grid.i_weights, flogf_rows[s])
@@ -141,14 +141,7 @@ def _relax_into(f_tilde: DistField, macro: MacroFields, params: SchemeParams, dt
                 total_flogf += float(flogf_rows.sum())
             cell_sums.append(cell_conserved(cell, grid, params.delta))
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
-    return conserved_totals(cell_sums, grid), ent, norm, g_norm if gauss_norm else None
-
-
-def _output_sums(out: DistField, params: SchemeParams, track_entropy: bool):
-    """The first three results of _relax_into, for an output it did not write."""
-    ent = entropy(out) if track_entropy else math.nan
-    return (conserved_quantities(out, params.delta), ent,
-            weighted_sup_norm(out, params.q, params.delta))
+    return conserved_totals(cell_sums, grid), ent, norm, g_norm
 
 
 def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
@@ -216,13 +209,8 @@ def _defect_scales(cons0, delta: float) -> tuple[float, float, float]:
 
 
 def _envelope_min_ratio(f_tilde: DistField, env_table: np.ndarray) -> float:
-    """min of f~ / envelope over the nodes, tile by tile; a cell holding a NaN quotient is
-    skipped, as min() skips NaN."""
-    tiles = row_tiles(f_tilde.grid.n_v**3, f_tilde.grid.n_i)
-    worst = math.inf
-    for cell in f_tilde.cells:
-        worst = min(worst, float(np.min([np.min(cell[s] / env_table[s]) for s in tiles])))
-    return worst
+    """min of f~ / envelope over the nodes where the envelope is > 0."""
+    return min(masked_min_ratio(cell, env_table) for cell in f_tilde.cells)
 
 
 def _sample_initial(scn: Scenario, ic, grid: PhaseGrid, shift_dt: float) -> DistField:
@@ -272,17 +260,13 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
             monitors = dict(tilde_norm_q=weighted_sup_norm(tilde, params.q, params.delta),
                             envelope_min_ratio=_envelope_min_ratio(tilde, env_table))
 
-        gauss_norm = None
-        if scn.transport_only:
-            sums = _output_sums(tilde, params, track_entropy)
-        else:
-            try:
-                macro = compute_moments(tilde, params, scn.dt)
-                *sums, gauss_norm = _relax_into(tilde, macro, params, scn.dt, track_entropy,
-                                                gauss_norm=envelope is not None)
-            except PolykinError as exc:
-                exc.args = (f"step {n}: {exc}",)
-                raise
+        try:
+            macro = None if scn.transport_only else compute_moments(tilde, params, scn.dt)
+            *sums, gauss_norm = _relax_into(tilde, macro, params, scn.dt, track_entropy,
+                                            gauss_norm=envelope is not None)
+        except PolykinError as exc:
+            exc.args = (f"step {n}: {exc}",)
+            raise
 
         t_now = (n + 1) * scn.dt
         report = _step_report(n, t_now, sums, prev_cons, scales,

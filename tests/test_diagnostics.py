@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from polykin import (
     run,
     sample,
 )
-from polykin.errors import DegenerateTable, NegativeField
+from polykin.errors import DegenerateTable, InvalidConfig, NegativeField
 from tests.conftest import random_field_values
 from tests.test_field import maxwellian
 
@@ -137,6 +138,32 @@ class TestEnvelopes:
         assert report.upper_violations == 0
         assert report.decay_factor == 1.0
         assert report.growth_factor == 1.0
+
+    @pytest.mark.parametrize("v_max", [40.0, 8.0])
+    def test_underflowing_envelope_is_certified_on_its_positive_nodes(self, v_max):
+        # exp(-(|v|^2 + I^2)/2) underflows to 0 at the far nodes of both grids; at
+        # v_max = 40 the samples do too, and 0/0 once made c01 NaN
+        from polykin import certified_envelope
+
+        scn = Scenario(ic="smooth", n_x=4, n_v=9, n_i=16, v_max=v_max, i_max=40.0, dt=0.1,
+                       t_final=0.2, envelope="auto")
+        grid, _ = scn.validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = certified_envelope(scn, grid)
+            res = run(scn)
+            report = check_envelopes(res, env)
+        assert (env.table(grid) == 0).any()
+        assert env.c01 == pytest.approx(0.04700315, rel=1e-6)
+        ratios = [r.envelope_min_ratio for r in res.reports]
+        assert all(np.isfinite(ratios)) and ratios[0] >= 1.0
+        assert report.ok
+        assert np.isfinite(report.worst_lower_slack) and np.isfinite(report.lattice_mass_ratio)
+
+    @pytest.mark.parametrize("c01", [np.nan, np.inf])
+    def test_non_finite_envelope_constant_rejected(self, c01):
+        with pytest.raises(InvalidConfig):
+            StabilityEnvelope(c01=c01, c02=0.5, a_exp=2.0, b_exp=2.0)
 
     def test_missing_monitor_data_is_an_error(self):
         res = run(self.scenario(envelope="off"))

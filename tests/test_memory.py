@@ -88,13 +88,14 @@ def large_fields(rng):
     return [DistField(rng.random(LARGE.field_shape) + 0.05, LARGE) for _ in range(2)]
 
 
-@pytest.mark.parametrize("kappa", [1.0, 1e-3])  # c_m <= 1/2, c_m > 1/2
-def test_fused_relax_pass_holds_under_a_quarter_table(large_fields, kappa):
+@pytest.mark.parametrize("kappa, transport_only", [(1.0, False), (1e-3, False), (1.0, True)],
+                         ids=["1.0", "0.001", "transport_only"])  # c_m <= 1/2, c_m > 1/2
+def test_fused_relax_pass_holds_under_a_quarter_table(large_fields, kappa, transport_only):
     f = large_fields[0]
     params = SchemeParams(nu=0.0, theta=1.0, delta=2.0, kappa=kappa, q=8.0)
-    macro = compute_moments(f, params, dt=0.1)
+    macro = None if transport_only else compute_moments(f, params, dt=0.1)
 
-    def fused():  # blend, both norms, entropy and conserved sums, in the given field
+    def fused():  # blend (none without macro), norms, entropy and conserved sums, in place
         _relax_into(f, macro, params, 0.1, track_entropy=True, gauss_norm=True)
 
     assert _tables_beyond_output(fused, LARGE) < 0.25

@@ -75,10 +75,11 @@ class TestParse:
         assert exc.value.field == "dt"
 
     def test_unknown_key_reports_line(self, tmp_path):
-        path = write(tmp_path, MINIMAL + "mystery = 1\n")
-        with pytest.raises(ParseError) as exc:
-            parse_scenario(path)
-        assert exc.value.line_no == 8
+        for line in ("mystery = 1", "out_dir = x"):  # --out names the output directory
+            path = write(tmp_path, MINIMAL + line + "\n")
+            with pytest.raises(ParseError) as exc:
+                parse_scenario(path)
+            assert exc.value.line_no == 8
 
     def test_bad_value_reports_line(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("dt = 0.05", "dt = fast"))
@@ -401,3 +402,16 @@ class TestSweepCli:
             kappa, finite, dist = line.split(",")
             assert finite == "1"
             assert math.isfinite(float(dist))
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["convergence", "--levels", "0,2,4", "--reference", "8"], "levels"),
+    (["convergence", "--levels", "a,b,c", "--reference", "8"], "levels"),
+    (["convergence", "--levels", "2,4,8", "--reference", "x"], "reference"),
+    (["sweep", "--kappa", "abc"], "kappa"),
+], ids=["zero_level", "bad_level", "bad_reference", "bad_kappa"])
+def test_bad_cli_number_exits_2_naming_the_option(tmp_path, capsys, argv, option):
+    scn = write(tmp_path, SMOOTH)
+    assert main([argv[0], str(scn), *argv[1:], "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ") and err.count("\n") == 1, err

@@ -206,28 +206,35 @@ class TestFusedPass:
 
     @pytest.mark.parametrize("envelope", ["off", "auto"])
     @pytest.mark.parametrize("track_entropy", [True, False])
-    @pytest.mark.parametrize("kappa", [1.0, 1e-6])  # c_m <= 1/2, c_m > 1/2
-    def test_run_reports_equal_standalone_diagnostics(self, kappa, track_entropy, envelope):
-        scn = Scenario(kappa=kappa, envelope=envelope, **TILED)
+    @pytest.mark.parametrize("kappa, transport_only", [(1.0, False), (1e-6, False), (1.0, True)],
+                             ids=["1.0", "1e-06", "transport_only"])  # c_m <= 1/2, c_m > 1/2
+    def test_run_reports_equal_standalone_diagnostics(self, kappa, transport_only,
+                                                      track_entropy, envelope):
+        scn = Scenario(kappa=kappa, envelope=envelope, transport_only=transport_only, **TILED)
         outs = []
         res = run(scn, track_entropy=track_entropy,
                   snapshot_writer=lambda t, f: outs.append(DistField(f.values.copy(), f.grid)))
         assert len(outs) == len(res.reports) == 2
         for rep, out in zip(res.reports, outs):
             _assert_report_is_of(rep, out, res.params, track_entropy)
-        if envelope == "auto":
-            grid, params = res.grid, res.params
-            tilde = sample(make_initial(scn, grid), grid, scn.dt)  # step 0's f~
+        grid, params = res.grid, res.params
+        tilde = sample(make_initial(scn, grid), grid, scn.dt)  # step 0's f~
+        rep = res.reports[0]
+        if transport_only:  # the output is f~ as it stands
+            assert (outs[0].values == tilde.values).all()
+        if envelope == "off" or transport_only:
+            assert rep.gaussian_norm_q is None
+        else:
             gauss = gaussian_field(compute_moments(tilde, params, scn.dt), grid,
                                    normalizer_discrete(params.delta, grid), params.delta)
-            rep = res.reports[0]
             assert rep.gaussian_norm_q == weighted_sup_norm(gauss, params.q, params.delta)
+        if envelope == "auto":
             # the f~ monitors are read before the relaxation overwrites f~
             assert rep.tilde_norm_q == weighted_sup_norm(tilde, params.q, params.delta)
             env_table = certified_envelope(scn, grid).table(grid)
             assert rep.envelope_min_ratio == _envelope_min_ratio(tilde, env_table)
         else:
-            assert res.reports[0].gaussian_norm_q is None
+            assert rep.tilde_norm_q is None and rep.envelope_min_ratio is None
 
     @pytest.mark.parametrize("kappa", [1.0, 1e-6])
     def test_step_report_equals_standalone_diagnostics(self, kappa, rng):
