@@ -95,8 +95,10 @@ def cmd_convergence(args) -> int:
             override["dt"] = 1.0 / n_x
         return dataclasses.replace(scn, **override)
 
+    runs = levels + ([] if transport_only else [reference])
+    level_scenario(runs[-1]).validate()  # the finest level, before the first one runs
     fields: dict[int, DistField] = {}
-    for n_x in levels + ([] if transport_only else [reference]):
+    for n_x in runs:
         result = stepper.run(level_scenario(n_x), track_entropy=False)
         fields[n_x] = result.final
         print(f"convergence: level n_x={n_x} done ({len(result.reports)} steps)")

@@ -44,11 +44,11 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     return conserved_totals([cell_conserved(c, fld.grid, delta) for c in fld.cells], fld.grid)
 
 
-def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray) -> None:
-    """rows = (t ln t) @ wk over one row tile, with 0 ln 0 := 0."""
-    # the mask is t != 0, not t > 0: NaN and inf propagate as they would in xlogy
-    b = np.zeros(t.shape)
-    np.log(t, out=b, where=t != 0)
+def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray, b: np.ndarray) -> None:
+    """rows = (t ln t) @ wk over one row tile, with 0 ln 0 := 0; b is a scratch tile."""
+    zero = t == 0  # exact zeros only: NaN and inf propagate as they would in xlogy
+    # a zero's log is taken of 1, not 0 (log's -inf path is slow), and 0 * t keeps its sign
+    np.log(np.add(t, zero, out=b) if zero.any() else t, out=b)
     with np.errstate(over="ignore"):  # an infinite f ln f is reported as a non-finite entropy
         b *= t
     np.matmul(b, wk, out=rows)
@@ -61,10 +61,11 @@ def entropy(fld: DistField) -> float:
         raise NegativeField("entropy requires a nonnegative field")
     tiles = row_tiles(g.n_v**3, g.n_i)
     rows = np.empty(g.n_v**3)
+    buf = np.empty((tiles[0].stop, g.n_i))
     total = 0.0
     for cell in fld.cells:
         for s in tiles:
-            tile_flogf(cell[s], g.i_weights, rows[s])
+            tile_flogf(cell[s], g.i_weights, rows[s], buf[: s.stop - s.start])
         total += float(rows.sum())
     return g.dx * g.dv**3 * total
 
@@ -145,7 +146,10 @@ class EnvelopeReport:
 
     @property
     def ok(self) -> bool:
-        return self.lower_violations == 0 and self.upper_violations == 0
+        """No violation, on a lattice whose envelope mass is within a factor of two of the
+        continuum's, the condition under which the stability theory's bounds hold."""
+        return (self.lower_violations == 0 and self.upper_violations == 0
+                and 0.5 <= self.lattice_mass_ratio <= 2.0)
 
 
 def check_envelopes(run, envelope: StabilityEnvelope) -> EnvelopeReport:

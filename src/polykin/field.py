@@ -8,6 +8,7 @@ relaxation work streams contiguous (j, k) blocks.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -47,20 +48,31 @@ def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistFiel
     shift_dt = 0 gives the plain nodal sampling; shift_dt = dt gives the
     exactly-sampled foot values used for the first advection step, so no
     interpolation error enters through the initial data.
+
+    The field is filled one velocity slab values[:, j1] at a time: f0 gets
+    the slab's feet as a contiguous (n_x, 1, 1, 1, 1) column and v_j1 as a
+    scalar, so sampling holds the output plus one slab's temporaries.
     """
     if shift_dt < 0:
         raise InvalidConfig("shift_dt must be >= 0")
-    x_eff = np.mod(grid.x_nodes[:, None] - grid.v_axis[None, :] * shift_dt, 1.0)
     v = grid.v_axis
-    values = initial_function(
-        x_eff[:, :, None, None, None],
-        v[None, :, None, None, None],
-        v[None, None, :, None, None],
-        v[None, None, None, :, None],
-        grid.i_nodes[None, None, None, None, :],
-    )
-    values = np.broadcast_to(values, grid.field_shape).astype(float, order="C")
-    lo, hi = float(values.min()), float(values.max())  # min is NaN if any sample is
+    # (n_v, n_x): one contiguous row of feet per slab
+    x_eff = np.mod(grid.x_nodes[None, :] - v[:, None] * shift_dt, 1.0)
+    values = np.empty(grid.field_shape)
+    lo, hi = math.inf, -math.inf
+    for j1 in range(grid.n_v):
+        slab = initial_function(
+            x_eff[j1][:, None, None, None, None],
+            v[j1],
+            v[None, None, :, None, None],
+            v[None, None, None, :, None],
+            grid.i_nodes[None, None, None, None, :],
+        )
+        values[:, j1 : j1 + 1] = slab
+        lo = np.minimum(lo, np.min(slab))  # NaN once any sample is
+        hi = np.maximum(hi, np.max(slab))
+        del slab  # before the next slab is built
+    lo, hi = float(lo), float(hi)
     for s in (lo, hi):
         if not math.isfinite(s):
             raise NegativeInitialData(f"initial data has non-finite sample {s!r}")
@@ -135,6 +147,7 @@ def write_snapshot(path, field: DistField, delta: float, q: float) -> None:
 
 
 def read_snapshot(path) -> tuple[DistField, float, float]:
+    """Read a write_snapshot file into a new field, checking the header before allocating."""
     with open(path, "rb") as fh:
         head = fh.read(_SNAP_HEAD.size)
         if len(head) < _SNAP_HEAD.size:
@@ -144,10 +157,16 @@ def read_snapshot(path) -> tuple[DistField, float, float]:
         magic, n_x, n_v, n_i, v_max, i_max, _pad, delta, q = _SNAP_HEAD.unpack(head)
         if magic != _SNAP_MAGIC:
             raise InvalidConfig(f"{path} is not a field snapshot")
+        for key, x in (("v_max", v_max), ("i_max", i_max), ("delta", delta), ("q", q)):
+            if not 0 < x < math.inf:
+                raise InvalidConfig(f"{path}: snapshot header {key} = {x!r} is not finite and > 0")
+        expected = 8 * n_x * n_v**3 * n_i
+        got = os.fstat(fh.fileno()).st_size - _SNAP_HEAD.size
+        if got != expected:
+            raise InvalidConfig(f"{path}: snapshot payload needs {expected} bytes, got {got}")
         grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=v_max, n_i=n_i, i_max=i_max))
-        payload = fh.read()
-    expected = 8 * n_x * n_v**3 * n_i
-    if len(payload) != expected:
-        raise InvalidConfig(f"{path}: snapshot payload needs {expected} bytes, got {len(payload)}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(grid.field_shape)
-    return DistField(values.astype(float), grid), delta, q
+        values = np.empty(grid.field_shape, dtype="<f8")
+        got = fh.readinto(values.reshape(-1).view(np.uint8))
+    if got != expected:
+        raise InvalidConfig(f"{path}: snapshot payload needs {expected} bytes, got {got}")
+    return DistField(values, grid), delta, q

@@ -10,6 +10,7 @@ smoothed over a few cells (raw jumps behind a flag).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -142,6 +143,14 @@ class Scenario:
             )
         except OutOfRange as exc:
             raise ValidationError("params", str(exc)) from exc
+        cell = self.n_v**3 * self.n_i
+        peak = 8 * (2 * self.n_x * cell + cell + self.n_x * self.n_v**2 * self.n_i)
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if peak > memory:  # checked before build_grid allocates n_x nodes
+            raise ValidationError("grid", f"n_x = {self.n_x}, n_v = {self.n_v}, n_i = {self.n_i} "
+                                          f"needs {peak / 1e9:.3g} GB at peak (two fields, a cell "
+                                          f"table and a velocity slab), more than the "
+                                          f"{memory / 1e9:.3g} GB of physical memory")
         try:
             grid = build_grid(GridConfig(
                 n_x=self.n_x, n_v=self.n_v, v_max=self.resolved_v_max(),

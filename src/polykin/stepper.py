@@ -136,7 +136,7 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                     _blend_into(t, m, c_f, c_m)
                 norm = max_nan(norm, tile_sup(t, None, w[s], m))  # m is scratch by now
                 if track_entropy:
-                    tile_flogf(t, grid.i_weights, flogf_rows[s])
+                    tile_flogf(t, grid.i_weights, flogf_rows[s], m)
             if track_entropy:
                 total_flogf += float(flogf_rows.sum())
             cell_sums.append(cell_conserved(cell, grid, params.delta))

@@ -19,6 +19,7 @@ from polykin import (
     run,
     sample,
 )
+from polykin.diagnostics import tile_flogf
 from polykin.errors import DegenerateTable, InvalidConfig, NegativeField
 from tests.conftest import random_field_values
 from tests.test_field import maxwellian
@@ -88,6 +89,29 @@ class TestEntropy:
         f = DistField(uniform, small_grid)
         assert entropy(advect(f, 0.37)) == entropy(f)
 
+    def test_flogf_rows_equal_the_masked_log_formula(self, rng):
+        # the formula tile_flogf used before it took a plain log: ln only where t != 0
+        def oracle(t, wk):
+            b = np.zeros(t.shape)
+            np.log(t, out=b, where=t != 0)
+            with np.errstate(over="ignore"):
+                b *= t
+            return b @ wk
+
+        t = rng.random((40, 7)) * np.exp(rng.uniform(-700, 700, (40, 7)))
+        t[::3, 1] = 0.0
+        t[1::5, 2] = -0.0
+        t[2, :] = 0.0  # a row of zeros
+        t[5, 4], t[6, 0], t[7, 6] = np.nan, np.inf, 5e-324  # NaN, inf, a subnormal
+        t[8, 3], t[9, 5] = 1.0, 1e308  # ln 1 = 0; f ln f overflows
+        wk = rng.random(7) + 0.1
+        rows = np.empty(40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tile_flogf(t, wk, rows, np.empty_like(t))
+        assert rows.tobytes() == oracle(t, wk).tobytes()
+        assert np.isnan(rows[5]) and rows[6] == np.inf and rows[2] == 0.0
+
 
 class TestEnvelopes:
     def scenario(self, **over):
@@ -142,7 +166,9 @@ class TestEnvelopes:
     @pytest.mark.parametrize("v_max", [40.0, 8.0])
     def test_underflowing_envelope_is_certified_on_its_positive_nodes(self, v_max):
         # exp(-(|v|^2 + I^2)/2) underflows to 0 at the far nodes of both grids; at
-        # v_max = 40 the samples do too, and 0/0 once made c01 NaN
+        # v_max = 40 the samples do too, and 0/0 once made c01 NaN.  Neither grid
+        # violates a bound, but at v_max = 40 (dv = 10) the envelope's lattice mass
+        # is 47 times its integral, so the bounds are vacuous and the verdict is not ok
         from polykin import certified_envelope
 
         scn = Scenario(ic="smooth", n_x=4, n_v=9, n_i=16, v_max=v_max, i_max=40.0, dt=0.1,
@@ -157,8 +183,14 @@ class TestEnvelopes:
         assert env.c01 == pytest.approx(0.04700315, rel=1e-6)
         ratios = [r.envelope_min_ratio for r in res.reports]
         assert all(np.isfinite(ratios)) and ratios[0] >= 1.0
-        assert report.ok
+        assert report.lower_violations == 0 and report.upper_violations == 0
         assert np.isfinite(report.worst_lower_slack) and np.isfinite(report.lattice_mass_ratio)
+        if v_max == 40.0:
+            assert report.lattice_mass_ratio == pytest.approx(47.317, rel=1e-4)
+            assert not report.ok
+        else:
+            assert 0.5 <= report.lattice_mass_ratio <= 2.0
+            assert report.ok
 
     @pytest.mark.parametrize("c01", [np.nan, np.inf])
     def test_non_finite_envelope_constant_rejected(self, c01):

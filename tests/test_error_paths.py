@@ -1,9 +1,21 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polykin import Advector, DistField, compute_moments, normalizer_discrete, relax
+from polykin import (
+    Advector,
+    DistField,
+    GridConfig,
+    build_grid,
+    compute_moments,
+    normalizer_discrete,
+    read_snapshot,
+    relax,
+)
 from polykin.errors import DegenerateGrid, GridMismatch, InvalidConfig
 from tests.conftest import random_field_values
 
@@ -51,6 +63,33 @@ def test_snapshot_rejects_truncated_payload(tmp_path, small_grid):
     expected = 8 * 4 * 5**3 * 4
     with pytest.raises(InvalidConfig, match=f"needs {expected} bytes, got {expected - 8}"):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("key, value", [("v_max", math.nan), ("q", math.nan),
+                                        ("i_max", -1.0), ("delta", math.inf), ("n_x", 10**12)])
+def test_snapshot_header_is_checked_before_allocating(tmp_path, rng, key, value):
+    from polykin import write_snapshot
+    from polykin.field import _SNAP_HEAD
+
+    grid = build_grid(GridConfig(n_x=4, n_v=9, v_max=3.0, n_i=32, i_max=8.0))  # 746 KB
+    path = tmp_path / "f.bin"
+    write_snapshot(path, DistField(rng.random(grid.field_shape), grid), 2.0, 8.0)
+    data = path.read_bytes()
+    head = dict(zip(["magic", "n_x", "n_v", "n_i", "v_max", "i_max", "pad", "delta", "q"],
+                    _SNAP_HEAD.unpack(data[: _SNAP_HEAD.size])))
+    head[key] = value
+    path.write_bytes(_SNAP_HEAD.pack(*head.values()) + data[_SNAP_HEAD.size :])
+    match = ("payload needs 186624000000000000 bytes, got 746496" if key == "n_x"
+             else f"header {key} = ")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfig, match=match) as exc:
+            read_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(exc.value)
+    assert peak < 64 * 1024, peak  # no grid tables, no payload
 
 
 def test_field_shape_must_match_grid(small_grid):

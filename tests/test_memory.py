@@ -13,7 +13,9 @@ each cell in row tiles of field.TILE_BYTES, so on cells much larger than a tile
 they hold a small fraction of a cell table: those tests pin them under a
 quarter.  The Gaussian factors of a relaxation come in blocks of cells of about
 one tile, so its peak does not grow with the number of cells.  run() keeps f^n
-and f~ and no third field, so its peak stays under two and a half fields.
+and f~ and no third field, so its peak stays under two and a half fields:
+sample() fills its field one velocity slab at a time and read_snapshot() reads
+the payload straight into its field, so neither holds a second field.
 """
 
 from __future__ import annotations
@@ -34,11 +36,15 @@ from polykin import (
     error_sup_norm,
     gaussian_field,
     normalizer_discrete,
+    read_snapshot,
     relax,
     run,
+    sample,
     weighted_sup_norm,
+    write_snapshot,
 )
 from polykin.diagnostics import StabilityEnvelope
+from polykin.scenario import make_initial
 from polykin.stepper import _envelope_min_ratio, _relax_into
 
 GRID = build_grid(GridConfig(n_x=4, n_v=9, v_max=3.0, n_i=64, i_max=8.0))
@@ -128,11 +134,9 @@ def test_relax_pass_peak_does_not_grow_with_the_cell_count(rng):
     assert peaks[1] - peaks[0] < 0.25, peaks
 
 
-def test_run_holds_two_fields_while_stepping():
-    # f^n and f~, which the relaxation overwrites with f^(n+1); x-uniform initial
-    # data are sampled through a temporary of one cell, 1/16 of a field here
-    scn = Scenario(n_x=16, n_v=9, v_max=4.0, n_i=32, i_max=8.0, ic="maxwellian",
-                   dt=0.05, t_final=0.1)
+def _run_fields(ic: str) -> float:
+    """Traced peak of run() on the n_x = 16 pin, in fields."""
+    scn = Scenario(n_x=16, n_v=9, v_max=4.0, n_i=32, i_max=8.0, ic=ic, dt=0.05, t_final=0.1)
     grid, _ = scn.validate()
     tracemalloc.start()
     try:
@@ -141,5 +145,68 @@ def test_run_holds_two_fields_while_stepping():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    fields = (peak - base) / (8 * np.prod(grid.field_shape))
+    return (peak - base) / (8 * np.prod(grid.field_shape))
+
+
+def test_run_holds_two_fields_while_stepping():
+    # f^n and f~, which the relaxation overwrites with f^(n+1); x-uniform initial
+    # data are sampled through a temporary of one cell, 1/16 of a field here
+    fields = _run_fields("maxwellian")
     assert fields < 2.5, fields
+
+
+@pytest.mark.parametrize("ic", ["smooth", "riemann"])
+def test_run_on_x_dependent_data_holds_two_fields(ic):
+    # the exact foot values are sampled slab by slab next to f^n, so the
+    # second sample adds one velocity slab (1/9 of a field here), not a field
+    fields = _run_fields(ic)
+    assert fields < 2.5, fields
+
+
+def _fields_beyond_output(fn, grid) -> float:
+    """Peak traced memory of fn() beyond the field it returns, in fields of grid."""
+    return _tables_beyond_output(fn, grid) / grid.n_x
+
+
+SLABS = Scenario(n_x=16, n_v=9, v_max=4.0, n_i=32, i_max=8.0, ic="smooth", dt=0.05,
+                 t_final=0.1)
+
+
+def test_sample_holds_one_slab_beyond_its_output():
+    grid, _ = SLABS.validate()
+    ic = make_initial(SLABS, grid)
+    fields = _fields_beyond_output(lambda: sample(ic, grid, 0.05), grid)
+    assert fields < 0.25, fields
+
+
+def test_read_snapshot_reads_into_its_output(tmp_path, rng):
+    grid, _ = SLABS.validate()
+    path = tmp_path / "f.bin"
+    write_snapshot(path, DistField(rng.random(grid.field_shape), grid), 2.0, 8.0)
+    fields = _fields_beyond_output(lambda: read_snapshot(path)[0], grid)
+    assert fields < 0.25, fields
+
+
+def _whole_grid_sample(initial_function, grid, shift_dt):
+    """The whole-grid evaluation that sample() did before it went slab by slab."""
+    x_eff = np.mod(grid.x_nodes[:, None] - grid.v_axis[None, :] * shift_dt, 1.0)
+    v = grid.v_axis
+    values = initial_function(
+        x_eff[:, :, None, None, None],
+        v[None, :, None, None, None],
+        v[None, None, :, None, None],
+        v[None, None, None, :, None],
+        grid.i_nodes[None, None, None, None, :],
+    )
+    return np.broadcast_to(values, grid.field_shape).astype(float, order="C")
+
+
+@pytest.mark.parametrize("shift_dt", [0.0, 0.05, 0.37])
+@pytest.mark.parametrize("ic", ["maxwellian", "smooth", "riemann"])
+def test_slab_sample_equals_the_whole_grid_evaluation(ic, shift_dt):
+    scn = Scenario(n_x=7, n_v=9, v_max=4.5, n_i=5, i_max=8.0, ic=ic, delta=1.5, dt=0.05,
+                   t_final=0.1, t_tr=1.1, t_int=0.85, u0=(0.3, -0.2, 0.1), u_left=0.4)
+    grid, _ = scn.validate()
+    f0 = make_initial(scn, grid)
+    got = sample(f0, grid, shift_dt).values
+    assert got.tobytes() == _whole_grid_sample(f0, grid, shift_dt).tobytes()

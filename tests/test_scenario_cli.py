@@ -234,6 +234,14 @@ class TestExtremeFiniteInputs:
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"error: {key}: " in capsys.readouterr().err
 
+    def test_grid_beyond_physical_memory_exits_2_naming_it(self, tmp_path, capsys):
+        # 7.4 TB per field: rejected by validate() before anything is allocated
+        path = write(tmp_path, override(TINY, "n_x = 100000\nn_v = 33\nn_i = 256"))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid: n_x = 100000, n_v = 33, n_i = 256 needs "), err
+        assert "physical memory" in err
+
     @pytest.mark.parametrize("extra, code", [
         ("temperature = 1e-300", 2),  # the samples overflow to +inf
         ("kappa = 1e-300\nrho0 = 1e300", 3),  # the step-1 Gaussian prefactor overflows
@@ -271,6 +279,18 @@ class TestConvergenceCli:
             "--reference", "32", "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    def test_reference_beyond_physical_memory_exits_2_before_any_level(self, tmp_path,
+                                                                         capsys):
+        # the reference level alone would need 783 GB per field; no level may run first
+        text = override(SMOOTH, "n_v = 9\nn_i = 32\ndt = 0.0625\nt_final = 0.0625")
+        scn = write(tmp_path, text)
+        code = main(["convergence", str(scn), "--levels", "16,32,64",
+                     "--reference", str(2**22), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: grid: n_x = {2**22}, n_v = 9, n_i = 32 needs ")
+        assert "level" not in captured.out
 
     def test_transport_only_smoke(self, tmp_path):
         # tiny sizes: exercises the machinery, not the observed order
