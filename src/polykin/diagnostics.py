@@ -38,8 +38,11 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     """Total mass, momentum, and energy of a field.
 
     mass = sum f dx dv^3 dI, momentum = sum f v ..., and the energy weight is
-    |v|^2/2 + I^(2/delta).  Reductions run cell by cell with a fixed tree
-    shape, so results are bit-reproducible for a given grid.
+    |v|^2/2 + I^(2/delta).  Reductions run cell by cell in a fixed order, so
+    results are bit-reproducible for a given grid and number of BLAS threads:
+    the momentum and energy dots over a cell's velocity nodes go through BLAS,
+    which may split them over its threads, so their last bits can change with
+    OPENBLAS_NUM_THREADS.
     """
     return conserved_totals([cell_conserved(c, fld.grid, delta) for c in fld.cells], fld.grid)
 

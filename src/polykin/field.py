@@ -42,8 +42,9 @@ class DistField:
         return self.values.reshape(g.n_x, g.n_v**3, g.n_i)
 
 
-def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistField:
-    """Sample f0 at ((x_i - v_j1*shift_dt) mod 1, v_j, I_k).
+def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0,
+           out: DistField | None = None) -> DistField:
+    """Sample f0 at ((x_i - v_j1*shift_dt) mod 1, v_j, I_k) into out (a new field if None).
 
     shift_dt = 0 gives the plain nodal sampling; shift_dt = dt gives the
     exactly-sampled foot values used for the first advection step, so no
@@ -51,14 +52,17 @@ def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistFiel
 
     The field is filled one velocity slab values[:, j1] at a time: f0 gets
     the slab's feet as a contiguous (n_x, 1, 1, 1, 1) column and v_j1 as a
-    scalar, so sampling holds the output plus one slab's temporaries.
+    scalar, so sampling holds the output plus one slab's temporaries.  out must
+    live on grid.
     """
     if shift_dt < 0:
         raise InvalidConfig("shift_dt must be >= 0")
     v = grid.v_axis
     # (n_v, n_x): one contiguous row of feet per slab
     x_eff = np.mod(grid.x_nodes[None, :] - v[:, None] * shift_dt, 1.0)
-    values = np.empty(grid.field_shape)
+    if out is None:
+        out = DistField(np.empty(grid.field_shape), grid)
+    values = out.values
     lo, hi = math.inf, -math.inf
     for j1 in range(grid.n_v):
         slab = initial_function(
@@ -78,7 +82,7 @@ def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0) -> DistFiel
             raise NegativeInitialData(f"initial data has non-finite sample {s!r}")
     if lo < 0:
         raise NegativeInitialData(f"initial data has negative sample {lo!r}")
-    return DistField(values, grid)
+    return out
 
 
 # Row tiles of about 256 KB: a tile written by one pass is still in cache when

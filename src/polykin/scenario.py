@@ -19,6 +19,7 @@ from .diagnostics import StabilityEnvelope, masked_min_ratio
 from .errors import InvalidConfig, OutOfRange, ParseError, ValidationError
 from .grid import GridConfig, PhaseGrid, build_grid
 from .params import SchemeParams, normalizer_discrete
+from .transport import chunk_columns
 
 IC_KINDS = ("maxwellian", "smooth", "riemann")
 ENVELOPE_MODES = ("off", "auto", "explicit")
@@ -143,14 +144,15 @@ class Scenario:
             )
         except OutOfRange as exc:
             raise ValidationError("params", str(exc)) from exc
-        cell = self.n_v**3 * self.n_i
-        peak = 8 * (2 * self.n_x * cell + cell + self.n_x * self.n_v**2 * self.n_i)
+        cell, slab_cols = self.n_v**3 * self.n_i, self.n_v**2 * self.n_i
+        chunk = (2 * self.n_x + 1) * chunk_columns(self.n_x, slab_cols)  # the Advector's
+        peak = 8 * (self.n_x * cell + cell + self.n_x * slab_cols + chunk)
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if peak > memory:  # checked before build_grid allocates n_x nodes
             raise ValidationError("grid", f"n_x = {self.n_x}, n_v = {self.n_v}, n_i = {self.n_i} "
-                                          f"needs {peak / 1e9:.3g} GB at peak (two fields, a cell "
-                                          f"table and a velocity slab), more than the "
-                                          f"{memory / 1e9:.3g} GB of physical memory")
+                                          f"needs {peak / 1e9:.3g} GB at peak (one field, a cell "
+                                          f"table, a velocity slab and an advection chunk), more "
+                                          f"than the {memory / 1e9:.3g} GB of physical memory")
         try:
             grid = build_grid(GridConfig(
                 n_x=self.n_x, n_v=self.n_v, v_max=self.resolved_v_max(),

@@ -213,10 +213,11 @@ def _envelope_min_ratio(f_tilde: DistField, env_table: np.ndarray) -> float:
     return min(masked_min_ratio(cell, env_table) for cell in f_tilde.cells)
 
 
-def _sample_initial(scn: Scenario, ic, grid: PhaseGrid, shift_dt: float) -> DistField:
-    """sample(ic, grid, shift_dt), whose errors also name the scenario's initial condition."""
+def _sample_initial(scn: Scenario, ic, grid: PhaseGrid, shift_dt: float,
+                    out: DistField | None = None) -> DistField:
+    """sample(ic, grid, shift_dt, out), whose errors also name the scenario's initial condition."""
     try:
-        return sample(ic, grid, shift_dt)
+        return sample(ic, grid, shift_dt, out)
     except NegativeInitialData as exc:
         exc.args = (f"{exc} (ic = {scn.ic})",)
         raise
@@ -236,14 +237,16 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
     ic = make_initial(scn, grid)
     envelope = certified_envelope(scn, grid)
 
-    cur = _sample_initial(scn, ic, grid, 0.0)
-    initial_norm = weighted_sup_norm(cur, params.q, params.delta)
-    initial_cons = conserved_quantities(cur, params.delta)
+    f = _sample_initial(scn, ic, grid, 0.0)
+    initial_norm = weighted_sup_norm(f, params.q, params.delta)
+    initial_cons = conserved_quantities(f, params.delta)
     if n_steps == 0:
-        return RunResult(grid, params, scn.dt, [], cur, initial_norm, initial_cons)
+        return RunResult(grid, params, scn.dt, [], f, initial_norm, initial_cons)
 
+    # one field: f^0's sums are taken, then it holds the exact foot values (no initial
+    # error), and each later step advects and relaxes it in place
     advector = Advector(grid, scn.dt)
-    tilde = _sample_initial(scn, ic, grid, scn.dt)  # exact foot values: no initial error
+    _sample_initial(scn, ic, grid, scn.dt, out=f)
     env_table = envelope.table(grid) if envelope is not None else None
 
     scales = _defect_scales(initial_cons, params.delta)
@@ -253,16 +256,16 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
 
     for n in range(n_steps):
         if n > 0:
-            advector.apply(cur, out=tilde)
+            advector.apply(f, out=f)
 
         monitors = {}  # of f~, read before the relaxation overwrites it
         if envelope is not None:
-            monitors = dict(tilde_norm_q=weighted_sup_norm(tilde, params.q, params.delta),
-                            envelope_min_ratio=_envelope_min_ratio(tilde, env_table))
+            monitors = dict(tilde_norm_q=weighted_sup_norm(f, params.q, params.delta),
+                            envelope_min_ratio=_envelope_min_ratio(f, env_table))
 
         try:
-            macro = None if scn.transport_only else compute_moments(tilde, params, scn.dt)
-            *sums, gauss_norm = _relax_into(tilde, macro, params, scn.dt, track_entropy,
+            macro = None if scn.transport_only else compute_moments(f, params, scn.dt)
+            *sums, gauss_norm = _relax_into(f, macro, params, scn.dt, track_entropy,
                                             gauss_norm=envelope is not None)
         except PolykinError as exc:
             exc.args = (f"step {n}: {exc}",)
@@ -275,11 +278,9 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
         prev_cons = (report.mass, report.momentum, report.energy)
 
         if snapshot_writer is not None and n + 1 in snapshot_steps:
-            snapshot_writer(t_now, tilde)
+            snapshot_writer(t_now, f)
 
-        cur, tilde = tilde, cur
-
-    return RunResult(grid, params, scn.dt, reports, cur, initial_norm, initial_cons)
+    return RunResult(grid, params, scn.dt, reports, f, initial_norm, initial_cons)
 
 
 STEP_CSV_HEADER = (

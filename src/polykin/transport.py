@@ -2,10 +2,14 @@
 
 Each velocity node v_j transports information from the foot x_i - v_j^1*dt.
 On the uniform periodic grid the foot's cell offset and interpolation weight
-depend only on j, so advection reduces to two rotated copies of each (j, k)
-slice blended with fixed weights.  A rotation is read as two or three plain
-slices, never through an index array; the shift/weight table is precomputed
-once per (grid, dt) and reused for every step.
+depend only on j, so advection reduces to two rotations of each velocity
+slab f[:, j] blended with fixed weights.  A slab goes through one scratch
+chunk, a block of its columns at a time: the block's cells are copied into
+the chunk already rotated (two plain slices, never an index array), blended
+there, and the blend is copied into the output.  Every read of the field
+comes before the block is written, so the output may be the input itself.
+The shift/weight table and the chunk are made once per Advector and reused
+for every step.
 """
 
 from __future__ import annotations
@@ -15,50 +19,78 @@ import math
 import numpy as np
 
 from .errors import InvalidConfig
-from .field import DistField
+from .field import TILE_BYTES, DistField
 from .grid import PhaseGrid
 
 
+def chunk_columns(n_x: int, n_cols: int) -> int:
+    """Columns of an (n_x, n_cols) velocity slab per chunk block: the rotated block of
+    n_x + 1 rows takes about TILE_BYTES, and a slab that fits is one block."""
+    return min(n_cols, max(1, TILE_BYTES // (8 * (n_x + 1))))
+
+
 class Advector:
+    """Advection by dt on one grid; apply(f, out=f) advects f in place."""
+
     def __init__(self, grid: PhaseGrid, dt: float):
         if dt < 0:
             raise InvalidConfig("dt must be >= 0")
         self.grid = grid
         n = grid.n_x
-        # Per j: b = 1 - a and the runs (i0, i1, lo0, hi0) on which out[i] reads the
-        # lower node lo0 + (i - i0) and the upper node hi0 + (i - i0) without wrapping.
-        # Both are rotations of the cells, by s0 and s0 + 1 mod n_x, so two or three
-        # runs cover every i.
+        # Per j: b = 1 - a and the lower node's offset lo: out[i] blends the nodes
+        # (i + lo) mod n_x and (i + lo + 1) mod n_x, the rotations of the cells by s0
+        # and s0 + 1.
         self._stencil = []
         for v in grid.v_axis:
             t0 = 0.0 - grid.foot_offset(v, dt)
             s0 = math.floor(t0)
-            a = (s0 + 1) - t0
-            lo, hi = s0 % n, (s0 + 1) % n
-            cuts = sorted({0, (n - lo) % n, (n - hi) % n}) + [n]
-            runs = [(i0, i1, (i0 + lo) % n, (i0 + hi) % n) for i0, i1 in zip(cuts, cuts[1:])]
-            self._stencil.append((1.0 - a, runs))
+            self._stencil.append((1.0 - ((s0 + 1) - t0), s0 % n))
+        n_cols = grid.n_v**2 * grid.n_i  # a slab is (n_x, n_cols)
+        self._width = chunk_columns(n, n_cols)
+        self._blocks = [slice(c, min(c + self._width, n_cols))
+                        for c in range(0, n_cols, self._width)]
+        self._views = None  # the chunk, taken at the first apply: not while a run samples
+
+    def _chunk_views(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+        """Per block of columns, its rotated copy (n_x + 1 rows) and its blend (n_x rows), both
+        contiguous in one chunk, so the ufuncs on them run unbuffered."""
+        n = self.grid.n_x
+        chunk = np.empty((2 * n + 1) * self._width)
+        views = []
+        for cols in self._blocks:
+            block = chunk[: (2 * n + 1) * (cols.stop - cols.start)].reshape(2 * n + 1, -1)
+            views.append((cols, block[: n + 1], block[n + 1 :]))
+        return views
 
     def apply(self, field: DistField, out: DistField | None = None) -> DistField:
         g = self.grid
+        n = g.n_x
         if out is None:
             out = DistField(np.empty(g.field_shape), g)
         src = field.values
         dst = out.values
-        if np.may_share_memory(src, dst):  # the rotated slices would read what they wrote
-            raise InvalidConfig("advection cannot write into its own input")
-        for j, (b, runs) in enumerate(self._stencil):
-            for i0, i1, lo0, hi0 in runs:
-                lo = src[lo0 : lo0 + i1 - i0, j]
-                d = dst[i0:i1, j]
+        # out = field is in place; a partial overlap would let one block's writes land
+        # in a later block's reads
+        if dst.ctypes.data != src.ctypes.data and np.may_share_memory(src, dst):
+            raise InvalidConfig("advection output partly overlaps its input")
+        if self._views is None:
+            self._views = self._chunk_views()
+        src = src.reshape(n, g.n_v, -1)
+        dst = dst.reshape(n, g.n_v, -1)
+        for j, (b, lo) in enumerate(self._stencil):
+            for cols, rot, blend in self._views:
+                # row i of rot is node (i + lo) mod n_x, row i + 1 its upper neighbour
+                rot[: n - lo] = src[lo:, j, cols]
+                rot[n - lo :] = src[: lo + 1, j, cols]
                 if b == 0.0:
-                    d[...] = lo
-                else:
-                    # f_lo + b*(f_hi - f_lo): never rounds outside [slice min, slice max]
-                    # and never below zero for nonnegative inputs
-                    np.subtract(src[hi0 : hi0 + i1 - i0, j], lo, out=d)
-                    d *= b
-                    d += lo
+                    dst[:, j, cols] = rot[:n]
+                    continue
+                # f_lo + b*(f_hi - f_lo): never rounds outside [slice min, slice max]
+                # and never below zero for nonnegative inputs
+                np.subtract(rot[1:], rot[:n], out=blend)
+                blend *= b
+                blend += rot[:n]
+                dst[:, j, cols] = blend
         return out
 
 

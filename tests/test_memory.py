@@ -1,5 +1,5 @@
 """Per-cell passes hold about one cell table beyond their output, not two, and a run
-holds two fields.
+holds one field.
 
 The relaxation overwrites f~ with its output: each tile's Gaussian goes into
 one reused tile buffer and f~'s tile is blended with it there.  relax() copies
@@ -12,10 +12,13 @@ The blend, the weighted sup norms, the entropy and the envelope ratio walk
 each cell in row tiles of field.TILE_BYTES, so on cells much larger than a tile
 they hold a small fraction of a cell table: those tests pin them under a
 quarter.  The Gaussian factors of a relaxation come in blocks of cells of about
-one tile, so its peak does not grow with the number of cells.  run() keeps f^n
-and f~ and no third field, so its peak stays under two and a half fields:
-sample() fills its field one velocity slab at a time and read_snapshot() reads
-the payload straight into its field, so neither holds a second field.
+one tile, so its peak does not grow with the number of cells.  run() keeps one
+field: it samples f^0, then the exact foot values into the same array, and
+each step advects it in place through the Advector's chunk (about two tiles)
+and relaxes it in place, so its peak stays under one and a half fields (the
+older pins of two and a half stay too).  sample() fills its field one
+velocity slab at a time and read_snapshot() reads the payload straight into
+its field, so neither holds a second field.
 """
 
 from __future__ import annotations
@@ -161,6 +164,14 @@ def test_run_on_x_dependent_data_holds_two_fields(ic):
     # second sample adds one velocity slab (1/9 of a field here), not a field
     fields = _run_fields(ic)
     assert fields < 2.5, fields
+
+
+@pytest.mark.parametrize("ic", ["maxwellian", "smooth", "riemann"])
+def test_run_holds_one_field(ic):
+    # the field, the advection chunk (0.17 of a field here) and one pass's
+    # temporaries; a second field would read 2 or more
+    fields = _run_fields(ic)
+    assert fields < 1.5, fields
 
 
 def _fields_beyond_output(fn, grid) -> float:

@@ -1,8 +1,9 @@
 """Property-based checks of what the scheme guarantees step by step.
 
-Grids stay at n_x <= 6, n_v <= 5, n_i <= 6 and example counts are bounded, so
-the module runs in a few seconds; derandomize makes every run draw the same
-examples.
+Grids stay at n_x <= 6, n_v <= 5, n_i <= 6, apart from the in-place advection
+property, whose velocity slabs must span several chunk blocks, and example
+counts are bounded, so the module runs in a few seconds; derandomize makes
+every run draw the same examples.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from polykin.errors import DegenerateTemperature, NonFiniteGaussian, PolykinErro
 from polykin.field import TILE_BYTES
 from polykin.gaussian import cell_blocks, factor_spd
 from polykin.stepper import _blend_into
+from polykin.transport import chunk_columns
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 NONNEG = st.floats(min_value=0.0, max_value=1e6)
@@ -105,13 +107,38 @@ def test_advector_equals_the_foot_oracle(data, n_x, n_v, dt):
         grid = dataclasses.replace(grid, n_x=1, dx=1.0, x_nodes=np.zeros(1), _cache={})
     f = data.draw(arrays(np.float64, grid.field_shape, elements=NONNEG))
     out = Advector(grid, dt).apply(DistField(f, grid)).values
+    assert out.tobytes() == _foot_oracle(f, grid, dt).tobytes()
+
+
+def _foot_oracle(f: np.ndarray, grid, dt: float) -> np.ndarray:
+    """Advection of f node by node from PhaseGrid.foot."""
     expected = np.empty_like(f)
     for j, v in enumerate(grid.v_axis):
         fw = grid.foot(0, v, dt)  # the foot of node i is node 0's, moved by i cells
         for i in range(grid.n_x):
             lo, hi = f[(i + fw.s) % grid.n_x, j], f[(i + fw.s + 1) % grid.n_x, j]
             expected[i, j] = lo + (1.0 - fw.a) * (hi - lo)
-    assert out.tobytes() == expected.tobytes()
+    return expected
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n_x=st.integers(40, 64), n_v=st.integers(5, 7), n_i=st.integers(33, 48),
+       v_max=st.floats(0.5, 8.0), dt=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_advection_in_place_equals_out_of_place_and_the_foot_oracle(n_x, n_v, n_i, v_max, dt,
+                                                                     seed):
+    # each velocity slab is cut into several chunk blocks, the last one mostly short
+    grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=v_max, n_i=n_i, i_max=1.0))
+    n_cols = n_v**2 * n_i
+    assert chunk_columns(n_x, n_cols) < n_cols
+    rng = np.random.default_rng(seed)
+    f = rng.random(grid.field_shape)
+    f[f < 0.3] = 0.0
+    adv = Advector(grid, dt)
+    out = adv.apply(DistField(f, grid)).values
+    in_place = DistField(f.copy(), grid)
+    assert adv.apply(in_place, out=in_place) is in_place
+    assert in_place.values.tobytes() == out.tobytes() == _foot_oracle(f, grid, dt).tobytes()
 
 
 @PROPERTY

@@ -240,7 +240,17 @@ class TestExtremeFiniteInputs:
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid: n_x = 100000, n_v = 33, n_i = 256 needs "), err
+        assert "GB at peak (one field, a cell table, a velocity slab and an advection chunk)" in err
         assert "physical memory" in err
+
+    def test_grid_that_fits_one_field_but_not_two_validates(self):
+        # a run holds one field: 0.6 of physical memory per field passes validate(),
+        # which allocates nothing of that size
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        n_x = int(0.6 * memory / (8 * 33**3 * 256))
+        scn = Scenario(n_x=n_x, n_v=33, v_max=8.0, n_i=256, i_max=40.0, dt=0.01, t_final=0.1)
+        grid, _ = scn.validate()
+        assert grid.n_x == n_x
 
     @pytest.mark.parametrize("extra, code", [
         ("temperature = 1e-300", 2),  # the samples overflow to +inf
