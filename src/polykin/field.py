@@ -86,13 +86,19 @@ def sample(initial_function, grid: PhaseGrid, shift_dt: float = 0.0,
 
 
 # Row tiles of about 256 KB: a tile written by one pass is still in cache when
-# the next pass over the same cell reads it.
+# the next pass over the same cell reads it.  This is the one block rule: cell
+# tables, blocks of Gaussian factor rows and advection chunks are all row tiles.
 TILE_BYTES = 256 * 1024
 
 
-def row_tiles(n_rows: int, n_i: int) -> list[slice]:
-    """Row slices of an (n_rows, n_i) cell table of TILE_BYTES each; the last may be short."""
-    rows = max(1, TILE_BYTES // (8 * n_i))
+def tile_rows(n_cols: int) -> int:
+    """Rows of an n_cols-wide float table that fill TILE_BYTES; at least one."""
+    return max(1, TILE_BYTES // (8 * n_cols))
+
+
+def row_tiles(n_rows: int, n_cols: int) -> list[slice]:
+    """Row slices of an (n_rows, n_cols) table of tile_rows(n_cols) each; the last may be short."""
+    rows = tile_rows(n_cols)
     return [slice(r, min(r + rows, n_rows)) for r in range(0, n_rows, rows)]
 
 

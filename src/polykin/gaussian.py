@@ -7,7 +7,8 @@ by the cell density and the discrete energy normalizer.  The quadratic form
 is evaluated through a Cholesky factor and two triangular solves, never an
 explicit inverse, which stays accurate near the SPD boundary (small theta,
 coarse grids).  The Gaussian is rank one over (velocity, energy): its factors
-are evaluated for a block of cells at once, and each cell's table is written
+are evaluated for a block of cells at once (a row tile of the (n_x, n_v**3)
+stack of velocity factors, field.row_tiles), and each cell's table is written
 from them.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTemperature, NonFiniteGaussian, NonSPDTensor, PolykinError
-from .field import TILE_BYTES, DistField
+from .field import DistField, row_tiles
 from .grid import PhaseGrid
 from .moments import MacroCell, MacroFields
 
@@ -51,12 +52,6 @@ def factor_spd(t_blend: np.ndarray) -> SpdFactor:
     if not np.all(diag > 0):
         raise NonSPDTensor(f"tensor is not SPD: {a.tolist()}")
     return SpdFactor(lower=lower, log_det=float(2.0 * np.log(diag).sum()))
-
-
-def cell_blocks(grid: PhaseGrid) -> list[slice]:
-    """Slices of consecutive cells whose (n_v**3,) Gaussian factor rows fill about one tile."""
-    cells = max(1, TILE_BYTES // (8 * grid.n_v**3))
-    return [slice(c, min(c + cells, grid.n_x)) for c in range(0, grid.n_x, cells)]
 
 
 def _gaussian_flat(rho: np.ndarray, u: np.ndarray, t_blend: np.ndarray, t_theta: np.ndarray,
@@ -148,7 +143,7 @@ def gaussian_field(macro: MacroFields, grid: PhaseGrid, lambda_delta: float,
     """Evaluate the per-cell Gaussians of a whole MacroFields into a field."""
     out = DistField(np.empty(grid.field_shape), grid)
     dst = out.cells
-    for cells in cell_blocks(grid):
+    for cells in row_tiles(grid.n_x, grid.n_v**3):
         pev, ei = _gaussian_flat(macro.rho[cells], macro.u[cells], macro.t_blend[cells],
                                  macro.t_theta[cells], grid, lambda_delta, delta, cells.start)
         for i, pev_i, ei_i in zip(range(cells.start, cells.stop), pev, ei):

@@ -17,9 +17,9 @@ import numpy as np
 
 from .diagnostics import StabilityEnvelope, masked_min_ratio
 from .errors import InvalidConfig, OutOfRange, ParseError, ValidationError
+from .field import tile_rows
 from .grid import GridConfig, PhaseGrid, build_grid
 from .params import SchemeParams, normalizer_discrete
-from .transport import chunk_columns
 
 IC_KINDS = ("maxwellian", "smooth", "riemann")
 ENVELOPE_MODES = ("off", "auto", "explicit")
@@ -32,6 +32,17 @@ def _power(base: float, exponent: float) -> float:
         return base**exponent
     except OverflowError:
         return math.inf
+
+
+def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
+    """Bytes a run holds at its peak: the field; compute_moments' energy contraction
+    values @ [w, w*eps], (n_x, n_v^3, 2) or 2/n_i of a field, and its (n_x, n_v^2) sums
+    (traced at under five); two cell tables and the four velocity tables; one velocity
+    slab while sampling; and the Advector's chunk."""
+    cell, slab_cols = n_v**3 * n_i, n_v**2 * n_i
+    contraction = n_x * n_v**2 * (2 * n_v + 5)
+    chunk = (2 * n_x + 1) * min(slab_cols, tile_rows(n_x + 1))
+    return 8 * (n_x * cell + contraction + 2 * cell + 4 * n_v**3 + n_x * slab_cols + chunk)
 
 
 @dataclass
@@ -144,14 +155,13 @@ class Scenario:
             )
         except OutOfRange as exc:
             raise ValidationError("params", str(exc)) from exc
-        cell, slab_cols = self.n_v**3 * self.n_i, self.n_v**2 * self.n_i
-        chunk = (2 * self.n_x + 1) * chunk_columns(self.n_x, slab_cols)  # the Advector's
-        peak = 8 * (self.n_x * cell + cell + self.n_x * slab_cols + chunk)
+        peak = run_peak_bytes(self.n_x, self.n_v, self.n_i)
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if peak > memory:  # checked before build_grid allocates n_x nodes
             raise ValidationError("grid", f"n_x = {self.n_x}, n_v = {self.n_v}, n_i = {self.n_i} "
-                                          f"needs {peak / 1e9:.3g} GB at peak (one field, a cell "
-                                          f"table, a velocity slab and an advection chunk), more "
+                                          f"needs {peak / 1e9:.3g} GB at peak (one field, the "
+                                          f"moments' energy contraction, cell and velocity "
+                                          f"tables, a velocity slab and an advection chunk), more "
                                           f"than the {memory / 1e9:.3g} GB of physical memory")
         try:
             grid = build_grid(GridConfig(

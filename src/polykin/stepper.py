@@ -30,7 +30,7 @@ from .diagnostics import (cell_conserved, conserved_quantities, conserved_totals
 from .diagnostics import entropy, equilibrium_distance  # noqa: F401
 from .errors import InvalidConfig, NegativeInitialData, PolykinError
 from .field import DistField, max_nan, row_tiles, sample, tile_sup, weighted_sup_norm
-from .gaussian import _gaussian_flat, cell_blocks, gaussian_table
+from .gaussian import _gaussian_flat, gaussian_table
 from .grid import PhaseGrid
 from .moments import MacroFields, compute_moments
 from .params import SchemeParams, collision_frequency, normalizer_discrete
@@ -96,11 +96,11 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                 track_entropy: bool = True, gauss_norm: bool = False):
     """Overwrite f~ with its blend with its Gaussian, cell by cell, in one pass per cell.
 
-    The Gaussian factors are evaluated for a block of cells at once
-    (gaussian.cell_blocks).  Each cell is walked in row tiles: the tile's
-    Gaussian is written into one reused tile buffer, f~'s tile is blended with
-    it in place while both are in cache, and the tile's weighted sup and f ln f
-    rows are taken.  Returns the output's conserved sums, entropy (NaN unless
+    The Gaussian factors are evaluated for a block of cells at once, a row tile
+    of the (n_x, n_v**3) factor rows.  Each cell is walked in row tiles: the
+    tile's Gaussian is written into one reused tile buffer, f~'s tile is blended
+    with it in place while both are in cache, and the tile's weighted sup and
+    f ln f rows are taken.  Returns the output's conserved sums, entropy (NaN unless
     track_entropy), weighted norm, and the Gaussian's weighted norm (None unless
     gauss_norm): what conserved_quantities, entropy and weighted_sup_norm give
     on the output, bit for bit.  With macro None (transport only) f~ is kept as
@@ -119,7 +119,7 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     cell_sums = []
     total_flogf = 0.0
     norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None else None)
-    for cells in cell_blocks(grid):
+    for cells in row_tiles(grid.n_x, grid.n_v**3):
         if macro is not None:
             pev, ei = _gaussian_flat(macro.rho[cells], macro.u[cells], macro.t_blend[cells],
                                      macro.t_theta[cells], grid, lambda_delta, params.delta,
@@ -159,22 +159,28 @@ def step(f: DistField, params: SchemeParams, dt: float) -> tuple[DistField, Step
     if dt <= 0:
         raise InvalidConfig("step requires dt > 0")
     out = Advector(f.grid, dt).apply(f)  # f~, which the relaxation overwrites
-    macro = compute_moments(out, params, dt)
-    tilde_norm = weighted_sup_norm(out, params.q, params.delta)  # of f~, so before that
-    sums = _relax_into(out, macro, params, dt)[:3]
     prev = conserved_quantities(f, params.delta)
-    report = _step_report(0, dt, sums, prev, _defect_scales(prev, params.delta),
-                          tilde_norm_q=tilde_norm)
+    report = _relax_step(out, 0, params, dt, prev, _defect_scales(prev, params.delta),
+                         tilde_norm_q=weighted_sup_norm(out, params.q, params.delta))
     return out, report
 
 
-def _step_report(n: int, time: float, sums, prev, scales, **monitors) -> StepReport:
-    """Report of step n from the output's (conserved sums, entropy, weighted norm), the
-    conserved sums before it and the defect scales; monitors fills the optional fields."""
-    (mass, mom, energy), ent, norm = sums
+def _relax_step(f_tilde: DistField, n: int, params: SchemeParams, dt: float, prev, scales,
+                transport_only: bool = False, track_entropy: bool = True,
+                gauss_norm: bool = False, **monitors) -> StepReport:
+    """The step body of step() and run(): relax f~ in place as step n, its errors named
+    "step {n}: ", and report it against the conserved sums before it and the defect
+    scales; monitors (read off f~ by the caller) fill the optional fields."""
+    try:
+        macro = None if transport_only else compute_moments(f_tilde, params, dt)
+        (mass, mom, energy), ent, norm, g_norm = _relax_into(f_tilde, macro, params, dt,
+                                                             track_entropy, gauss_norm)
+    except PolykinError as exc:
+        exc.args = (f"step {n}: {exc}",)
+        raise
     return StepReport(
         step=n,
-        time=time,
+        time=(n + 1) * dt,
         mass=mass,
         momentum=mom,
         energy=energy,
@@ -183,6 +189,7 @@ def _step_report(n: int, time: float, sums, prev, scales, **monitors) -> StepRep
         energy_defect=(energy - prev[2]) / scales[2],
         entropy=ent,
         norm_q=norm,
+        gaussian_norm_q=g_norm,
         **monitors,
     )
 
@@ -262,23 +269,13 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
         if envelope is not None:
             monitors = dict(tilde_norm_q=weighted_sup_norm(f, params.q, params.delta),
                             envelope_min_ratio=_envelope_min_ratio(f, env_table))
-
-        try:
-            macro = None if scn.transport_only else compute_moments(f, params, scn.dt)
-            *sums, gauss_norm = _relax_into(f, macro, params, scn.dt, track_entropy,
-                                            gauss_norm=envelope is not None)
-        except PolykinError as exc:
-            exc.args = (f"step {n}: {exc}",)
-            raise
-
-        t_now = (n + 1) * scn.dt
-        report = _step_report(n, t_now, sums, prev_cons, scales,
-                              gaussian_norm_q=gauss_norm, **monitors)
+        report = _relax_step(f, n, params, scn.dt, prev_cons, scales, scn.transport_only,
+                             track_entropy, gauss_norm=envelope is not None, **monitors)
         reports.append(report)
         prev_cons = (report.mass, report.momentum, report.energy)
 
         if snapshot_writer is not None and n + 1 in snapshot_steps:
-            snapshot_writer(t_now, f)
+            snapshot_writer(report.time, f)
 
     return RunResult(grid, params, scn.dt, reports, f, initial_norm, initial_cons)
 

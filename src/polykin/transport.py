@@ -8,8 +8,9 @@ chunk, a block of its columns at a time: the block's cells are copied into
 the chunk already rotated (two plain slices, never an index array), blended
 there, and the blend is copied into the output.  Every read of the field
 comes before the block is written, so the output may be the input itself.
-The shift/weight table and the chunk are made once per Advector and reused
-for every step.
+The blocks are the row tiles (field.row_tiles) of a slab's columns, each
+n_x + 1 values long.  The shift/weight table and the chunk are made when the
+Advector is built and reused for every step.
 """
 
 from __future__ import annotations
@@ -19,14 +20,8 @@ import math
 import numpy as np
 
 from .errors import InvalidConfig
-from .field import TILE_BYTES, DistField
+from .field import DistField, row_tiles
 from .grid import PhaseGrid
-
-
-def chunk_columns(n_x: int, n_cols: int) -> int:
-    """Columns of an (n_x, n_cols) velocity slab per chunk block: the rotated block of
-    n_x + 1 rows takes about TILE_BYTES, and a slab that fits is one block."""
-    return min(n_cols, max(1, TILE_BYTES // (8 * (n_x + 1))))
 
 
 class Advector:
@@ -45,22 +40,14 @@ class Advector:
             t0 = 0.0 - grid.foot_offset(v, dt)
             s0 = math.floor(t0)
             self._stencil.append((1.0 - ((s0 + 1) - t0), s0 % n))
-        n_cols = grid.n_v**2 * grid.n_i  # a slab is (n_x, n_cols)
-        self._width = chunk_columns(n, n_cols)
-        self._blocks = [slice(c, min(c + self._width, n_cols))
-                        for c in range(0, n_cols, self._width)]
-        self._views = None  # the chunk, taken at the first apply: not while a run samples
-
-    def _chunk_views(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-        """Per block of columns, its rotated copy (n_x + 1 rows) and its blend (n_x rows), both
-        contiguous in one chunk, so the ufuncs on them run unbuffered."""
-        n = self.grid.n_x
-        chunk = np.empty((2 * n + 1) * self._width)
-        views = []
-        for cols in self._blocks:
+        # per block of a slab's columns, its rotated copy (n_x + 1 rows) and its blend
+        # (n_x rows), both contiguous in one chunk, so the ufuncs on them run unbuffered
+        blocks = row_tiles(grid.n_v**2 * grid.n_i, n + 1)  # a slab is (n_x, n_v**2 * n_i)
+        chunk = np.empty((2 * n + 1) * blocks[0].stop)
+        self._views = []
+        for cols in blocks:
             block = chunk[: (2 * n + 1) * (cols.stop - cols.start)].reshape(2 * n + 1, -1)
-            views.append((cols, block[: n + 1], block[n + 1 :]))
-        return views
+            self._views.append((cols, block[: n + 1], block[n + 1 :]))
 
     def apply(self, field: DistField, out: DistField | None = None) -> DistField:
         g = self.grid
@@ -73,8 +60,6 @@ class Advector:
         # in a later block's reads
         if dst.ctypes.data != src.ctypes.data and np.may_share_memory(src, dst):
             raise InvalidConfig("advection output partly overlaps its input")
-        if self._views is None:
-            self._views = self._chunk_views()
         src = src.reshape(n, g.n_v, -1)
         dst = dst.reshape(n, g.n_v, -1)
         for j, (b, lo) in enumerate(self._stencil):

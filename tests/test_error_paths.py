@@ -15,8 +15,9 @@ from polykin import (
     normalizer_discrete,
     read_snapshot,
     relax,
+    step,
 )
-from polykin.errors import DegenerateGrid, GridMismatch, InvalidConfig
+from polykin.errors import DegenerateGrid, GridMismatch, InvalidConfig, NonFiniteField
 from tests.conftest import random_field_values
 
 
@@ -146,3 +147,12 @@ def test_run_error_names_the_step():
             run(scn)
     assert "step " in str(exc.value)
     assert "cell " in str(exc.value)
+
+
+def test_step_error_names_step_0(small_grid, default_params, rng):
+    # the node v1 = 0 does not move under advection, so its NaN stays in cell 1
+    f = DistField(random_field_values(rng, small_grid) + 0.1, small_grid)
+    f.values[1, 2, 0, 0, 0] = math.nan
+    with pytest.raises(NonFiniteField) as exc:
+        step(f, default_params, 0.1)
+    assert str(exc.value) == "step 0: cell 1 has non-finite density nan"

@@ -15,10 +15,13 @@ quarter.  The Gaussian factors of a relaxation come in blocks of cells of about
 one tile, so its peak does not grow with the number of cells.  run() keeps one
 field: it samples f^0, then the exact foot values into the same array, and
 each step advects it in place through the Advector's chunk (about two tiles)
-and relaxes it in place, so its peak stays under one and a half fields (the
-older pins of two and a half stay too).  sample() fills its field one
-velocity slab at a time and read_snapshot() reads the payload straight into
-its field, so neither holds a second field.
+and relaxes it in place.  compute_moments contracts the energy index first,
+into an (n_x, n_v^3, 2) array of 2/n_i fields, so a run's peak is one field
+plus that: under one and a half fields at n_i = 32, but over three at
+n_i = 1.  Scenario.validate() counts it, and run()'s traced peak stays under
+the guard's run_peak_bytes.  sample() fills its field one velocity slab at a
+time and read_snapshot() reads the payload straight into its field, so
+neither holds a second field.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from polykin import (
     write_snapshot,
 )
 from polykin.diagnostics import StabilityEnvelope
-from polykin.scenario import make_initial
+from polykin.scenario import make_initial, run_peak_bytes
 from polykin.stepper import _envelope_min_ratio, _relax_into
 
 GRID = build_grid(GridConfig(n_x=4, n_v=9, v_max=3.0, n_i=64, i_max=8.0))
@@ -137,10 +140,8 @@ def test_relax_pass_peak_does_not_grow_with_the_cell_count(rng):
     assert peaks[1] - peaks[0] < 0.25, peaks
 
 
-def _run_fields(ic: str) -> float:
-    """Traced peak of run() on the n_x = 16 pin, in fields."""
-    scn = Scenario(n_x=16, n_v=9, v_max=4.0, n_i=32, i_max=8.0, ic=ic, dt=0.05, t_final=0.1)
-    grid, _ = scn.validate()
+def _run_peak(scn: Scenario) -> int:
+    """Traced peak of run(scn) in bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -148,7 +149,14 @@ def _run_fields(ic: str) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - base) / (8 * np.prod(grid.field_shape))
+    return peak - base
+
+
+def _run_fields(ic: str) -> float:
+    """Traced peak of run() on the n_x = 16 pin, in fields."""
+    scn = Scenario(n_x=16, n_v=9, v_max=4.0, n_i=32, i_max=8.0, ic=ic, dt=0.05, t_final=0.1)
+    grid, _ = scn.validate()
+    return _run_peak(scn) / (8 * np.prod(grid.field_shape))
 
 
 def test_run_holds_two_fields_while_stepping():
@@ -172,6 +180,30 @@ def test_run_holds_one_field(ic):
     # temporaries; a second field would read 2 or more
     fields = _run_fields(ic)
     assert fields < 1.5, fields
+
+
+def _guard_scenario(n_i: int) -> Scenario:
+    return Scenario(n_x=64, n_v=17, v_max=4.0, n_i=n_i, i_max=8.0, ic="smooth", dt=0.05,
+                    t_final=0.1)
+
+
+@pytest.mark.parametrize("n_i", [1, 2, 32])
+def test_moments_hold_their_energy_contraction(rng, n_i):
+    # the (n_x, n_v^3, 2) contraction is 2/n_i of a field; the (n_x, n_v^2) sums of
+    # it stay under 5/(n_v n_i): the terms the memory guard counts for compute_moments
+    grid, params = _guard_scenario(n_i).validate()
+    f = DistField(rng.random(grid.field_shape) + 0.05, grid)
+    fields = _fields_beyond_output(lambda: compute_moments(f, params, 0.05), grid)
+    assert 2 / n_i <= fields < (2 + 5 / 17) / n_i, fields
+
+
+@pytest.mark.parametrize("n_i", [1, 2, 32])
+def test_run_peaks_under_the_memory_guard(n_i):
+    # 3.45, 2.28 and 1.09 fields: the contraction dominates at small n_i
+    scn = _guard_scenario(n_i)
+    run(scn)  # fills the module-level caches outside the measurement
+    peak = _run_peak(scn)
+    assert peak < run_peak_bytes(64, 17, n_i), peak / run_peak_bytes(64, 17, n_i)
 
 
 def _fields_beyond_output(fn, grid) -> float:

@@ -1,5 +1,6 @@
 """numpy is polykin's only runtime dependency; scipy serves the tests alone.  Every name a
-module imports is used there, unless the benchmark wraps it in that module's namespace."""
+module imports is used there, unless the benchmark wraps it in that module's namespace.
+Only field.py reads the tile size: the other modules take their blocks from its row_tiles."""
 
 from __future__ import annotations
 
@@ -54,3 +55,19 @@ def test_every_import_is_used_or_a_wrap_point():
                 if name not in used and not (noqa and (path.stem, name) in wrapped):
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused, f"imported but unused: {unused}"
+
+
+def test_only_field_reads_the_tile_size():
+    # one cache-block rule: every other module takes its blocks from field.row_tiles
+    root = Path(polykin.__file__).resolve().parent
+    readers = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom) else
+                     [node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else [])
+            if "TILE_BYTES" in names:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert not readers, f"TILE_BYTES read outside field.py: {readers}"

@@ -45,10 +45,9 @@ from polykin import (
 )
 from polykin import cli
 from polykin.errors import DegenerateTemperature, NonFiniteGaussian, PolykinError
-from polykin.field import TILE_BYTES
-from polykin.gaussian import cell_blocks, factor_spd
+from polykin.field import TILE_BYTES, row_tiles
+from polykin.gaussian import factor_spd
 from polykin.stepper import _blend_into
-from polykin.transport import chunk_columns
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 NONNEG = st.floats(min_value=0.0, max_value=1e6)
@@ -130,7 +129,7 @@ def test_advection_in_place_equals_out_of_place_and_the_foot_oracle(n_x, n_v, n_
     # each velocity slab is cut into several chunk blocks, the last one mostly short
     grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=v_max, n_i=n_i, i_max=1.0))
     n_cols = n_v**2 * n_i
-    assert chunk_columns(n_x, n_cols) < n_cols
+    assert len(row_tiles(n_cols, n_x + 1)) > 1
     rng = np.random.default_rng(seed)
     f = rng.random(grid.field_shape)
     f[f < 0.3] = 0.0
@@ -283,7 +282,7 @@ def block_grids(draw):
 @given(grid=block_grids(), delta=st.sampled_from([1.0, 1.5, 2.0]),
        seed=st.integers(0, 2**32 - 1))
 def test_block_gaussians_equal_the_per_cell_oracle(grid, delta, seed):
-    blocks = cell_blocks(grid)
+    blocks = row_tiles(grid.n_x, grid.n_v**3)
     assert len(blocks) >= 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
     assert blocks[0] == slice(0, _block_size(grid.n_v))
     macro = _random_macro(np.random.default_rng(seed), grid.n_x, grid.v_max)
@@ -318,7 +317,7 @@ def _overflowing_prefactor(macro, i):
 ])
 def test_block_gaussian_errors_name_the_cell_the_per_cell_loop_names(faults):
     grid = ERROR_GRID
-    blocks = cell_blocks(grid)
+    blocks = row_tiles(grid.n_x, grid.n_v**3)
     assert [b.stop - b.start for b in blocks] == [6, 6, 2]
     macro = _random_macro(np.random.default_rng(3), grid.n_x, grid.v_max)
     for i, fault in enumerate(faults, start=blocks[1].start + 1):  # second block, second cell

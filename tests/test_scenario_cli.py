@@ -13,6 +13,7 @@ import pytest
 from polykin import Scenario, parse_scenario, read_snapshot, stepper
 from polykin.cli import main
 from polykin.errors import NonFiniteField, ParseError, ValidationError
+from tests.test_acceptance import SMOOTH_SCENARIO, _read_orders
 
 MINIMAL = """
 # smallest viable configuration
@@ -240,7 +241,8 @@ class TestExtremeFiniteInputs:
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid: n_x = 100000, n_v = 33, n_i = 256 needs "), err
-        assert "GB at peak (one field, a cell table, a velocity slab and an advection chunk)" in err
+        assert ("GB at peak (one field, the moments' energy contraction, cell and velocity "
+                "tables, a velocity slab and an advection chunk)") in err
         assert "physical memory" in err
 
     def test_grid_that_fits_one_field_but_not_two_validates(self):
@@ -251,6 +253,17 @@ class TestExtremeFiniteInputs:
         scn = Scenario(n_x=n_x, n_v=33, v_max=8.0, n_i=256, i_max=40.0, dt=0.01, t_final=0.1)
         grid, _ = scn.validate()
         assert grid.n_x == n_x
+
+    def test_grid_whose_moments_contraction_does_not_fit_is_rejected(self):
+        # at n_i = 1 compute_moments' (n_x, n_v^3, 2) contraction is two more fields, so
+        # a field of 0.4 of physical memory needs more than all of it at peak
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        n_x = int(0.4 * memory / (8 * 33**3))
+        scn = Scenario(n_x=n_x, n_v=33, v_max=8.0, n_i=1, i_max=40.0, dt=0.01, t_final=0.1)
+        with pytest.raises(ValidationError) as exc:
+            scn.validate()
+        assert str(exc.value).startswith(f"grid: n_x = {n_x}, n_v = 33, n_i = 1 needs ")
+        assert "energy contraction" in str(exc.value)
 
     @pytest.mark.parametrize("extra, code", [
         ("temperature = 1e-300", 2),  # the samples overflow to +inf
@@ -274,6 +287,18 @@ class TestExtremeFiniteInputs:
 
 
 class TestConvergenceCli:
+    def test_coupled_order_off_unit_knudsen_number(self, tmp_path):
+        # the paper's estimate holds for every fixed Knudsen number: criterion 6's study
+        # and bound at kappa = 1e-2, where c_m > 1/2 takes the other blend branch
+        scn = write(tmp_path, override(SMOOTH_SCENARIO, "kappa = 0.01"))
+        out = tmp_path / "conv"
+        assert main(["convergence", str(scn), "--levels", "16,32,64", "--reference", "256",
+                     "--out", str(out)]) == 0
+        orders = _read_orders(out / "convergence.csv")
+        assert len(orders) == 2
+        for order in orders:
+            assert 0.75 <= order <= 1.25, f"observed orders {orders}"
+
     def test_duplicate_levels_rejected(self, tmp_path):
         scn = write(tmp_path, SMOOTH)
         code = main([
