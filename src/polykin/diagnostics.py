@@ -105,7 +105,12 @@ class StabilityEnvelope:
         _, _, _, vsq = grid.velocity_tables()
         speed_pow = vsq ** (self.a_exp / 2.0)
         i_pow = grid.i_nodes**self.b_exp
-        return self.c01 * np.exp(-self.c02 * (speed_pow[:, None] + i_pow[None, :]))
+        # in one cell-sized array, which a run holds next to its field
+        tab = np.add.outer(speed_pow, i_pow)
+        tab *= -self.c02
+        np.exp(tab, out=tab)
+        tab *= self.c01
+        return tab
 
     def lattice_mass_ratio(self, grid: PhaseGrid) -> float:
         """Discrete mass of the envelope relative to its continuum value.

@@ -101,7 +101,7 @@ class Scenario:
     def resolved_i_max(self) -> float:
         if self.i_max is not None:
             return self.i_max
-        return (32.0 * self.reference_temperature()) ** (self.delta / 2.0)
+        return _power(32.0 * self.reference_temperature(), self.delta / 2.0)
 
     def resolved_q(self) -> float:
         return self.q if self.q is not None else 6.0 + self.delta
@@ -155,6 +155,20 @@ class Scenario:
             )
         except OutOfRange as exc:
             raise ValidationError("params", str(exc)) from exc
+        # the defaulted v_max and i_max below are derived from the temperatures
+        if self.ic == "smooth" and not 0 <= self.alpha < 1:
+            raise ValidationError("alpha", "smooth amplitude must lie in [0, 1)")
+        for name in ("rho0", "rho_left", "rho_right"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(name, "densities must be positive")
+        for name in ("temperature", "t_left", "t_right"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(name, "temperatures must be positive")
+        for name in ("t_tr", "t_int"):
+            v = getattr(self, name)
+            if v is not None and v <= 0:
+                raise ValidationError(name, "temperatures must be positive")
+        self._check_representable()
         peak = run_peak_bytes(self.n_x, self.n_v, self.n_i)
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if peak > memory:  # checked before build_grid allocates n_x nodes
@@ -170,19 +184,6 @@ class Scenario:
             ))
         except InvalidConfig as exc:
             raise ValidationError("grid", str(exc)) from exc
-        if self.ic == "smooth" and not 0 <= self.alpha < 1:
-            raise ValidationError("alpha", "smooth amplitude must lie in [0, 1)")
-        for name in ("rho0", "rho_left", "rho_right"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(name, "densities must be positive")
-        for name in ("temperature", "t_left", "t_right"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(name, "temperatures must be positive")
-        for name in ("t_tr", "t_int"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValidationError(name, "temperatures must be positive")
-        self._check_representable()
         return grid, params
 
     def _check_representable(self) -> None:
@@ -253,8 +254,9 @@ def make_initial(scn: Scenario, grid: PhaseGrid):
         rho = scn.rho_right + (scn.rho_left - scn.rho_right) * chi
         ux = scn.u_right + (scn.u_left - scn.u_right) * chi
         tt = scn.t_right + (scn.t_left - scn.t_right) * chi
-        return rho * _gaussian_shape(v1, v2, v3, i_nodes, (ux, 0.0, 0.0), tt, tt, delta,
-                                     lam_delta)
+        out = _gaussian_shape(v1, v2, v3, i_nodes, (ux, 0.0, 0.0), tt, tt, delta, lam_delta)
+        out *= rho  # the shape already spans the slab (tt varies in x): no second slab
+        return out
 
     return ic
 

@@ -35,7 +35,7 @@ from .grid import PhaseGrid
 from .moments import MacroFields, compute_moments
 from .params import SchemeParams, collision_frequency, normalizer_discrete
 from .scenario import Scenario, certified_envelope, make_initial
-from .transport import Advector
+from .transport import Advector, advect
 
 
 @dataclass
@@ -158,7 +158,7 @@ def step(f: DistField, params: SchemeParams, dt: float) -> tuple[DistField, Step
     """One full scheme step; the report is populated from the output field."""
     if dt <= 0:
         raise InvalidConfig("step requires dt > 0")
-    out = Advector(f.grid, dt).apply(f)  # f~, which the relaxation overwrites
+    out = advect(f, dt)  # f~, which the relaxation overwrites
     prev = conserved_quantities(f, params.delta)
     report = _relax_step(out, 0, params, dt, prev, _defect_scales(prev, params.delta),
                          tilde_norm_q=weighted_sup_norm(out, params.q, params.delta))
@@ -263,7 +263,7 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
 
     for n in range(n_steps):
         if n > 0:
-            advector.apply(f, out=f)
+            advector.apply(f)
 
         monitors = {}  # of f~, read before the relaxation overwrites it
         if envelope is not None:

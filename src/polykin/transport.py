@@ -6,8 +6,8 @@ depend only on j, so advection reduces to two rotations of each velocity
 slab f[:, j] blended with fixed weights.  A slab goes through one scratch
 chunk, a block of its columns at a time: the block's cells are copied into
 the chunk already rotated (two plain slices, never an index array), blended
-there, and the blend is copied into the output.  Every read of the field
-comes before the block is written, so the output may be the input itself.
+there, and the blend is copied back: a block is read whole before it is
+written, so the field is advected in place.
 The blocks are the row tiles (field.row_tiles) of a slab's columns, each
 n_x + 1 values long.  The shift/weight table and the chunk are made when the
 Advector is built and reused for every step.
@@ -25,7 +25,7 @@ from .grid import PhaseGrid
 
 
 class Advector:
-    """Advection by dt on one grid; apply(f, out=f) advects f in place."""
+    """Advection by dt on one grid; apply(f) advects f in place and returns None."""
 
     def __init__(self, grid: PhaseGrid, dt: float):
         if dt < 0:
@@ -49,36 +49,28 @@ class Advector:
             block = chunk[: (2 * n + 1) * (cols.stop - cols.start)].reshape(2 * n + 1, -1)
             self._views.append((cols, block[: n + 1], block[n + 1 :]))
 
-    def apply(self, field: DistField, out: DistField | None = None) -> DistField:
+    def apply(self, field: DistField) -> None:
         g = self.grid
         n = g.n_x
-        if out is None:
-            out = DistField(np.empty(g.field_shape), g)
-        src = field.values
-        dst = out.values
-        # out = field is in place; a partial overlap would let one block's writes land
-        # in a later block's reads
-        if dst.ctypes.data != src.ctypes.data and np.may_share_memory(src, dst):
-            raise InvalidConfig("advection output partly overlaps its input")
-        src = src.reshape(n, g.n_v, -1)
-        dst = dst.reshape(n, g.n_v, -1)
+        f = field.values.reshape(n, g.n_v, -1)
         for j, (b, lo) in enumerate(self._stencil):
             for cols, rot, blend in self._views:
                 # row i of rot is node (i + lo) mod n_x, row i + 1 its upper neighbour
-                rot[: n - lo] = src[lo:, j, cols]
-                rot[n - lo :] = src[: lo + 1, j, cols]
+                rot[: n - lo] = f[lo:, j, cols]
+                rot[n - lo :] = f[: lo + 1, j, cols]
                 if b == 0.0:
-                    dst[:, j, cols] = rot[:n]
+                    f[:, j, cols] = rot[:n]
                     continue
                 # f_lo + b*(f_hi - f_lo): never rounds outside [slice min, slice max]
                 # and never below zero for nonnegative inputs
                 np.subtract(rot[1:], rot[:n], out=blend)
                 blend *= b
                 blend += rot[:n]
-                dst[:, j, cols] = blend
-        return out
+                f[:, j, cols] = blend
 
 
 def advect(field: DistField, dt: float) -> DistField:
-    """One advection pass: out[i,j,k] = a*f[s,j,k] + (1-a)*f[s+1,j,k]."""
-    return Advector(field.grid, dt).apply(field)
+    """One advection pass into a new field: out[i,j,k] = a*f[s,j,k] + (1-a)*f[s+1,j,k]."""
+    out = DistField(field.values.copy(), field.grid)
+    Advector(field.grid, dt).apply(out)
+    return out

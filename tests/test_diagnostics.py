@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import warnings
 
@@ -191,6 +192,24 @@ class TestEnvelopes:
         else:
             assert 0.5 <= report.lattice_mass_ratio <= 2.0
             assert report.ok
+
+    @pytest.mark.parametrize("scale, violations", [(0.5, 0), (2.0, 10)])
+    def test_explicit_envelope_above_the_data_is_violated_from_step_0(self, scale,
+                                                                      violations):
+        # criterion 9's scenario for 10 steps; twice the certified c01 lies above f^0
+        from polykin import certified_envelope
+
+        auto = self.scenario(n_x=16, dt=5e-3, t_final=0.05)
+        grid, _ = auto.validate()
+        c01 = scale * certified_envelope(auto, grid).c01
+        scn = dataclasses.replace(auto, envelope="explicit", c01=c01, c02=0.5)
+        env = certified_envelope(scn, grid)
+        assert (env.c01, env.c02) == (c01, 0.5)
+        report = check_envelopes(run(scn, track_entropy=False), env)
+        assert report.lower_violations == violations
+        assert report.upper_violations == 0
+        assert report.first_violation == (0 if violations else None)
+        assert report.ok == (violations == 0)
 
     @pytest.mark.parametrize("c01", [np.nan, np.inf])
     def test_non_finite_envelope_constant_rejected(self, c01):

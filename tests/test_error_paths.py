@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from polykin import (
-    Advector,
     DistField,
     GridConfig,
     build_grid,
@@ -106,22 +105,6 @@ def test_field_values_must_be_c_ordered(small_grid):
 def test_foot_rejects_negative_dt(small_grid):
     with pytest.raises(InvalidConfig):
         small_grid.foot(0, 1.0, -0.1)
-
-
-# small_grid holds 2,000 nodes, 500 per cell: one node either way, one cell, one shared node
-@pytest.mark.parametrize("shift", [1, -1, 500, -1999])
-def test_advection_rejects_an_output_partly_overlapping_its_input(small_grid, rng, shift):
-    # out = f is advection in place; an output shifted against f would read what it wrote
-    size = int(np.prod(small_grid.field_shape))
-    assert size == 2000
-    pool = random_field_values(rng, small_grid).reshape(-1)
-    pool = np.concatenate([pool, pool])
-    base = max(0, -shift)
-    f = DistField(pool[base : base + size].reshape(small_grid.field_shape), small_grid)
-    out = DistField(pool[base + shift : base + shift + size].reshape(small_grid.field_shape),
-                    small_grid)
-    with pytest.raises(InvalidConfig, match="partly overlaps its input"):
-        Advector(small_grid, 0.1).apply(f, out=out)
 
 
 def test_relax_rejects_nonpositive_dt(small_grid, default_params, rng):

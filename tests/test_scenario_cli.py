@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -140,6 +141,27 @@ class TestParse:
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"error: {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, prefix", [
+        (override(SMOOTH, "ic = bogus"), "ic"),
+        (override(SMOOTH, "dt = 0"), "dt"),
+        (override(SMOOTH, "t_final = -1"), "t_final"),
+        (override(SMOOTH, "alpha = 1.5"), "alpha"),
+        (override(SMOOTH, "rho0 = -1"), "rho0"),
+        (override(SMOOTH, "rho_left = 0"), "rho_left"),
+        (override(SMOOTH, "t_tr = -2"), "t_tr"),
+        (override(SMOOTH, "n_x = 1"), "grid"),
+        (override(SMOOTH, "envelope = explicit\nc02 = 0.5"), "envelope"),  # no c01
+        ("n_x 8\n" + SMOOTH, "scn.txt:1"),  # a ParseError naming the file's line
+    ], ids=["ic", "dt", "t_final", "alpha", "rho0", "rho_left", "t_tr", "n_x", "envelope",
+            "no_equals"])
+    def test_inadmissible_scenario_exits_2_naming_the_key(self, tmp_path, capsys, text,
+                                                          prefix):
+        path = write(tmp_path, text)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert re.match(rf"error: (\S*/)?{re.escape(prefix)}: ", err), err
+        assert err.count("\n") == 1, err
+
     def test_raw_jump_ignores_smooth_cells(self):
         Scenario(n_x=4, n_v=5, n_i=4, dt=0.1, t_final=0.5, v_max=2.0, i_max=2.0,
                  ic="riemann", raw_jump=True, smooth_cells=0.0).validate()
@@ -234,6 +256,23 @@ class TestExtremeFiniteInputs:
         path = write(tmp_path, override(TINY, extra))
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"error: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        ("temperature = -1", "temperature"),
+        ("temperature = 0", "temperature"),
+        ("ic = riemann\nt_left = -1\nt_right = -2", "t_left"),
+        ("temperature = -1\nv_max = 4\ndelta = 1", "temperature"),
+        ("delta = 1000", "delta"),  # the defaulted i_max = 32^500
+        ("temperature = 1e300\ndelta = 4", "temperature"),
+    ], ids=["negative_t", "zero_t", "riemann_negative_t", "negative_t_delta_1", "delta_1000",
+            "huge_t_delta_4"])
+    def test_inputs_of_the_defaulted_extents_are_checked_before_the_grid(self, tmp_path,
+                                                                         capsys, extra, key):
+        # v_max = 8*sqrt(T) and i_max = (32*T)^(delta/2) are derived from checked inputs
+        path = write(tmp_path, override(TINY, extra))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
 
     def test_grid_beyond_physical_memory_exits_2_naming_it(self, tmp_path, capsys):
         # 7.4 TB per field: rejected by validate() before anything is allocated
@@ -470,3 +509,16 @@ def test_bad_cli_number_exits_2_naming_the_option(tmp_path, capsys, argv, option
     assert main([argv[0], str(scn), *argv[1:], "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, out, code, fragment", [
+    (["convergence", "--levels", "16,32", "--reference", "64"], "o", 2, "error: levels: "),
+    (["convergence", "--levels", "16,32,64", "--reference", "100"], "o", 2, "not divisible"),
+    (["simulate"], "taken", 4, "io error: "),  # --out names an existing file
+], ids=["two_levels", "indivisible_reference", "out_is_a_file"])
+def test_cli_misuse_exits_with_its_code(tmp_path, capsys, argv, out, code, fragment):
+    scn = write(tmp_path, SMOOTH)
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    assert main([argv[0], str(scn), *argv[1:], "--out", str(tmp_path / out)]) == code
+    err = capsys.readouterr().err
+    assert fragment in err and err.count("\n") == 1, err
