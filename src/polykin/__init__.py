@@ -11,7 +11,7 @@ from .diagnostics import (
 )
 from .errors import PolykinError
 from .field import DistField, error_sup_norm, read_snapshot, sample, weighted_sup_norm, write_snapshot
-from .gaussian import SpdFactor, eval_gaussian, factor_spd, gaussian_field
+from .gaussian import eval_gaussian, factor_spd, gaussian_field
 from .grid import FootWeight, GridConfig, PhaseGrid, build_grid, energy_weights
 from .moments import MacroCell, MacroFields, compute_moments, table_moments, tensor_sandwich_check
 from .params import (
@@ -42,7 +42,6 @@ __all__ = [
     "RunResult",
     "Scenario",
     "SchemeParams",
-    "SpdFactor",
     "StabilityEnvelope",
     "StepReport",
     "advect",

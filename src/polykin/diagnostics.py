@@ -17,19 +17,18 @@ from .params import SchemeParams, collision_frequency, normalizer_discrete
 _MONITOR_SLACK = 1e-12  # relative tolerance of check_envelopes
 
 
-def cell_conserved(cell: np.ndarray, grid: PhaseGrid, delta: float) -> tuple:
-    """(mass, m1, m2, m3, energy) sums of one (n_v^3, n_i) cell table, before the cell weight."""
+def cell_conserved(cell: np.ndarray, grid: PhaseGrid, delta: float, sums: list) -> list:
+    """sums plus the (mass, m1, m2, m3, energy) sums of one (n_v^3, n_i) cell table, before
+    the cell weight; folding the cells in order from [0.0] * 5 needs no per-cell list."""
     v1, v2, v3, vsq = grid.velocity_tables()
     a = energy_contraction(cell, grid, delta)  # (nvol, 2): plain and eps-weighted
     g0 = a[:, 0]
-    return g0.sum(), g0 @ v1, g0 @ v2, g0 @ v3, 0.5 * (g0 @ vsq) + a[:, 1].sum()
+    cs = g0.sum(), g0 @ v1, g0 @ v2, g0 @ v3, 0.5 * (g0 @ vsq) + a[:, 1].sum()
+    return [s + c for s, c in zip(sums, cs)]
 
 
-def conserved_totals(cell_sums: list[tuple], grid: PhaseGrid) -> tuple[float, np.ndarray, float]:
-    """(mass, momentum, energy) from the cell_conserved sums of every cell, added in cell order."""
-    sums = [0.0] * 5
-    for cs in cell_sums:
-        sums = [s + c for s, c in zip(sums, cs)]
+def conserved_totals(sums: list, grid: PhaseGrid) -> tuple[float, np.ndarray, float]:
+    """(mass, momentum, energy) from the cell_conserved sums of every cell."""
     t = grid.dx * grid.dv**3 * np.array(sums)
     return t[0], t[1:4], t[4]
 
@@ -44,7 +43,10 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     which may split them over its threads, so their last bits can change with
     OPENBLAS_NUM_THREADS.
     """
-    return conserved_totals([cell_conserved(c, fld.grid, delta) for c in fld.cells], fld.grid)
+    sums = [0.0] * 5
+    for c in fld.cells:
+        sums = cell_conserved(c, fld.grid, delta, sums)
+    return conserved_totals(sums, fld.grid)
 
 
 def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray, b: np.ndarray) -> None:

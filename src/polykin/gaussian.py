@@ -15,7 +15,6 @@ from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +26,8 @@ from .moments import MacroCell, MacroFields
 _TWO_PI_CUBED_SQRT = (2.0 * math.pi) ** 1.5
 
 
-@dataclass(frozen=True)
-class SpdFactor:
-    """Lower-triangular factor L with A = L L' and log det A."""
-
-    lower: np.ndarray
-    log_det: float
-
-
-def factor_spd(t_blend: np.ndarray) -> SpdFactor:
-    """Cholesky factorization of a symmetric 3x3 tensor.
+def factor_spd(t_blend: np.ndarray) -> np.ndarray:
+    """Lower-triangular Cholesky factor L, with A = L L', of a symmetric 3x3 tensor A.
 
     Raises NonSPDTensor when the tensor is not positive definite, which for
     moment-produced tensors signals a degenerate or under-resolved cell
@@ -48,22 +39,22 @@ def factor_spd(t_blend: np.ndarray) -> SpdFactor:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NonSPDTensor(f"tensor is not SPD: {a.tolist()}") from exc
-    diag = np.diag(lower)
-    if not np.all(diag > 0):
+    if not np.all(np.diag(lower) > 0):
         raise NonSPDTensor(f"tensor is not SPD: {a.tolist()}")
-    return SpdFactor(lower=lower, log_det=float(2.0 * np.log(diag).sum()))
+    return lower
 
 
-def _gaussian_flat(rho: np.ndarray, u: np.ndarray, t_blend: np.ndarray, t_theta: np.ndarray,
-                   grid: PhaseGrid, lambda_delta: float, delta: float,
-                   first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-one factors (pev, ei) of the Gaussians of a block of cells.
+def _gaussian_flat(macro: MacroFields, cells: slice, grid: PhaseGrid, lambda_delta: float,
+                   delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-one factors (pev, ei) of the Gaussians of the block of cells macro[cells].
 
-    Row c of pev (over velocity nodes, prefactor included) and row c of ei (over
-    energy nodes) give the table of cell first + c through gaussian_table.  The
-    cells are checked in order, each for its relaxation temperature, then SPD,
-    then its prefactor; the first that fails raises, named "cell {first + c}".
+    Row c of pev (over velocity nodes, prefactor included) and row c of ei (over energy
+    nodes) give the table of cell cells.start + c through gaussian_table.  The cells are
+    checked in order, each for its relaxation temperature, then SPD, then its prefactor;
+    the first that fails raises, named "cell {cells.start + c}".
     """
+    rho, u, t_theta = macro.rho[cells], macro.u[cells], macro.t_theta[cells]
+    t_blend = macro.t_blend[cells]
     a = 0.5 * (t_blend + np.swapaxes(t_blend, 1, 2))
     try:
         lower = np.linalg.cholesky(a)  # the same LAPACK call per matrix as factor_spd's
@@ -82,7 +73,7 @@ def _gaussian_flat(rho: np.ndarray, u: np.ndarray, t_blend: np.ndarray, t_theta:
                 if tt <= 0.0:
                     raise DegenerateTemperature(f"relaxation temperature {tt!r} <= 0")
                 if not spd:  # the stacked factor failed: factor cells alone until one raises
-                    lower[c] = factor_spd(t_blend[c]).lower
+                    lower[c] = factor_spd(t_blend[c])
                 lc = lower[c]
                 # a scalar power per cell: an array power may take numpy's sqrt fast path
                 p = float(rho[c]) * lambda_delta / (
@@ -93,7 +84,7 @@ def _gaussian_flat(rho: np.ndarray, u: np.ndarray, t_blend: np.ndarray, t_theta:
                         f"Gaussian prefactor {float(p)!r} is not positive and finite")
                 pref[c] = p
             except PolykinError as exc:
-                exc.args = (f"cell {first + c}: {exc}",)
+                exc.args = (f"cell {cells.start + c}: {exc}",)
                 raise
 
         # forward substitution of L z = (v - u), vectorized over cells and nodes;
@@ -131,9 +122,8 @@ def gaussian_table(pev: np.ndarray, ei: np.ndarray, out: np.ndarray) -> np.ndarr
 def eval_gaussian(cell: MacroCell, grid: PhaseGrid, lambda_delta: float,
                   delta: float) -> np.ndarray:
     """Gaussian value table of one cell, shaped (n_v, n_v, n_v, n_i); errors name it cell 0."""
-    pev, ei = _gaussian_flat(np.array([cell.rho]), np.array([cell.u], dtype=float),
-                             np.array([cell.t_blend], dtype=float), np.array([cell.t_theta]),
-                             grid, lambda_delta, delta, 0)
+    row = MacroFields(**{k: np.array([v], dtype=float) for k, v in vars(cell).items()})
+    pev, ei = _gaussian_flat(row, slice(0, 1), grid, lambda_delta, delta)
     table = gaussian_table(pev[0], ei[0], np.empty((grid.n_v**3, grid.n_i)))
     return table.reshape(grid.n_v, grid.n_v, grid.n_v, grid.n_i)
 
@@ -144,8 +134,7 @@ def gaussian_field(macro: MacroFields, grid: PhaseGrid, lambda_delta: float,
     out = DistField(np.empty(grid.field_shape), grid)
     dst = out.cells
     for cells in row_tiles(grid.n_x, grid.n_v**3):
-        pev, ei = _gaussian_flat(macro.rho[cells], macro.u[cells], macro.t_blend[cells],
-                                 macro.t_theta[cells], grid, lambda_delta, delta, cells.start)
+        pev, ei = _gaussian_flat(macro, cells, grid, lambda_delta, delta)
         for i, pev_i, ei_i in zip(range(cells.start, cells.stop), pev, ei):
             gaussian_table(pev_i, ei_i, dst[i])
     return out

@@ -35,14 +35,21 @@ def _power(base: float, exponent: float) -> float:
 
 
 def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
-    """Bytes a run holds at its peak: the field; compute_moments' energy contraction
-    values @ [w, w*eps], (n_x, n_v^3, 2) or 2/n_i of a field, and its (n_x, n_v^2) sums
-    (traced at under five); two cell tables and the four velocity tables; one velocity
-    slab while sampling; and the Advector's chunk."""
+    """Bytes a run holds at its peak: the field plus what its passes hold beside it,
+    summed although they never coexist (each term traced with tracemalloc):
+    - compute_moments: under 2 n_v^3 + 3 n_v^2 + 6 n_v + 37 doubles a cell (the energy
+      contraction values @ [w, w*eps], its pair sums, the axis arrays and tensors);
+    - the relaxation: the Gaussian factors of two blocks of tile_rows(n_v^3) cells,
+      under 6 n_v^3 + 3 n_i doubles a row, and two cell tables;
+    - the four velocity tables, one velocity slab while sampling, the Advector's chunk;
+    - 128 KiB of numpy's iteration buffers and array headers (traced at up to 133 KB in
+      compute_moments and 75 KB in sample)."""
     cell, slab_cols = n_v**3 * n_i, n_v**2 * n_i
-    contraction = n_x * n_v**2 * (2 * n_v + 5)
+    moments = n_x * (2 * n_v**3 + 3 * n_v**2 + 6 * n_v + 37)
+    factors = min(n_x, tile_rows(n_v**3)) * (6 * n_v**3 + 3 * n_i)
     chunk = (2 * n_x + 1) * min(slab_cols, tile_rows(n_x + 1))
-    return 8 * (n_x * cell + contraction + 2 * cell + 4 * n_v**3 + n_x * slab_cols + chunk)
+    return 8 * (n_x * cell + moments + factors + 2 * cell + 4 * n_v**3 + n_x * slab_cols + chunk
+                + 16384)
 
 
 @dataclass
@@ -168,6 +175,10 @@ class Scenario:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValidationError(name, "temperatures must be positive")
+        for name in ("v_max", "i_max"):
+            v = getattr(self, name)
+            if v is not None and v <= 0:
+                raise ValidationError(name, "grid extents must be positive")
         self._check_representable()
         peak = run_peak_bytes(self.n_x, self.n_v, self.n_i)
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

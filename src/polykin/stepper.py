@@ -116,14 +116,12 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     flogf_rows = np.empty(grid.n_v**3)
     buf = None
 
-    cell_sums = []
+    sums = [0.0] * 5
     total_flogf = 0.0
     norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None else None)
     for cells in row_tiles(grid.n_x, grid.n_v**3):
         if macro is not None:
-            pev, ei = _gaussian_flat(macro.rho[cells], macro.u[cells], macro.t_blend[cells],
-                                     macro.t_theta[cells], grid, lambda_delta, params.delta,
-                                     cells.start)
+            pev, ei = _gaussian_flat(macro, cells, grid, lambda_delta, params.delta)
         if buf is None:  # taken once the factor pass's temporaries are freed
             buf = np.empty((tiles[0].stop, grid.n_i))
         for i, cell in enumerate(f_tilde.cells[cells]):
@@ -139,9 +137,9 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                     tile_flogf(t, grid.i_weights, flogf_rows[s], m)
             if track_entropy:
                 total_flogf += float(flogf_rows.sum())
-            cell_sums.append(cell_conserved(cell, grid, params.delta))
+            sums = cell_conserved(cell, grid, params.delta, sums)
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
-    return conserved_totals(cell_sums, grid), ent, norm, g_norm
+    return conserved_totals(sums, grid), ent, norm, g_norm
 
 
 def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from polykin import (
+    Advector,
     DistField,
     GridConfig,
     build_grid,
@@ -14,7 +15,9 @@ from polykin import (
     normalizer_discrete,
     read_snapshot,
     relax,
+    sample,
     step,
+    weighted_sup_norm,
 )
 from polykin.errors import DegenerateGrid, GridMismatch, InvalidConfig, NonFiniteField
 from tests.conftest import random_field_values
@@ -100,6 +103,18 @@ def test_field_shape_must_match_grid(small_grid):
 def test_field_values_must_be_c_ordered(small_grid):
     with pytest.raises(GridMismatch, match="C-contiguous"):
         DistField(np.asfortranarray(np.ones(small_grid.field_shape)), small_grid)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda f, p: step(f, p, 0.0), "step requires dt > 0"),
+    (lambda f, p: Advector(f.grid, -1.0), "dt must be >= 0"),
+    (lambda f, p: sample(lambda x, v1, v2, v3, i: x, f.grid, -0.1), "shift_dt must be >= 0"),
+    (lambda f, p: weighted_sup_norm(f, 0.0, 2.0), "q must be > 0"),
+], ids=["step", "Advector", "sample", "weighted_sup_norm"])
+def test_bad_argument_raises_invalid_config(small_grid, default_params, call, match):
+    f = DistField(np.ones(small_grid.field_shape), small_grid)
+    with pytest.raises(InvalidConfig, match=match):
+        call(f, default_params)
 
 
 def test_foot_rejects_negative_dt(small_grid):

@@ -49,6 +49,22 @@ def test_energy_weights_positive_and_integrate_constants(n_i):
         assert w.sum() == pytest.approx((n_i - 1) * di, rel=1e-14)
 
 
+@pytest.mark.parametrize("n_i, di", [(0, 1.0), (4, 0.0)])
+def test_energy_weights_reject_bad_input(n_i, di):
+    with pytest.raises(InvalidConfig):
+        energy_weights(n_i, di)
+
+
+def test_norm_weight_keeps_one_table_per_grid():
+    g = build_grid(GridConfig(n_x=2, n_v=3, v_max=1.0, n_i=2, i_max=1.0))
+    w8 = g.norm_weight(8.0, 2.0)
+    assert g.norm_weight(8.0, 2.0) is w8
+    w10 = g.norm_weight(10.0, 2.0)
+    assert g.norm_weight(10.0, 2.0) is w10
+    again = g.norm_weight(8.0, 2.0)  # the second q evicted the first table
+    assert again is not w8 and np.array_equal(again, w8)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

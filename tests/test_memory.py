@@ -202,9 +202,13 @@ def test_moments_hold_their_energy_contraction(rng, n_i):
     (64, 17, 1, {}), (64, 17, 2, {}), (64, 17, 32, {}),
     (128, 9, 32, {"ic": "riemann"}), (512, 5, 32, {"ic": "riemann"}),
     (4, 33, 32, {"envelope": "auto"}),
-], ids=["1", "2", "32", "riemann_128_9", "riemann_512_5", "auto_4_33"])
+    (1024, 3, 1, {}), (256, 5, 1, {}), (4096, 3, 1, {}), (512, 5, 1, {}),
+], ids=["1", "2", "32", "riemann_128_9", "riemann_512_5", "auto_4_33",
+        "1024_3_1", "256_5_1", "4096_3_1", "512_5_1"])
 def test_run_peaks_under_the_memory_guard(n_x, n_v, n_i, over):
     # 3.45, 2.28 and 1.09 fields at (64, 17): the contraction dominates at small n_i.
+    # On small cells (n_v = 3 or 5, n_i = 1) the moments' per-cell axis arrays and
+    # tensors and the relaxation's block of Gaussian factors add up to several fields.
     # Two-state data scale their slab's shape in place, and the envelope table is
     # built in one cell-sized array, so neither holds a second slab or table
     scn = dataclasses.replace(_guard_scenario(n_i), n_x=n_x, n_v=n_v, **over)

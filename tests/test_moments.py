@@ -176,3 +176,14 @@ class TestSandwich:
         )
         with pytest.raises(BoundViolated):
             tensor_sandwich_check(bad, default_params, dt=0.1, trials=200)
+
+    def test_relaxation_temperature_violation_raises(self, default_params):
+        from polykin.moments import MacroCell
+
+        bad = MacroCell(
+            rho=1.0, u=np.zeros(3), theta_tensor=np.eye(3),
+            t_tr=1.0, t_int=1.0, t_delta=1.0, t_theta=0.5,  # below theta * t_delta = 0.8
+            t_blend=np.eye(3),  # inside the tensor's bounds
+        )
+        with pytest.raises(BoundViolated, match="relaxation temperature outside its bounds"):
+            tensor_sandwich_check(bad, default_params, dt=0.1, trials=200)

@@ -1,6 +1,7 @@
 """numpy is polykin's only runtime dependency; scipy serves the tests alone.  Every name a
-module imports is used there, unless the benchmark wraps it in that module's namespace.
-Only field.py reads the tile size: the other modules take their blocks from its row_tiles."""
+module imports is used there, unless the benchmark wraps it in that module's namespace, and
+every benchmark wrap point is called.  Only field.py reads the tile size: the other modules
+take their blocks from its row_tiles."""
 
 from __future__ import annotations
 
@@ -25,15 +26,20 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _wrap_points() -> list[tuple[str, str]]:
+    """The (owner, attribute) pairs that benchmarks/spans.py wraps, FULL including CLOCK."""
+    root = Path(polykin.__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location("bench_spans", root / "benchmarks" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [(owner, attr) for owner, attr, _ in spans.FULL]
+
+
 def test_every_import_is_used_or_a_wrap_point():
     # benchmarks/spans.py patches ("stepper", "entropy") and the like in the calling
     # module, so such an import may go unused there: it sits on a "# noqa: F401" line
     root = Path(polykin.__file__).resolve().parent
-    spec = importlib.util.spec_from_file_location(
-        "bench_spans", root.parents[1] / "benchmarks" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    wrapped = {(owner, attr) for owner, attr, _ in spans.FULL}
+    wrapped = set(_wrap_points())
     unused = []
     for path in sorted(root.glob("*.py")):
         source = path.read_text(encoding="utf-8")
@@ -55,6 +61,37 @@ def test_every_import_is_used_or_a_wrap_point():
                 if name not in used and not (noqa and (path.stem, name) in wrapped):
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused, f"imported but unused: {unused}"
+
+
+def test_every_wrap_point_is_called():
+    # a wrap point that src/ never calls reads 0 in the benchmark whatever the code costs.
+    # A module function counts when its module calls it by its bare name or another
+    # module calls module.attr(...); a method when anything calls .attr(...); __init__
+    # when anything calls its class.  stepper.step is the benchmark's own entry point;
+    # stepper.entropy and stepper.equilibrium_distance are known dead points
+    root = Path(polykin.__file__).resolve().parent
+    bare, dotted = set(), set()  # (module, name) called bare; (value, attr) called dotted
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                bare.add((path.stem, node.func.id))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                value = node.func.value
+                dotted.add((value.id if isinstance(value, ast.Name) else None, node.func.attr))
+    bare_names = {name for _, name in bare}
+    dotted_attrs = {attr for _, attr in dotted}
+    uncalled = []
+    for owner, attr in _wrap_points():
+        module, _, cls = owner.partition(".")
+        if not cls:
+            called = (module, attr) in bare or (module, attr) in dotted
+        elif attr == "__init__":
+            called = cls in bare_names or cls in dotted_attrs
+        else:
+            called = attr in dotted_attrs
+        if not called:
+            uncalled.append(f"{owner}.{attr}")
+    assert sorted(uncalled) == ["stepper.entropy", "stepper.equilibrium_distance", "stepper.step"]
 
 
 def test_only_field_reads_the_tile_size():

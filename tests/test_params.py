@@ -80,6 +80,11 @@ class TestBlendFactors:
         assert np.all(dlam >= -1e-15) or np.all(dlam <= 1e-15)  # monotone toward A
         assert np.all(np.diff(np.abs(nbs)) <= 1e-15)
 
+    @pytest.mark.parametrize("kappa, dt", [(0.0, 0.1), (1.0, -1.0)])
+    def test_out_of_range(self, kappa, dt):
+        with pytest.raises(OutOfRange):
+            blend_factors(0.3, 0.6, kappa, dt)
+
     def test_bounds_invariants(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -97,6 +102,11 @@ class TestNormalizer:
     def test_single_node_is_unit(self):
         grid = build_grid(GridConfig(n_x=2, n_v=3, v_max=1.0, n_i=1, i_max=1.0))
         assert normalizer_discrete(2.0, grid) == 1.0
+
+    def test_nonpositive_delta_rejected(self):
+        grid = build_grid(GridConfig(n_x=2, n_v=3, v_max=1.0, n_i=4, i_max=1.0))
+        with pytest.raises(OutOfRange):
+            normalizer_discrete(0.0, grid)
 
     def test_delta_two_matches_unit_integral(self):
         # integral of exp(-I) over the half line is exactly 1

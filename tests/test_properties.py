@@ -220,7 +220,7 @@ def _oracle_table(rho, u, t_blend, t_theta, grid, lambda_delta, delta):
     in blocks: the reference the block evaluator must match bit for bit."""
     if t_theta <= 0.0:
         raise DegenerateTemperature(f"relaxation temperature {t_theta!r} <= 0")
-    lw = factor_spd(t_blend).lower
+    lw = factor_spd(t_blend)
     v1, v2, v3, _ = grid.velocity_tables()
     with np.errstate(all="ignore"):
         z1 = (v1 - u[0]) / lw[0, 0]

@@ -64,6 +64,12 @@ class TestParse:
         assert scn.resolved_i_max() == 32.0
         scn.validate()
 
+    def test_riemann_extents_default_from_the_hotter_state(self, tmp_path):
+        scn = parse_scenario(write(tmp_path, MINIMAL + "ic = riemann\nt_left = 2\nt_right = 0.5\n"))
+        assert scn.resolved_v_max() == 8.0 * math.sqrt(2.0)
+        assert scn.resolved_i_max() == 64.0
+        scn.validate()
+
     def test_theta_zero_rejected(self, tmp_path):
         path = write(tmp_path, MINIMAL + "theta = 0.0\n")
         with pytest.raises(ValidationError):
@@ -150,10 +156,12 @@ class TestParse:
         (override(SMOOTH, "rho_left = 0"), "rho_left"),
         (override(SMOOTH, "t_tr = -2"), "t_tr"),
         (override(SMOOTH, "n_x = 1"), "grid"),
+        (override(SMOOTH, "v_max = -1"), "v_max"),
+        (override(SMOOTH, "i_max = -1\ndelta = 1.5"), "i_max"),  # no complex i_max^(2/delta)
         (override(SMOOTH, "envelope = explicit\nc02 = 0.5"), "envelope"),  # no c01
         ("n_x 8\n" + SMOOTH, "scn.txt:1"),  # a ParseError naming the file's line
-    ], ids=["ic", "dt", "t_final", "alpha", "rho0", "rho_left", "t_tr", "n_x", "envelope",
-            "no_equals"])
+    ], ids=["ic", "dt", "t_final", "alpha", "rho0", "rho_left", "t_tr", "n_x", "v_max", "i_max",
+            "envelope", "no_equals"])
     def test_inadmissible_scenario_exits_2_naming_the_key(self, tmp_path, capsys, text,
                                                           prefix):
         path = write(tmp_path, text)
@@ -432,6 +440,14 @@ class TestInitialConditionFamilies:
         outside = ic(np.array(0.9), 0.0, 0.0, 0.0, np.array(0.0))
         # 8x density jump, partly offset by the colder right state's peak
         assert inside > 4 * outside
+
+    def test_auto_envelope_without_a_positive_bound_exits_2(self, tmp_path, capsys):
+        # the slow decay c02 = 0.01 lies above the Gaussian's tail out at v_max = 40
+        text = ("n_x = 4\nn_v = 9\nn_i = 4\nv_max = 40\ni_max = 8\ndt = 0.05\nt_final = 0.1\n"
+                "ic = smooth\nenvelope = auto\nc02 = 0.01\n")
+        assert main(["simulate", str(write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: envelope: initial data does not admit a positive envelope\n"
 
     def test_riemann_auto_envelope_rejected(self, tmp_path):
         text = SMOOTH.replace("ic = smooth", "ic = riemann") + "envelope = auto\n"
