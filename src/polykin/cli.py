@@ -11,9 +11,10 @@ from pathlib import Path
 from . import stepper
 from .diagnostics import equilibrium_distance, observed_order
 from .errors import NonFiniteField, NonFiniteGaussian, PolykinError, ValidationError
-from .field import DistField, error_sup_norm, sample, write_snapshot
+from .field import DistField, _sup_norm, error_sup_norm, sample, write_snapshot
 from .moments import MACRO_CSV_HEADER, compute_moments, write_macro_csv
-from .scenario import Scenario, make_initial, parse_scenario
+from .scenario import (Scenario, make_initial, parse_scenario, physical_memory,
+                       run_peak_bytes)
 
 
 def _out_dir(args) -> Path:
@@ -96,7 +97,18 @@ def cmd_convergence(args) -> int:
         return dataclasses.replace(scn, **override)
 
     runs = levels + ([] if transport_only else [reference])
-    level_scenario(runs[-1]).validate()  # the finest level, before the first one runs
+    level_scenario(runs[-1]).validate()  # the finest run alone, before the first level runs
+    # beside its finest run the study holds every other run's field and, transport-only,
+    # the exact field of the level whose error it takes
+    held = sum(runs[:-1]) + (levels[-1] if transport_only else 0)
+    peak = run_peak_bytes(runs[-1], scn.n_v, scn.n_i) + 8 * scn.n_v**3 * scn.n_i * held
+    memory = physical_memory()
+    if peak > memory:
+        raise ValidationError("levels" if transport_only else "reference",
+                              f"levels {levels} and reference {reference} need "
+                              f"{peak / 1e9:.3g} GB at peak (the finest run beside the other "
+                              f"runs' fields), more than the {memory / 1e9:.3g} GB of "
+                              f"physical memory")
     fields: dict[int, DistField] = {}
     for n_x in runs:
         result = stepper.run(level_scenario(n_x), track_entropy=False)
@@ -110,13 +122,12 @@ def cmd_convergence(args) -> int:
         if transport_only:
             # exact transport solution: initial data sampled at the shifted feet
             exact = sample(make_initial(scn, coarse.grid), coarse.grid, shift_dt=scn.t_final)
-            err = error_sup_norm(coarse, exact, params.q, params.delta)
+            errors.append(error_sup_norm(coarse, exact, params.q, params.delta))
+            del exact  # before the next level's is sampled
         else:
-            ref = fields[reference]
-            stride = reference // n_x
-            restricted = DistField(ref.values[::stride].copy(), coarse.grid)
-            err = error_sup_norm(coarse, restricted, params.q, params.delta)
-        errors.append(err)
+            # the reference's cells at the level's nodes, read where they lie
+            ref = fields[reference].cells[:: reference // n_x]
+            errors.append(_sup_norm(coarse.cells, ref, coarse.grid, params.q, params.delta))
 
     h = [1.0 / lv for lv in levels]
     table = observed_order(list(zip(h, errors)), labels=[f"n_x={lv}" for lv in levels])

@@ -119,16 +119,19 @@ def max_nan(acc: float, x: float) -> float:
     return x if x != x else max(acc, x)
 
 
-def _sup_norm(a: DistField, b: DistField | None, q: float, delta: float) -> float:
-    """sup over nodes of |a - b| (|a| without b) times the weight of order q, tile by tile."""
-    g = a.grid
-    w = g.norm_weight(q, delta)
-    tiles = row_tiles(g.n_v**3, g.n_i)
-    fb = None if b is None else b.cells
+def _sup_norm(a: np.ndarray, b: np.ndarray | None, grid: PhaseGrid, q: float,
+              delta: float) -> float:
+    """sup over nodes of |a - b| (|a| without b) times the weight of order q, tile by tile.
+
+    a and b are stacks of (n_v**3, n_i) cell tables on grid, such as DistField.cells or a
+    strided view of it: each cell is read as it stands, so no stack is copied.
+    """
+    w = grid.norm_weight(q, delta)
+    tiles = row_tiles(grid.n_v**3, grid.n_i)
     out = 0.0
-    for i, cell in enumerate(a.cells):
+    for i, cell in enumerate(a):
         for s in tiles:
-            out = max_nan(out, tile_sup(cell[s], None if fb is None else fb[i][s], w[s]))
+            out = max_nan(out, tile_sup(cell[s], None if b is None else b[i][s], w[s]))
     return out
 
 
@@ -136,14 +139,14 @@ def weighted_sup_norm(field: DistField, q: float, delta: float) -> float:
     """sup over nodes of |f| * (1 + |v|^2 + I^(2/delta))^(q/2)."""
     if q <= 0:
         raise InvalidConfig("q must be > 0")
-    return _sup_norm(field, None, q, delta)
+    return _sup_norm(field.cells, None, field.grid, q, delta)
 
 
 def error_sup_norm(a: DistField, b: DistField, q: float, delta: float) -> float:
     """Weighted sup norm of the pointwise difference of two same-grid fields."""
     if a.grid is not b.grid and a.grid != b.grid:
         raise GridMismatch("fields live on different grids")
-    return _sup_norm(a, b, q, delta)
+    return _sup_norm(a.cells, b.cells, a.grid, q, delta)
 
 
 def write_snapshot(path, field: DistField, delta: float, q: float) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
-from .field import DistField
+from .field import DistField, row_tiles, tile_rows
 from .grid import PhaseGrid
 from .params import SchemeParams, blend_factors
 
@@ -66,55 +66,85 @@ class MacroFields:
         )
 
 
-def energy_contraction(values: np.ndarray, grid: PhaseGrid, delta: float) -> np.ndarray:
-    """values @ [w, w*eps] over (..., n_v^3, n_i) tables: energy integrals of f and eps*f."""
-    return values @ grid.energy_moment_weights(delta)
+def energy_contraction(values: np.ndarray, grid: PhaseGrid, delta: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """values @ [w, w*eps] over (..., n_v^3, n_i) tables, into out (new if None): energy
+    integrals of f and eps*f."""
+    return np.matmul(values, grid.energy_moment_weights(delta), out=out)
 
 
 def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
                       dt: float) -> MacroFields:
-    """Moments of a (n_cells, n_v^3, n_i) stack of distribution tables."""
-    n_cells = values.shape[0]
-    mn = values.min()
-    if mn < 0:
-        raise NegativeField(f"distribution has negative entry {mn!r}")
+    """Moments of a (n_cells, n_v^3, n_i) stack of distribution tables.
 
+    The stack is contracted one row tile of cells (field.row_tiles) at a time, into one
+    buffer, so beside the moments it holds one block's contraction and a group of blocks'
+    pair sums and axis arrays, about a tile.  Errors are raised once every block is
+    taken, in the order a whole-stack pass meets them: a negative entry (naming the
+    stack's minimum), then the first cell of non-finite density, then the first cell of
+    zero density.
+    """
+    n_cells = values.shape[0]
     nv = grid.n_v
     dv3 = grid.dv**3
-    contracted = energy_contraction(values, grid, params.delta)  # (n_cells, nvol, 2)
-    g = contracted[..., 0]
-    eps_tot = contracted[..., 1].sum(axis=1)
+    v = grid.v_axis
+    rho, eps_tot = np.empty(n_cells), np.empty(n_cells)
+    u, p = np.empty((n_cells, 3)), np.empty((n_cells, 3, 3))
+    # the axis sums of every cell.  BLAS gemv rounds a row by where it falls in the call
+    # (OpenBLAS takes rows in fours, the rest apart), so a group's m @ v is taken over the
+    # whole stack's shape, as a whole-stack pass takes it, with later groups' rows still
+    # zero: 3 n_x n_v multiply-adds a group, under 2% of the moments at (4096, 17, 1)
+    m = np.zeros((3, n_cells, nv))
+    blocks = row_tiles(n_cells, nv**3)
+    rows = blocks[0].stop
+    # the small per-cell arrays are taken once for a group of blocks whose pair sums fill
+    # about one tile, since each numpy call on them costs microseconds whatever its size
+    span = rows * max(1, tile_rows(3 * nv**2) // rows)
+    buf = np.empty((rows, nv**3, 2))  # each block's contraction, in turn
+    pairs = np.empty((3, min(span, n_cells), nv, nv))  # the group's (12, 13, 23) pair sums
+    mn = np.float64(np.inf)
+    start = 0  # the group's first cell
+    with np.errstate(all="ignore"):  # a bad cell's moments are never read: it raises below
+        for cells in blocks:
+            block = values[cells]
+            mn = np.minimum(mn, block.min())  # NaN once any entry is, as values.min() is
+            contracted = energy_contraction(block, grid, params.delta, buf[: len(block)])
+            g = contracted[..., 0]
+            np.multiply(dv3, g.sum(axis=1), out=rho[cells])
+            contracted[..., 1].sum(axis=1, out=eps_tot[cells])
+            g3 = g.reshape(len(block), nv, nv, nv)
+            at = slice(cells.start - start, cells.stop - start)
+            g3.sum(axis=3, out=pairs[0, at])
+            g3.sum(axis=2, out=pairs[1, at])
+            g3.sum(axis=1, out=pairs[2, at])
+            if cells.stop - start < span and cells.stop < n_cells:
+                continue
 
-    rho = dv3 * g.sum(axis=1)
+            group, start = slice(start, cells.stop), cells.stop
+            pair12, pair13, pair23 = pairs[:, : group.stop - group.start]
+            mg = m[:, group]
+            pair12.sum(axis=2, out=mg[0])
+            pair12.sum(axis=1, out=mg[1])
+            pair13.sum(axis=1, out=mg[2])
+            ug = u[group]
+            np.divide((dv3 * (m @ v)[:, group]).T, rho[group, None], out=ug)
+
+            # second pass: centered second moments against the per-cell bulk velocity
+            d = v - ug.T[:, :, None]  # d[a, i] = v - u_a of cell i
+            pg = p[group]
+            pg[:, 0, 0], pg[:, 1, 1], pg[:, 2, 2] = np.einsum("aij,aij->ai", mg, d * d)
+            pg[:, 0, 1] = pg[:, 1, 0] = np.einsum("ijk,ij,ik->i", pair12, d[0], d[1])
+            pg[:, 0, 2] = pg[:, 2, 0] = np.einsum("ijk,ij,ik->i", pair13, d[0], d[2])
+            pg[:, 1, 2] = pg[:, 2, 1] = np.einsum("ijk,ij,ik->i", pair23, d[1], d[2])
+
+    if mn < 0:
+        raise NegativeField(f"distribution has negative entry {mn!r}")
     bad = np.nonzero(~np.isfinite(rho))[0]  # NaN slips past the sign check above
     if bad.size:
         raise NonFiniteField(int(bad[0]), float(rho[bad[0]]))
     bad = np.nonzero(rho <= _ZERO_DENSITY_FLOOR)[0]
     if bad.size:
         raise ZeroDensity(int(bad[0]), float(rho[bad[0]]))
-
-    g3 = g.reshape(n_cells, nv, nv, nv)
-    pair12 = g3.sum(axis=3)
-    pair13 = g3.sum(axis=2)
-    pair23 = g3.sum(axis=1)
-    m1 = pair12.sum(axis=2)
-    m2 = pair12.sum(axis=1)
-    m3 = pair13.sum(axis=1)
-
-    v = grid.v_axis
-    u = np.stack([dv3 * (m1 @ v), dv3 * (m2 @ v), dv3 * (m3 @ v)], axis=1) / rho[:, None]
-
-    # second pass: centered second moments against the per-cell bulk velocity
-    d1 = v[None, :] - u[:, 0, None]
-    d2 = v[None, :] - u[:, 1, None]
-    d3 = v[None, :] - u[:, 2, None]
-    p = np.empty((n_cells, 3, 3))
-    p[:, 0, 0] = np.einsum("ij,ij->i", m1, d1 * d1)
-    p[:, 1, 1] = np.einsum("ij,ij->i", m2, d2 * d2)
-    p[:, 2, 2] = np.einsum("ij,ij->i", m3, d3 * d3)
-    p[:, 0, 1] = p[:, 1, 0] = np.einsum("ijk,ij,ik->i", pair12, d1, d2)
-    p[:, 0, 2] = p[:, 2, 0] = np.einsum("ijk,ij,ik->i", pair13, d1, d3)
-    p[:, 1, 2] = p[:, 2, 1] = np.einsum("ijk,ij,ik->i", pair23, d2, d3)
     theta_tensor = dv3 * p / rho[:, None, None]
 
     t_tr = (theta_tensor[:, 0, 0] + theta_tensor[:, 1, 1] + theta_tensor[:, 2, 2]) / 3.0

@@ -34,19 +34,29 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the bound of the memory guards."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     """Bytes a run holds at its peak: the field plus what its passes hold beside it,
     summed although they never coexist (each term traced with tracemalloc):
-    - compute_moments: under 2 n_v^3 + 3 n_v^2 + 6 n_v + 37 doubles a cell (the energy
-      contraction values @ [w, w*eps], its pair sums, the axis arrays and tensors);
-    - the relaxation: the Gaussian factors of two blocks of tile_rows(n_v^3) cells,
-      under 6 n_v^3 + 3 n_i doubles a row, and two cell tables;
+    - compute_moments: under 3 n_v + 40 doubles a cell (the moments, the axis sums and
+      the tensors), 2 n_v^3 + n_v^2 a cell of one block of tile_rows(n_v^3) cells (its
+      energy contraction values @ [w, w*eps]) and 5 n_v^2 + 8 n_v + 16 a cell of one
+      group of blocks, at most max(block, tile_rows(3 n_v^2)) cells (the pair sums and
+      the small per-cell arrays);
+    - the relaxation: the Gaussian factors of a block of tile_rows(n_v^3) cells and their
+      temporaries, under 6 n_v^3 + 3 n_i doubles a row, and two cell tables;
     - the four velocity tables, one velocity slab while sampling, the Advector's chunk;
     - 128 KiB of numpy's iteration buffers and array headers (traced at up to 133 KB in
       compute_moments and 75 KB in sample)."""
-    cell, slab_cols = n_v**3 * n_i, n_v**2 * n_i
-    moments = n_x * (2 * n_v**3 + 3 * n_v**2 + 6 * n_v + 37)
-    factors = min(n_x, tile_rows(n_v**3)) * (6 * n_v**3 + 3 * n_i)
+    cell, slab_cols, block = n_v**3 * n_i, n_v**2 * n_i, min(n_x, tile_rows(n_v**3))
+    group = min(n_x, max(block, tile_rows(3 * n_v**2)))
+    moments = (n_x * (3 * n_v + 40) + block * (2 * n_v**3 + n_v**2)
+               + group * (5 * n_v**2 + 8 * n_v + 16))
+    factors = block * (6 * n_v**3 + 3 * n_i)
     chunk = (2 * n_x + 1) * min(slab_cols, tile_rows(n_x + 1))
     return 8 * (n_x * cell + moments + factors + 2 * cell + 4 * n_v**3 + n_x * slab_cols + chunk
                 + 16384)
@@ -181,13 +191,14 @@ class Scenario:
                 raise ValidationError(name, "grid extents must be positive")
         self._check_representable()
         peak = run_peak_bytes(self.n_x, self.n_v, self.n_i)
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        memory = physical_memory()
         if peak > memory:  # checked before build_grid allocates n_x nodes
             raise ValidationError("grid", f"n_x = {self.n_x}, n_v = {self.n_v}, n_i = {self.n_i} "
                                           f"needs {peak / 1e9:.3g} GB at peak (one field, the "
-                                          f"moments' energy contraction, cell and velocity "
-                                          f"tables, a velocity slab and an advection chunk), more "
-                                          f"than the {memory / 1e9:.3g} GB of physical memory")
+                                          f"moments, a block of cells' contraction and Gaussian "
+                                          f"factors, cell and velocity tables, a velocity slab and "
+                                          f"an advection chunk), more than the {memory / 1e9:.3g} "
+                                          f"GB of physical memory")
         try:
             grid = build_grid(GridConfig(
                 n_x=self.n_x, n_v=self.n_v, v_max=self.resolved_v_max(),

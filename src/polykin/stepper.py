@@ -138,6 +138,7 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
             if track_entropy:
                 total_flogf += float(flogf_rows.sum())
             sums = cell_conserved(cell, grid, params.delta, sums)
+        pev = ei = None  # freed before the next block's factors are built
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
     return conserved_totals(sums, grid), ent, norm, g_norm
 

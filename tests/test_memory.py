@@ -15,13 +15,15 @@ quarter.  The Gaussian factors of a relaxation come in blocks of cells of about
 one tile, so its peak does not grow with the number of cells.  run() keeps one
 field: it samples f^0, then the exact foot values into the same array, and
 each step advects it in place through the Advector's chunk (about two tiles)
-and relaxes it in place.  compute_moments contracts the energy index first,
-into an (n_x, n_v^3, 2) array of 2/n_i fields, so a run's peak is one field
-plus that: under one and a half fields at n_i = 32, but over three at
-n_i = 1.  Scenario.validate() counts it, and run()'s traced peak stays under
-the guard's run_peak_bytes.  sample() fills its field one velocity slab at a
-time and read_snapshot() reads the payload straight into its field, so
-neither holds a second field.
+and relaxes it in place.  compute_moments contracts one block of cells at a
+time into one buffer, so beside the moments it holds one block's contraction
+whatever n_i is, and the relaxation drops each block's Gaussian factors before
+it builds the next.  Scenario.validate() counts these terms, and run()'s traced
+peak stays under the guard's run_peak_bytes.  sample() fills its field one
+velocity slab at a time and read_snapshot() reads the payload straight into its
+field, so neither holds a second field.  A convergence study holds its runs'
+final fields: it compares each level with the reference's cells where they lie,
+and samples one exact field at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ from polykin import (
     weighted_sup_norm,
     write_snapshot,
 )
+from polykin import cli, stepper
 from polykin.diagnostics import StabilityEnvelope
+from polykin.field import tile_rows
 from polykin.scenario import make_initial, run_peak_bytes
 from polykin.stepper import _envelope_min_ratio, _relax_into
 
@@ -189,13 +193,68 @@ def _guard_scenario(n_i: int) -> Scenario:
 
 
 @pytest.mark.parametrize("n_i", [1, 2, 32])
-def test_moments_hold_their_energy_contraction(rng, n_i):
-    # the (n_x, n_v^3, 2) contraction is 2/n_i of a field; the (n_x, n_v^2) sums of
-    # it stay under 5/(n_v n_i): the terms the memory guard counts for compute_moments
+def test_moments_hold_one_block_of_their_energy_contraction(rng, n_i):
+    # compute_moments contracts a block of tile_rows(n_v^3) = 6 cells at a time into one
+    # buffer, so beside the moments it holds one block's (6, n_v^3, 2) contraction and a
+    # group of 36 cells' pair sums, 1.92 blocks' worth at any n_i; a whole-stack
+    # contraction was 2/n_i of a field, 10.7 blocks
     grid, params = _guard_scenario(n_i).validate()
     f = DistField(rng.random(grid.field_shape) + 0.05, grid)
-    fields = _fields_beyond_output(lambda: compute_moments(f, params, 0.05), grid)
-    assert 2 / n_i <= fields < (2 + 5 / 17) / n_i, fields
+    block = 8 * tile_rows(17**3) * 17**3 * 2
+    peak = _fields_beyond_output(lambda: compute_moments(f, params, 0.05), grid) * f.values.nbytes
+    assert peak < 2.5 * block, peak / block
+
+
+def test_relax_frees_each_blocks_gaussian_factors(rng):
+    # a block's factors are dropped before the next block's are built, so two blocks of
+    # cells peak where one does: 4.97 blocks of factor rows at (n_v, n_i) = (3, 1), where
+    # the previous block's factors held beside the next read 6.01
+    params = SchemeParams(nu=0.0, theta=1.0, delta=2.0, kappa=1.0, q=8.0)
+    rows = tile_rows(3**3)
+    peaks = []
+    for n_x in (rows, 2 * rows):
+        grid = build_grid(GridConfig(n_x=n_x, n_v=3, v_max=3.0, n_i=1, i_max=8.0))
+        f = DistField(rng.random(grid.field_shape) + 0.05, grid)
+        macro = compute_moments(f, params, dt=0.1)
+        tables = _tables_beyond_output(
+            lambda: _relax_into(f, macro, params, 0.1, gauss_norm=True), grid)
+        peaks.append(tables / rows)  # a cell table is a factor row at n_i = 1
+    assert peaks[1] - peaks[0] < 0.5, peaks
+
+
+STUDY = ("n_x = 8\nn_v = 17\nn_i = 2\nv_max = 4.0\ni_max = 8.0\ndt = 0.05\nt_final = 0.25\n"
+         "ic = smooth\nalpha = 0.2\n")
+
+
+@pytest.mark.parametrize("transport_only, limit", [(False, 2.0), (True, 1.25 * 16)],
+                         ids=["coupled", "transport_only"])
+def test_convergence_errors_hold_little_beside_the_runs_fields(tmp_path, monkeypatch,
+                                                                transport_only, limit):
+    # once its last run is done, the study takes each level's error.  Coupled, it reads the
+    # reference's cells where they lie: about one cell table beyond the runs' fields, where
+    # copies of the restricted reference held 24.  Transport-only, it holds one exact field
+    # at a time, 16 cells at n_x = 16 plus the sample's slabs, and not the previous beside it
+    real_run, after_runs = stepper.run, []
+
+    def traced_run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        after_runs.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(stepper, "run", traced_run)
+    path = tmp_path / "study.txt"
+    path.write_text(STUDY, encoding="utf-8")
+    argv = ["convergence", str(path), "--levels", "4,8,16", "--reference", "32",
+            "--out", str(tmp_path / "o")] + (["--transport-only"] if transport_only else [])
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = (peak - after_runs[-1]) / (8 * 17**3 * 2)
+    assert cells < limit, cells
 
 
 @pytest.mark.parametrize("n_x, n_v, n_i, over", [
@@ -206,9 +265,10 @@ def test_moments_hold_their_energy_contraction(rng, n_i):
 ], ids=["1", "2", "32", "riemann_128_9", "riemann_512_5", "auto_4_33",
         "1024_3_1", "256_5_1", "4096_3_1", "512_5_1"])
 def test_run_peaks_under_the_memory_guard(n_x, n_v, n_i, over):
-    # 3.45, 2.28 and 1.09 fields at (64, 17): the contraction dominates at small n_i.
-    # On small cells (n_v = 3 or 5, n_i = 1) the moments' per-cell axis arrays and
-    # tensors and the relaxation's block of Gaussian factors add up to several fields.
+    # 1.61, 1.37 and 1.08 fields at (64, 17), where a whole-stack contraction read 3.45,
+    # 2.28 and 1.09. On small cells (n_v = 3 or 5, n_i = 1) the moments' per-cell sums and
+    # tensors, a block's contraction and the relaxation's block of Gaussian factors add up
+    # to more than a field.
     # Two-state data scale their slab's shape in place, and the envelope table is
     # built in one cell-sized array, so neither holds a second slab or table
     scn = dataclasses.replace(_guard_scenario(n_i), n_x=n_x, n_v=n_v, **over)

@@ -44,9 +44,12 @@ from polykin import (
     write_snapshot,
 )
 from polykin import cli
-from polykin.errors import DegenerateTemperature, NonFiniteGaussian, PolykinError
-from polykin.field import TILE_BYTES, row_tiles
+from polykin.errors import (DegenerateTemperature, NegativeField, NonFiniteField,
+                            NonFiniteGaussian, PolykinError, ZeroDensity)
+from polykin.field import TILE_BYTES, row_tiles, tile_rows
 from polykin.gaussian import factor_spd
+from polykin.moments import _moments_of_stack
+from polykin.params import blend_factors
 from polykin.stepper import _blend_into
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -335,6 +338,93 @@ def test_block_gaussian_errors_name_the_cell_the_per_cell_loop_names(faults):
             evaluate()
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
+
+
+def _whole_stack_moments(values, grid, params, dt):
+    """The moments as one pass over the whole (n_x, n_v^3, n_i) stack takes them."""
+    mn = values.min()
+    if mn < 0:
+        raise NegativeField(f"distribution has negative entry {mn!r}")
+    nv, dv3, v = grid.n_v, grid.dv**3, grid.v_axis
+    contracted = values @ grid.energy_moment_weights(params.delta)
+    g = contracted[..., 0]
+    eps_tot = contracted[..., 1].sum(axis=1)
+    rho = dv3 * g.sum(axis=1)
+    bad = np.nonzero(~np.isfinite(rho))[0]
+    if bad.size:
+        raise NonFiniteField(int(bad[0]), float(rho[bad[0]]))
+    bad = np.nonzero(rho <= 1e-300)[0]
+    if bad.size:
+        raise ZeroDensity(int(bad[0]), float(rho[bad[0]]))
+    g3 = g.reshape(len(rho), nv, nv, nv)
+    pair12, pair13, pair23 = g3.sum(axis=3), g3.sum(axis=2), g3.sum(axis=1)
+    m1, m2, m3 = pair12.sum(axis=2), pair12.sum(axis=1), pair13.sum(axis=1)
+    u = np.stack([dv3 * (m1 @ v), dv3 * (m2 @ v), dv3 * (m3 @ v)], axis=1) / rho[:, None]
+    d1, d2, d3 = (v[None, :] - u[:, a, None] for a in range(3))
+    p = np.empty((len(rho), 3, 3))
+    p[:, 0, 0] = np.einsum("ij,ij->i", m1, d1 * d1)
+    p[:, 1, 1] = np.einsum("ij,ij->i", m2, d2 * d2)
+    p[:, 2, 2] = np.einsum("ij,ij->i", m3, d3 * d3)
+    p[:, 0, 1] = p[:, 1, 0] = np.einsum("ijk,ij,ik->i", pair12, d1, d2)
+    p[:, 0, 2] = p[:, 2, 0] = np.einsum("ijk,ij,ik->i", pair13, d1, d3)
+    p[:, 1, 2] = p[:, 2, 1] = np.einsum("ijk,ij,ik->i", pair23, d2, d3)
+    theta_tensor = dv3 * p / rho[:, None, None]
+    t_tr = (theta_tensor[:, 0, 0] + theta_tensor[:, 1, 1] + theta_tensor[:, 2, 2]) / 3.0
+    t_int = (2.0 / params.delta) * dv3 * eps_tot / rho
+    t_delta = (3.0 * t_tr + params.delta * t_int) / (3.0 + params.delta)
+    t_theta = params.theta * t_delta + (1.0 - params.theta) * t_int
+    lam, nu_bar = blend_factors(params.nu, params.theta, params.kappa, dt)
+    iso = lam * params.theta * t_delta + lam * (1.0 - params.theta) * (1.0 - params.nu) * t_tr
+    t_blend = (1.0 - params.theta) * nu_bar * theta_tensor
+    for a in range(3):
+        t_blend[:, a, a] += iso
+    return MacroFields(rho=rho, u=u, theta_tensor=theta_tensor, t_tr=t_tr, t_int=t_int,
+                       t_delta=t_delta, t_theta=t_theta, t_blend=t_blend)
+
+
+def _negative_entry(values, i, node):
+    values[i, node % values.shape[1], 0] = -0.5
+
+
+def _nan_entry(values, i, node):
+    values[i, node % values.shape[1], -1] = np.nan
+
+
+def _vacuum_cell(values, i, node):
+    values[i] = 0.0
+
+
+@PROPERTY
+@given(data=st.data(), n_v=st.sampled_from([3, 5, 9, 17]), n_i=st.integers(1, 3),
+       nu_theta=st.sampled_from([(0.5, 0.8), (-0.25, 0.25), (0.9, 1.0)]),
+       delta=st.sampled_from([1.0, 2.0]), dt=st.sampled_from([0.0, 0.1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_tiled_moments_equal_the_whole_stack_pass(data, n_v, n_i, nu_theta, delta, dt, seed):
+    # blocks of tile_rows(n_v^3) cells (1,213 at n_v = 3, 6 at n_v = 17) in groups whose
+    # pair sums fill about a tile (132 cells at n_v = 9, 36 at n_v = 17): two or more
+    # groups, the last short or full.  Faults go into any block, so a later block's
+    # error can pre-empt an earlier one's
+    b = tile_rows(n_v**3)
+    group = max(b, tile_rows(3 * n_v**2))
+    n_x = data.draw(st.integers(1, 2)) * group + data.draw(st.integers(1, group))
+    grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
+    params = SchemeParams(nu=nu_theta[0], theta=nu_theta[1], delta=delta, kappa=0.1, q=8.0)
+    values = np.random.default_rng(seed).random((n_x, n_v**3, n_i)) + 0.05
+    faults = data.draw(st.lists(st.sampled_from([_negative_entry, _nan_entry, _vacuum_cell]),
+                                max_size=2))
+    for fault in faults:
+        fault(values, data.draw(st.integers(0, n_x - 1)), data.draw(st.integers(0, 10**6)))
+    try:
+        expected = _whole_stack_moments(values, grid, params, dt)
+    except PolykinError as exc:
+        with pytest.raises(PolykinError) as got:
+            _moments_of_stack(values, grid, params, dt)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    got = _moments_of_stack(values, grid, params, dt)
+    for name in vars(expected):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 FINITE_EXTREME = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)

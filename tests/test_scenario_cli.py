@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from polykin import Scenario, parse_scenario, read_snapshot, stepper
 from polykin.cli import main
 from polykin.errors import NonFiniteField, ParseError, ValidationError
+from polykin.scenario import run_peak_bytes
 from tests.test_acceptance import SMOOTH_SCENARIO, _read_orders
 
 MINIMAL = """
@@ -288,8 +290,9 @@ class TestExtremeFiniteInputs:
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid: n_x = 100000, n_v = 33, n_i = 256 needs "), err
-        assert ("GB at peak (one field, the moments' energy contraction, cell and velocity "
-                "tables, a velocity slab and an advection chunk)") in err
+        assert ("GB at peak (one field, the moments, a block of cells' contraction and "
+                "Gaussian factors, cell and velocity tables, a velocity slab and an advection "
+                "chunk)") in err
         assert "physical memory" in err
 
     def test_grid_that_fits_one_field_but_not_two_validates(self):
@@ -301,16 +304,16 @@ class TestExtremeFiniteInputs:
         grid, _ = scn.validate()
         assert grid.n_x == n_x
 
-    def test_grid_whose_moments_contraction_does_not_fit_is_rejected(self):
-        # at n_i = 1 compute_moments' (n_x, n_v^3, 2) contraction is two more fields, so
-        # a field of 0.4 of physical memory needs more than all of it at peak
+    def test_grid_whose_field_fits_validates_at_one_energy_node(self):
+        # compute_moments contracts one block of cells at a time, so at n_i = 1 a field of
+        # 0.4 of physical memory passes validate(): the guard counts the moments at 139
+        # doubles a cell against a 33^3 cell, not a whole-stack contraction of two fields
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         n_x = int(0.4 * memory / (8 * 33**3))
         scn = Scenario(n_x=n_x, n_v=33, v_max=8.0, n_i=1, i_max=40.0, dt=0.01, t_final=0.1)
-        with pytest.raises(ValidationError) as exc:
-            scn.validate()
-        assert str(exc.value).startswith(f"grid: n_x = {n_x}, n_v = 33, n_i = 1 needs ")
-        assert "energy contraction" in str(exc.value)
+        grid, _ = scn.validate()
+        assert grid.n_x == n_x
+        assert run_peak_bytes(n_x, 33, 1) < 1.1 * 8 * n_x * 33**3
 
     @pytest.mark.parametrize("extra, code", [
         ("temperature = 1e-300", 2),  # the samples overflow to +inf
@@ -373,6 +376,43 @@ class TestConvergenceCli:
         assert code == 2
         assert captured.err.startswith(f"error: grid: n_x = {2**22}, n_v = 9, n_i = 32 needs ")
         assert "level" not in captured.out
+
+    @pytest.mark.parametrize("transport_only", [False, True], ids=["coupled", "transport_only"])
+    def test_study_beyond_physical_memory_exits_2_before_any_level(self, tmp_path, capsys,
+                                                                 monkeypatch, transport_only):
+        # its finest run fits the single-run guard, but not beside the other levels' fields
+        # (and, transport-only, an exact field): rejected before anything is allocated
+        def no_run(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(stepper, "run", no_run)
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        cell = 8 * 33**3
+        if transport_only:  # the finest level: 0.45 of memory, beside a half and a quarter
+            finest = 4 * int(0.45 * memory / cell / 4)
+            levels, reference = [finest // 4, finest // 2, finest], 2 * finest
+        else:  # the reference: 0.6 of memory, beside an eighth, a quarter and a half
+            finest = 8 * int(0.6 * memory / cell / 8)
+            levels, reference = [finest // 8, finest // 4, finest // 2], finest
+        assert run_peak_bytes(finest, 33, 1) < memory
+        scn = write(tmp_path, f"n_x = 8\nn_v = 33\nn_i = 1\nv_max = 8.0\ni_max = 40.0\n"
+                              f"dt = {1 / finest!r}\nt_final = 0.25\n")
+        argv = ["convergence", str(scn), "--levels", ",".join(map(str, levels)),
+                "--reference", str(reference), "--out", str(tmp_path / "o")]
+        tracemalloc.start()
+        try:
+            code = main(argv + (["--transport-only"] if transport_only else []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        key = "levels" if transport_only else "reference"
+        assert captured.err.startswith(f"error: {key}: levels {levels} and reference "
+                                       f"{reference} need "), captured.err
+        assert "physical memory" in captured.err
+        assert "level" not in captured.out
+        assert peak < 64 * 2**20, peak
 
     def test_transport_only_smoke(self, tmp_path):
         # tiny sizes: exercises the machinery, not the observed order
