@@ -11,7 +11,7 @@ from pathlib import Path
 from . import stepper
 from .diagnostics import equilibrium_distance, observed_order
 from .errors import NonFiniteField, NonFiniteGaussian, PolykinError, ValidationError
-from .field import DistField, _sup_norm, error_sup_norm, sample, write_snapshot
+from .field import DistField, error_sup_norm, sample, write_snapshot
 from .moments import MACRO_CSV_HEADER, compute_moments, write_macro_csv
 from .scenario import (Scenario, make_initial, parse_scenario, physical_memory,
                        run_peak_bytes)
@@ -98,17 +98,20 @@ def cmd_convergence(args) -> int:
 
     runs = levels + ([] if transport_only else [reference])
     level_scenario(runs[-1]).validate()  # the finest run alone, before the first level runs
-    # beside its finest run the study holds every other run's field and, transport-only,
-    # the exact field of the level whose error it takes
-    held = sum(runs[:-1]) + (levels[-1] if transport_only else 0)
-    peak = run_peak_bytes(runs[-1], scn.n_v, scn.n_i) + 8 * scn.n_v**3 * scn.n_i * held
+    # the study peaks in its finest run, beside the other runs' fields, or, transport-only,
+    # in its error loop, which holds every level's field and one exact field
+    cell = 8 * scn.n_v**3 * scn.n_i
+    peak = run_peak_bytes(runs[-1], scn.n_v, scn.n_i) + cell * sum(runs[:-1])
+    held = "the finest run beside the other runs' fields"
+    if transport_only:
+        peak = max(peak, cell * (sum(levels) + levels[-1]))
+        held += ", or every level's field beside an exact one"
     memory = physical_memory()
     if peak > memory:
         raise ValidationError("levels" if transport_only else "reference",
                               f"levels {levels} and reference {reference} need "
-                              f"{peak / 1e9:.3g} GB at peak (the finest run beside the other "
-                              f"runs' fields), more than the {memory / 1e9:.3g} GB of "
-                              f"physical memory")
+                              f"{peak / 1e9:.3g} GB at peak ({held}), more than the "
+                              f"{memory / 1e9:.3g} GB of physical memory")
     fields: dict[int, DistField] = {}
     for n_x in runs:
         result = stepper.run(level_scenario(n_x), track_entropy=False)
@@ -127,7 +130,7 @@ def cmd_convergence(args) -> int:
         else:
             # the reference's cells at the level's nodes, read where they lie
             ref = fields[reference].cells[:: reference // n_x]
-            errors.append(_sup_norm(coarse.cells, ref, coarse.grid, params.q, params.delta))
+            errors.append(error_sup_norm(coarse, ref, params.q, params.delta))
 
     h = [1.0 / lv for lv in levels]
     table = observed_order(list(zip(h, errors)), labels=[f"n_x={lv}" for lv in levels])

@@ -142,11 +142,19 @@ def weighted_sup_norm(field: DistField, q: float, delta: float) -> float:
     return _sup_norm(field.cells, None, field.grid, q, delta)
 
 
-def error_sup_norm(a: DistField, b: DistField, q: float, delta: float) -> float:
-    """Weighted sup norm of the pointwise difference of two same-grid fields."""
-    if a.grid is not b.grid and a.grid != b.grid:
-        raise GridMismatch("fields live on different grids")
-    return _sup_norm(a.cells, b.cells, a.grid, q, delta)
+def error_sup_norm(a: DistField, b: DistField | np.ndarray, q: float, delta: float) -> float:
+    """Weighted sup norm of the pointwise difference of two same-grid fields.
+
+    b may also be a stack of cell tables of a's shape that no field owns, such as the
+    strided view fields[reference].cells[::stride]: its cells are read where they lie.
+    """
+    if isinstance(b, DistField):
+        if a.grid is not b.grid and a.grid != b.grid:
+            raise GridMismatch("fields live on different grids")
+        b = b.cells
+    elif b.shape != a.cells.shape:
+        raise GridMismatch(f"cell stack shape {b.shape} does not match {a.cells.shape}")
+    return _sup_norm(a.cells, b, a.grid, q, delta)
 
 
 def write_snapshot(path, field: DistField, delta: float, q: float) -> None:

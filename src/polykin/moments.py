@@ -15,12 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
-from .field import DistField, row_tiles, tile_rows
+from .field import DistField, tile_rows
 from .grid import PhaseGrid
 from .params import SchemeParams, blend_factors
 
 _ZERO_DENSITY_FLOOR = 1e-300
 _SANDWICH_SLACK = 1e-12  # relative tolerance of tensor_sandwich_check
+# G gemvs over the axis sums read 3 G n_v doubles a cell, a second contraction pass the
+# stack's n_v^3 n_i; a gemv streams its doubles where the pass makes some twenty numpy calls
+# a block, and the two broke even at 30 to 70 times as many doubles read, at n_v = 5 and 3
+_GEMV_READS = 24
 
 
 @dataclass(frozen=True)
@@ -73,78 +77,111 @@ def energy_contraction(values: np.ndarray, grid: PhaseGrid, delta: float,
     return np.matmul(values, grid.energy_moment_weights(delta), out=out)
 
 
-def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
-                      dt: float) -> MacroFields:
-    """Moments of a (n_cells, n_v^3, n_i) stack of distribution tables.
+def moments_tiling(n_cells: int, n_v: int) -> tuple[int, int]:
+    """(block, span): compute_moments contracts block cells at a time (field.tile_rows of a
+    cell's n_v^3 contraction rows) and takes the small per-cell arrays once per group of
+    span cells, whose pair sums fill about one tile, since each numpy call on those arrays
+    costs microseconds whatever its size.  span is a whole number of blocks or n_cells."""
+    block = min(n_cells, tile_rows(n_v**3))
+    return block, min(n_cells, block * max(1, tile_rows(3 * n_v**2) // block))
 
-    The stack is contracted one row tile of cells (field.row_tiles) at a time, into one
-    buffer, so beside the moments it holds one block's contraction and a group of blocks'
-    pair sums and axis arrays, about a tile.  Errors are raised once every block is
-    taken, in the order a whole-stack pass meets them: a negative entry (naming the
-    stack's minimum), then the first cell of non-finite density, then the first cell of
-    zero density.
-    """
-    n_cells = values.shape[0]
-    nv = grid.n_v
-    dv3 = grid.dv**3
-    v = grid.v_axis
-    rho, eps_tot = np.empty(n_cells), np.empty(n_cells)
-    u, p = np.empty((n_cells, 3)), np.empty((n_cells, 3, 3))
-    # the axis sums of every cell.  BLAS gemv rounds a row by where it falls in the call
-    # (OpenBLAS takes rows in fours, the rest apart), so a group's m @ v is taken over the
-    # whole stack's shape, as a whole-stack pass takes it, with later groups' rows still
-    # zero: 3 n_x n_v multiply-adds a group, under 2% of the moments at (4096, 17, 1)
-    m = np.zeros((3, n_cells, nv))
-    blocks = row_tiles(n_cells, nv**3)
-    rows = blocks[0].stop
-    # the small per-cell arrays are taken once for a group of blocks whose pair sums fill
-    # about one tile, since each numpy call on them costs microseconds whatever its size
-    span = rows * max(1, tile_rows(3 * nv**2) // rows)
-    buf = np.empty((rows, nv**3, 2))  # each block's contraction, in turn
-    pairs = np.empty((3, min(span, n_cells), nv, nv))  # the group's (12, 13, 23) pair sums
-    mn = np.float64(np.inf)
-    start = 0  # the group's first cell
-    with np.errstate(all="ignore"):  # a bad cell's moments are never read: it raises below
-        for cells in blocks:
-            block = values[cells]
-            mn = np.minimum(mn, block.min())  # NaN once any entry is, as values.min() is
-            contracted = energy_contraction(block, grid, params.delta, buf[: len(block)])
-            g = contracted[..., 0]
-            np.multiply(dv3, g.sum(axis=1), out=rho[cells])
-            contracted[..., 1].sum(axis=1, out=eps_tot[cells])
-            g3 = g.reshape(len(block), nv, nv, nv)
-            at = slice(cells.start - start, cells.stop - start)
-            g3.sum(axis=3, out=pairs[0, at])
-            g3.sum(axis=2, out=pairs[1, at])
-            g3.sum(axis=1, out=pairs[2, at])
-            if cells.stop - start < span and cells.stop < n_cells:
-                continue
 
-            group, start = slice(start, cells.stop), cells.stop
-            pair12, pair13, pair23 = pairs[:, : group.stop - group.start]
-            mg = m[:, group]
-            pair12.sum(axis=2, out=mg[0])
-            pair12.sum(axis=1, out=mg[1])
-            pair13.sum(axis=1, out=mg[2])
-            ug = u[group]
-            np.divide((dv3 * (m @ v)[:, group]).T, rho[group, None], out=ug)
+def moments_peak_doubles(n_x: int, n_v: int) -> int:
+    """Doubles compute_moments holds beside its field at peak (traced with tracemalloc):
+    under 3 n_v + 40 a cell (the moments, the axis sums and tensors), 2 n_v^3 + n_v^2 a cell
+    of one block (its energy contraction) and 5 n_v^2 + 8 n_v + 16 a cell of one group (the
+    pair sums and the small per-cell arrays)."""
+    block, span = moments_tiling(n_x, n_v)
+    return (n_x * (3 * n_v + 40) + block * (2 * n_v**3 + n_v**2)
+            + span * (5 * n_v**2 + 8 * n_v + 16))
 
-            # second pass: centered second moments against the per-cell bulk velocity
-            d = v - ug.T[:, :, None]  # d[a, i] = v - u_a of cell i
-            pg = p[group]
-            pg[:, 0, 0], pg[:, 1, 1], pg[:, 2, 2] = np.einsum("aij,aij->ai", mg, d * d)
-            pg[:, 0, 1] = pg[:, 1, 0] = np.einsum("ijk,ij,ik->i", pair12, d[0], d[1])
-            pg[:, 0, 2] = pg[:, 2, 0] = np.einsum("ijk,ij,ik->i", pair13, d[0], d[2])
-            pg[:, 1, 2] = pg[:, 2, 1] = np.einsum("ijk,ij,ik->i", pair23, d[1], d[2])
 
-    if mn < 0:
-        raise NegativeField(f"distribution has negative entry {mn!r}")
-    bad = np.nonzero(~np.isfinite(rho))[0]  # NaN slips past the sign check above
+def _check_density(rho: np.ndarray) -> None:
+    """Raise on the first cell of non-finite density, then on the first of zero density."""
+    bad = np.nonzero(~np.isfinite(rho))[0]  # NaN slips past the sign check
     if bad.size:
         raise NonFiniteField(int(bad[0]), float(rho[bad[0]]))
     bad = np.nonzero(rho <= _ZERO_DENSITY_FLOOR)[0]
     if bad.size:
         raise ZeroDensity(int(bad[0]), float(rho[bad[0]]))
+
+
+def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
+                      dt: float) -> MacroFields:
+    """Moments of a (n_cells, n_v^3, n_i) stack of distribution tables.
+
+    The stack is contracted one block of cells at a time (moments_tiling) into one buffer,
+    and the pair sums are kept for one group of blocks, so beside the moments it holds
+    about two tiles.  Every cell's bulk velocity comes from a gemv over the whole stack's
+    axis sums, as a whole-stack pass takes it, since BLAS rounds a row by where it falls in
+    the call (OpenBLAS takes rows in fours, the rest apart).  While the groups are few, that
+    gemv is taken once per group, later groups' rows still zero, and the group's centred
+    moments follow at once.  Past that, the centred moments wait for one gemv after the
+    last group and a second pass that contracts the stack again.  Either way the extra
+    work is at most about one more pass over the stack, so it grows as n_cells.  Errors
+    keep the whole-stack order: a negative entry (naming the stack's minimum), then the
+    first cell of non-finite density, then the first of zero density.
+    """
+    n_cells, nv = values.shape[0], grid.n_v
+    dv3, v = grid.dv**3, grid.v_axis
+    block, span = moments_tiling(n_cells, nv)
+    groups = [slice(s, min(s + span, n_cells)) for s in range(0, n_cells, span)]
+    eager = len(groups) * 3 * nv <= _GEMV_READS * nv**3 * values.shape[2]
+    rho, eps_tot = np.empty(n_cells), np.empty(n_cells)
+    u, p = np.empty((n_cells, 3)), np.empty((n_cells, 3, 3))
+    m = np.zeros((3, n_cells, nv))  # the axis sums of every cell
+    buf = np.empty((block, nv**3, 2))  # each block's contraction, in turn
+    pairs = np.empty((3, span, nv, nv))  # the group's (12, 13, 23) pair sums
+    mn = np.float64(np.inf)
+
+    def contract(group: slice) -> np.ndarray:
+        """rho, eps_tot and the pair sums of a group's cells, one block at a time."""
+        nonlocal mn
+        for s in range(group.start, group.stop, block):
+            cells = slice(s, min(s + block, group.stop))
+            mn = np.minimum(mn, values[cells].min())  # NaN once any entry is
+            contracted = energy_contraction(values[cells], grid, params.delta,
+                                            buf[: cells.stop - s])
+            g = contracted[..., 0]
+            np.multiply(dv3, g.sum(axis=1), out=rho[cells])
+            contracted[..., 1].sum(axis=1, out=eps_tot[cells])
+            g3 = g.reshape(cells.stop - s, nv, nv, nv)
+            at = slice(s - group.start, cells.stop - group.start)
+            g3.sum(axis=3, out=pairs[0, at])
+            g3.sum(axis=2, out=pairs[1, at])
+            g3.sum(axis=1, out=pairs[2, at])
+        return pairs[:, : group.stop - group.start]
+
+    def centre(group: slice, pair12, pair13, pair23) -> None:
+        """The group's centred second moments against its cells' bulk velocity."""
+        d = v - u[group].T[:, :, None]  # d[a, i] = v - u_a of cell i
+        pg = p[group]
+        pg[:, 0, 0], pg[:, 1, 1], pg[:, 2, 2] = np.einsum("aij,aij->ai", m[:, group], d * d)
+        pg[:, 0, 1] = pg[:, 1, 0] = np.einsum("ijk,ij,ik->i", pair12, d[0], d[1])
+        pg[:, 0, 2] = pg[:, 2, 0] = np.einsum("ijk,ij,ik->i", pair13, d[0], d[2])
+        pg[:, 1, 2] = pg[:, 2, 1] = np.einsum("ijk,ij,ik->i", pair23, d[1], d[2])
+
+    for group in groups:
+        pair12, pair13, pair23 = contract(group)
+        mg = m[:, group]
+        pair12.sum(axis=2, out=mg[0])
+        pair12.sum(axis=1, out=mg[1])
+        pair13.sum(axis=1, out=mg[2])
+        if eager:  # a cell of bad density ends the centred work: _check_density raises
+            rg = rho[group]
+            eager = _ZERO_DENSITY_FLOOR < rg.min() and rg.max() < np.inf
+        if eager:
+            np.divide((dv3 * (m @ v)[:, group]).T, rho[group, None], out=u[group])
+            centre(group, pair12, pair13, pair23)
+    if mn < 0:
+        raise NegativeField(f"distribution has negative entry {mn!r}")
+    if not eager:
+        _check_density(rho)
+        mv = m @ v
+        mv *= dv3
+        np.divide(mv.T, rho[:, None], out=u)
+        for group in groups:
+            centre(group, *contract(group))
     theta_tensor = dv3 * p / rho[:, None, None]
 
     t_tr = (theta_tensor[:, 0, 0] + theta_tensor[:, 1, 1] + theta_tensor[:, 2, 2]) / 3.0

@@ -19,6 +19,7 @@ from .diagnostics import StabilityEnvelope, masked_min_ratio
 from .errors import InvalidConfig, OutOfRange, ParseError, ValidationError
 from .field import tile_rows
 from .grid import GridConfig, PhaseGrid, build_grid
+from .moments import moments_peak_doubles
 from .params import SchemeParams, normalizer_discrete
 
 IC_KINDS = ("maxwellian", "smooth", "riemann")
@@ -42,24 +43,18 @@ def physical_memory() -> int:
 def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     """Bytes a run holds at its peak: the field plus what its passes hold beside it,
     summed although they never coexist (each term traced with tracemalloc):
-    - compute_moments: under 3 n_v + 40 doubles a cell (the moments, the axis sums and
-      the tensors), 2 n_v^3 + n_v^2 a cell of one block of tile_rows(n_v^3) cells (its
-      energy contraction values @ [w, w*eps]) and 5 n_v^2 + 8 n_v + 16 a cell of one
-      group of blocks, at most max(block, tile_rows(3 n_v^2)) cells (the pair sums and
-      the small per-cell arrays);
+    - compute_moments: moments.moments_peak_doubles, the moments and one block's and one
+      group's arrays;
     - the relaxation: the Gaussian factors of a block of tile_rows(n_v^3) cells and their
       temporaries, under 6 n_v^3 + 3 n_i doubles a row, and two cell tables;
     - the four velocity tables, one velocity slab while sampling, the Advector's chunk;
     - 128 KiB of numpy's iteration buffers and array headers (traced at up to 133 KB in
       compute_moments and 75 KB in sample)."""
     cell, slab_cols, block = n_v**3 * n_i, n_v**2 * n_i, min(n_x, tile_rows(n_v**3))
-    group = min(n_x, max(block, tile_rows(3 * n_v**2)))
-    moments = (n_x * (3 * n_v + 40) + block * (2 * n_v**3 + n_v**2)
-               + group * (5 * n_v**2 + 8 * n_v + 16))
     factors = block * (6 * n_v**3 + 3 * n_i)
     chunk = (2 * n_x + 1) * min(slab_cols, tile_rows(n_x + 1))
-    return 8 * (n_x * cell + moments + factors + 2 * cell + 4 * n_v**3 + n_x * slab_cols + chunk
-                + 16384)
+    return 8 * (n_x * cell + moments_peak_doubles(n_x, n_v) + factors + 2 * cell + 4 * n_v**3
+                + n_x * slab_cols + chunk + 16384)
 
 
 @dataclass

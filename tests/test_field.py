@@ -145,6 +145,18 @@ class TestErrorSupNorm:
                 2.0,
             )
 
+    def test_strided_cell_stack_reads_as_its_copy(self, small_grid, rng):
+        # every other cell of a field twice as fine, read where it lies
+        fine = build_grid(GridConfig(n_x=8, n_v=5, v_max=2.0, n_i=4, i_max=2.0))
+        ref = DistField(random_field_values(rng, fine), fine)
+        f = DistField(random_field_values(rng, small_grid), small_grid)
+        view = ref.cells[::2]
+        copy = DistField(view.reshape(small_grid.field_shape).copy(), small_grid)
+        assert not view.flags.c_contiguous
+        assert error_sup_norm(f, view, 8.0, 2.0) == error_sup_norm(f, copy, 8.0, 2.0)
+        with pytest.raises(GridMismatch):
+            error_sup_norm(f, ref.cells, 8.0, 2.0)
+
 
 def test_snapshot_roundtrip(tmp_path, small_grid, rng):
     f = DistField(random_field_values(rng, small_grid), small_grid)

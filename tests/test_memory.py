@@ -52,9 +52,10 @@ from polykin import (
     weighted_sup_norm,
     write_snapshot,
 )
-from polykin import cli, stepper
+from polykin import cli, moments, stepper
 from polykin.diagnostics import StabilityEnvelope
 from polykin.field import tile_rows
+from polykin.moments import moments_peak_doubles, moments_tiling
 from polykin.scenario import make_initial, run_peak_bytes
 from polykin.stepper import _envelope_min_ratio, _relax_into
 
@@ -200,9 +201,25 @@ def test_moments_hold_one_block_of_their_energy_contraction(rng, n_i):
     # contraction was 2/n_i of a field, 10.7 blocks
     grid, params = _guard_scenario(n_i).validate()
     f = DistField(rng.random(grid.field_shape) + 0.05, grid)
-    block = 8 * tile_rows(17**3) * 17**3 * 2
+    block = 8 * moments_tiling(grid.n_x, 17)[0] * 17**3 * 2
     peak = _fields_beyond_output(lambda: compute_moments(f, params, 0.05), grid) * f.values.nbytes
     assert peak < 2.5 * block, peak / block
+
+
+@pytest.mark.parametrize("n_x, n_v", [(64, 17), (4096, 3), (2000, 5)])
+@pytest.mark.parametrize("second_pass", [False, True], ids=["per_group", "second_pass"])
+def test_moments_peak_under_their_guard_term(rng, monkeypatch, n_x, n_v, second_pass):
+    # 2, 4 and 8 groups at n_i = 1, centred group by group or, as a stack of many groups
+    # is, in a second pass that contracts the stack again into the same buffers: either
+    # way under the moments_peak_doubles that run_peak_bytes counts
+    if second_pass:
+        monkeypatch.setattr(moments, "_GEMV_READS", 0)
+    grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=1, i_max=8.0))
+    params = SchemeParams(nu=0.5, theta=0.8, delta=2.0, kappa=1.0, q=8.0)
+    f = DistField(rng.random(grid.field_shape) + 0.05, grid)
+    peak = _fields_beyond_output(lambda: compute_moments(f, params, 0.05), grid) * f.values.nbytes
+    limit = 8 * moments_peak_doubles(n_x, n_v)
+    assert peak < limit, peak / limit
 
 
 def test_relax_frees_each_blocks_gaussian_factors(rng):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polykin import Scenario, parse_scenario, read_snapshot, stepper
+from polykin import DistField, Scenario, cli, parse_scenario, read_snapshot, stepper
 from polykin.cli import main
 from polykin.errors import NonFiniteField, ParseError, ValidationError
 from polykin.scenario import run_peak_bytes
@@ -348,6 +348,23 @@ class TestConvergenceCli:
         assert len(orders) == 2
         for order in orders:
             assert 0.75 <= order <= 1.25, f"observed orders {orders}"
+
+    def test_coupled_errors_read_the_reference_where_it_lies(self, tmp_path, monkeypatch):
+        # one error_sup_norm call a level, against the reference's cells at the level's nodes
+        # as a strided view, not a copy: the norm a restricted copy gives
+        real, calls = cli.error_sup_norm, []
+
+        def recording(a, b, q, delta):
+            copy = DistField(np.ascontiguousarray(b).reshape(a.grid.field_shape), a.grid)
+            calls.append((a.grid.n_x, isinstance(b, DistField) or b.flags.c_contiguous,
+                          real(a, b, q, delta) == real(a, copy, q, delta)))
+            return real(a, b, q, delta)
+
+        monkeypatch.setattr(cli, "error_sup_norm", recording)
+        scn = write(tmp_path, SMOOTH.replace("t_final = 0.2", "t_final = 0.25"))
+        assert main(["convergence", str(scn), "--levels", "4,8,16", "--reference", "32",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert calls == [(4, False, True), (8, False, True), (16, False, True)]
 
     def test_duplicate_levels_rejected(self, tmp_path):
         scn = write(tmp_path, SMOOTH)
