@@ -19,11 +19,14 @@ _MONITOR_SLACK = 1e-12  # relative tolerance of check_envelopes
 
 def cell_conserved(cell: np.ndarray, grid: PhaseGrid, delta: float, sums: list) -> list:
     """sums plus the (mass, m1, m2, m3, energy) sums of one (n_v^3, n_i) cell table, before
-    the cell weight; folding the cells in order from [0.0] * 5 needs no per-cell list."""
-    v1, v2, v3, vsq = grid.velocity_tables()
+    the cell weight; folding the cells in order from [0.0] * 5 needs no per-cell list.
+
+    The velocity sums come from one gemm of the velocity tables with the cell's energy
+    contraction.  OpenBLAS splits a long dot over its threads, so its last bits follow
+    OPENBLAS_NUM_THREADS, but it splits this gemm only along its eight outputs."""
     a = energy_contraction(cell, grid, delta)  # (nvol, 2): plain and eps-weighted
-    g0 = a[:, 0]
-    cs = g0.sum(), g0 @ v1, g0 @ v2, g0 @ v3, 0.5 * (g0 @ vsq) + a[:, 1].sum()
+    m = grid.velocity_tables() @ a  # rows v1, v2, v3, |v|^2
+    cs = a[:, 0].sum(), m[0, 0], m[1, 0], m[2, 0], 0.5 * m[3, 0] + a[:, 1].sum()
     return [s + c for s, c in zip(sums, cs)]
 
 
@@ -38,10 +41,8 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
 
     mass = sum f dx dv^3 dI, momentum = sum f v ..., and the energy weight is
     |v|^2/2 + I^(2/delta).  Reductions run cell by cell in a fixed order, so
-    results are bit-reproducible for a given grid and number of BLAS threads:
-    the momentum and energy dots over a cell's velocity nodes go through BLAS,
-    which may split them over its threads, so their last bits can change with
-    OPENBLAS_NUM_THREADS.
+    results are bit-reproducible for a given grid, whatever the number of BLAS
+    threads (cell_conserved).
     """
     sums = [0.0] * 5
     for c in fld.cells:

@@ -102,9 +102,17 @@ def row_tiles(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(r, min(r + rows, n_rows)) for r in range(0, n_rows, rows)]
 
 
-def tile_sup(a: np.ndarray, b: np.ndarray | None, w: np.ndarray,
-             t: np.ndarray | None = None) -> float:
-    """max of |a - b| (|a| without b) times w over one row tile, taken in t (new if None)."""
+def weight_tile(weights: tuple[np.ndarray, np.ndarray], s: slice, out: np.ndarray) -> np.ndarray:
+    """Row tile s of the weight table that PhaseGrid.norm_weight's (table, rows) stand for,
+    gathered into the first rows of out."""
+    table, rows = weights
+    # with the default mode="raise" numpy gathers into a buffer of its own and copies it to
+    # out; rows index the table, so clipping never acts.  The method skips np.take's wrapper
+    return table.take(rows[s], axis=0, out=out[: s.stop - s.start], mode="clip")
+
+
+def tile_sup(a: np.ndarray, b: np.ndarray | None, w: np.ndarray, t: np.ndarray) -> float:
+    """max of |a - b| (|a| without b) times w over one row tile, taken in t."""
     if b is None:
         t = np.abs(a, out=t)
     else:
@@ -124,14 +132,18 @@ def _sup_norm(a: np.ndarray, b: np.ndarray | None, grid: PhaseGrid, q: float,
     """sup over nodes of |a - b| (|a| without b) times the weight of order q, tile by tile.
 
     a and b are stacks of (n_v**3, n_i) cell tables on grid, such as DistField.cells or a
-    strided view of it: each cell is read as it stands, so no stack is copied.
+    strided view of it: each cell is read as it stands, so no stack is copied.  A tile's
+    weights are the same in every cell, so each is gathered once.
     """
-    w = grid.norm_weight(q, delta)
+    weights = grid.norm_weight(q, delta)
     tiles = row_tiles(grid.n_v**3, grid.n_i)
+    w = np.empty((tiles[0].stop, grid.n_i))
+    t = np.empty_like(w)
     out = 0.0
-    for i, cell in enumerate(a):
-        for s in tiles:
-            out = max_nan(out, tile_sup(cell[s], None if b is None else b[i][s], w[s]))
+    for s in tiles:
+        ws, ts = weight_tile(weights, s, w), t[: s.stop - s.start]
+        for i, cell in enumerate(a):
+            out = max_nan(out, tile_sup(cell[s], None if b is None else b[i][s], ws, ts))
     return out
 
 

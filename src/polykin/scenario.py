@@ -43,18 +43,29 @@ def physical_memory() -> int:
 def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     """Bytes a run holds at its peak: the field plus what its passes hold beside it,
     summed although they never coexist (each term traced with tracemalloc):
+    - sample: the initial function's temporaries while it fills one velocity slab, up to 4.5
+      slabs on small grids (Riemann data at (n_x, n_v, n_i) = (256, 3, 1)), where numpy
+      computes in place on no temporary under 256 KiB, and 2.1 on large ones: under two
+      slabs, 4 n_v + 12 n_i doubles a cell and 1 MiB;
     - compute_moments: moments.moments_peak_doubles, the moments and one block's and one
       group's arrays;
     - the relaxation: the Gaussian factors of a block of tile_rows(n_v^3) cells and their
-      temporaries, under 6 n_v^3 + 3 n_i doubles a row, and two cell tables;
-    - the four velocity tables, one velocity slab while sampling, the Advector's chunk;
+      temporaries, under 6 n_v^3 + 3 n_i doubles a row, and two row tiles;
+    - the envelope's cell table;
+    - the norm weights: one row of n_i per |v|^2 shell, at most ceil(n_v/2)^3 of them by
+      mirror symmetry, and their temporary while built;
+    - the four velocity tables, the shell of each node and what finding the shells takes
+      beside them, under 9 n_v^3 doubles; the Advector's chunk;
     - 128 KiB of numpy's iteration buffers and array headers (traced at up to 133 KB in
       compute_moments and 75 KB in sample)."""
-    cell, slab_cols, block = n_v**3 * n_i, n_v**2 * n_i, min(n_x, tile_rows(n_v**3))
+    cell, block = n_v**3 * n_i, min(n_x, tile_rows(n_v**3))
+    samples = n_x * (2 * n_v**2 * n_i + 4 * n_v + 12 * n_i) + 131072
     factors = block * (6 * n_v**3 + 3 * n_i)
-    chunk = (2 * n_x + 1) * min(slab_cols, tile_rows(n_x + 1))
-    return 8 * (n_x * cell + moments_peak_doubles(n_x, n_v) + factors + 2 * cell + 4 * n_v**3
-                + n_x * slab_cols + chunk + 16384)
+    tiles = 2 * min(n_v**3, tile_rows(n_i)) * n_i
+    shells = 2 * (-(-n_v // 2)) ** 3 * n_i
+    chunk = (2 * n_x + 1) * min(n_v**2 * n_i, tile_rows(n_x + 1))
+    return 8 * (n_x * cell + samples + moments_peak_doubles(n_x, n_v) + factors + tiles + cell
+                + shells + 9 * n_v**3 + chunk + 16384)
 
 
 @dataclass

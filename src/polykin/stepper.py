@@ -29,7 +29,7 @@ from .diagnostics import (cell_conserved, conserved_quantities, conserved_totals
 # unused here, but benchmarks/spans.py wraps stepper.entropy and stepper.equilibrium_distance
 from .diagnostics import entropy, equilibrium_distance  # noqa: F401
 from .errors import InvalidConfig, NegativeInitialData, PolykinError
-from .field import DistField, max_nan, row_tiles, sample, tile_sup, weighted_sup_norm
+from .field import DistField, max_nan, row_tiles, sample, weight_tile, weighted_sup_norm
 from .gaussian import _gaussian_flat, gaussian_table
 from .grid import PhaseGrid
 from .moments import MacroFields, compute_moments
@@ -111,10 +111,10 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     a = collision_frequency(params.nu, params.theta)
     c_f = params.kappa / (params.kappa + a * dt)
     c_m = a * dt / (params.kappa + a * dt)
-    w = grid.norm_weight(params.q, params.delta)
+    weights = grid.norm_weight(params.q, params.delta)
     tiles = row_tiles(grid.n_v**3, grid.n_i)
     flogf_rows = np.empty(grid.n_v**3)
-    buf = None
+    bufs = None
 
     sums = [0.0] * 5
     total_flogf = 0.0
@@ -122,17 +122,25 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     for cells in row_tiles(grid.n_x, grid.n_v**3):
         if macro is not None:
             pev, ei = _gaussian_flat(macro, cells, grid, lambda_delta, params.delta)
-        if buf is None:  # taken once the factor pass's temporaries are freed
-            buf = np.empty((tiles[0].stop, grid.n_i))
+        if bufs is None:  # taken once the factor pass's temporaries are freed
+            # the Gaussian, then scratch; with its norm, a tile of its weighted values
+            bufs = np.empty((1 if g_norm is None else 2, tiles[0].stop, grid.n_i))
         for i, cell in enumerate(f_tilde.cells[cells]):
             for s in tiles:
-                t, m = cell[s], buf[: s.stop - s.start]
+                t, m = cell[s], bufs[0, : s.stop - s.start]
                 if macro is not None:
                     gaussian_table(pev[i][s], ei[i], m)
                     if g_norm is not None:
-                        g_norm = max_nan(g_norm, tile_sup(m, None, w[s]))
+                        g = weight_tile(weights, s, bufs[1])
+                        g *= m
+                        g_norm = max_nan(g_norm, float(g.max()))
                     _blend_into(t, m, c_f, c_m)
-                norm = max_nan(norm, tile_sup(t, None, w[s], m))  # m is scratch by now
+                # f~ is nonnegative (sampled so, advected by convex interpolation, checked by
+                # compute_moments), and so are the Gaussian and the blend: |t| is t, and a
+                # -0.0 cannot change the max
+                w = weight_tile(weights, s, m)  # m is scratch by now
+                w *= t
+                norm = max_nan(norm, float(w.max()))
                 if track_entropy:
                     tile_flogf(t, grid.i_weights, flogf_rows[s], m)
             if track_entropy:

@@ -56,13 +56,17 @@ def test_energy_weights_reject_bad_input(n_i, di):
 
 
 def test_norm_weight_keeps_one_table_per_grid():
+    # one row per |v|^2 shell: 0, 1, 2 and 3 at n_v = 3, not one per velocity node
     g = build_grid(GridConfig(n_x=2, n_v=3, v_max=1.0, n_i=2, i_max=1.0))
     w8 = g.norm_weight(8.0, 2.0)
     assert g.norm_weight(8.0, 2.0) is w8
+    assert w8[0].shape == (4, 2) and w8[1].shape == (27,)
     w10 = g.norm_weight(10.0, 2.0)
     assert g.norm_weight(10.0, 2.0) is w10
     again = g.norm_weight(8.0, 2.0)  # the second q evicted the first table
-    assert again is not w8 and np.array_equal(again, w8)
+    assert again is not w8 and np.array_equal(again[0], w8[0])
+    assert again[1] is w8[1] is w10[1]  # the shell index is the grid's, whatever q is
+    assert sum(isinstance(k, tuple) and k[0] == "nw" for k in g._cache) == 1
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ or more.
 The blend, the weighted sup norms, the entropy and the envelope ratio walk
 each cell in row tiles of field.TILE_BYTES, so on cells much larger than a tile
 they hold a small fraction of a cell table: those tests pin them under a
-quarter.  The Gaussian factors of a relaxation come in blocks of cells of about
+quarter.  The norms gather each tile's weights from a table of one row per
+|v|^2 shell, so the grid caches nothing cell-sized.  The Gaussian factors of a relaxation come in blocks of cells of about
 one tile, so its peak does not grow with the number of cells.  run() keeps one
 field: it samples f^0, then the exact foot values into the same array, and
 each step advects it in place through the Advector's chunk (about two tiles)
@@ -20,7 +21,8 @@ time into one buffer, so beside the moments it holds one block's contraction
 whatever n_i is, and the relaxation drops each block's Gaussian factors before
 it builds the next.  Scenario.validate() counts these terms, and run()'s traced
 peak stays under the guard's run_peak_bytes.  sample() fills its field one
-velocity slab at a time and read_snapshot() reads the payload straight into its
+velocity slab at a time, beside a few slabs of the initial function's
+temporaries, and read_snapshot() reads the payload straight into its
 field, so neither holds a second field.  A convergence study holds its runs'
 final fields: it compares each level with the reference's cells where they lie,
 and samples one exact field at a time.
@@ -49,6 +51,7 @@ from polykin import (
     relax,
     run,
     sample,
+    step,
     weighted_sup_norm,
     write_snapshot,
 )
@@ -279,19 +282,50 @@ def test_convergence_errors_hold_little_beside_the_runs_fields(tmp_path, monkeyp
     (128, 9, 32, {"ic": "riemann"}), (512, 5, 32, {"ic": "riemann"}),
     (4, 33, 32, {"envelope": "auto"}),
     (1024, 3, 1, {}), (256, 5, 1, {}), (4096, 3, 1, {}), (512, 5, 1, {}),
+    (2, 33, 32, {}), (512, 33, 1, {"ic": "riemann"}),
 ], ids=["1", "2", "32", "riemann_128_9", "riemann_512_5", "auto_4_33",
-        "1024_3_1", "256_5_1", "4096_3_1", "512_5_1"])
+        "1024_3_1", "256_5_1", "4096_3_1", "512_5_1", "2_33_32", "riemann_512_33_1"])
 def test_run_peaks_under_the_memory_guard(n_x, n_v, n_i, over):
-    # 1.61, 1.37 and 1.08 fields at (64, 17), where a whole-stack contraction read 3.45,
+    # 1.62, 1.36 and 1.07 fields at (64, 17), where a whole-stack contraction read 3.45,
     # 2.28 and 1.09. On small cells (n_v = 3 or 5, n_i = 1) the moments' per-cell sums and
     # tensors, a block's contraction and the relaxation's block of Gaussian factors add up
-    # to more than a field.
+    # to more than a field.  Two big cells hold 1.20 fields, the Gaussian factors of both
+    # cells at 6 n_v^3 doubles a cell, where a cell-sized norm-weight table and its
+    # temporary read 2.2.  At (512, 33, 1) Riemann data sample 2.05 slabs of temporaries,
+    # 0.98 of the guard's sample term, and 1.006 of a guard that counted one slab.
     # Two-state data scale their slab's shape in place, and the envelope table is
     # built in one cell-sized array, so neither holds a second slab or table
     scn = dataclasses.replace(_guard_scenario(n_i), n_x=n_x, n_v=n_v, **over)
     run(scn)  # fills the module-level caches outside the measurement
     peak = _run_peak(scn)
     assert peak < run_peak_bytes(n_x, n_v, n_i), peak / run_peak_bytes(n_x, n_v, n_i)
+
+
+def test_run_on_two_big_cells_holds_little_beside_its_field():
+    # run() builds its grid, so the first build of every table counts: a cell-sized
+    # norm-weight table and its temporary read 2.1 fields here, the 116-shell table 1.12
+    scn = Scenario(n_x=2, n_v=17, v_max=3.0, n_i=128, i_max=8.0, dt=0.05, t_final=0.1,
+                   t_tr=1.1, t_int=0.85)
+    fields = _run_peak(scn) / (8 * np.prod(LARGE.field_shape))
+    assert fields < 1.2, fields
+
+
+def _cached_arrays(grid):
+    for value in grid._cache.values():
+        yield from value if isinstance(value, tuple) else (value,)
+
+
+def test_grid_caches_hold_no_cell_sized_table(large_fields):
+    # the norm weights are one row per |v|^2 shell (116 of 4,913 velocity nodes here)
+    result = run(Scenario(n_x=2, n_v=17, v_max=3.0, n_i=128, i_max=8.0, ic="smooth",
+                          envelope="auto", dt=0.05, t_final=0.1))
+    f = large_fields[0]
+    params = SchemeParams(nu=0.5, theta=0.8, delta=2.0, kappa=1.0, q=8.0)
+    out, _ = step(f, params, 0.05)
+    weighted_sup_norm(out, 10.0, 2.0)
+    for grid in (result.grid, LARGE):
+        biggest = max(a.size for a in _cached_arrays(grid))
+        assert biggest < 17**3 * 128 / 4, biggest
 
 
 def _fields_beyond_output(fn, grid) -> float:
@@ -303,11 +337,17 @@ SLABS = Scenario(n_x=16, n_v=9, v_max=4.0, n_i=32, i_max=8.0, ic="smooth", dt=0.
                  t_final=0.1)
 
 
-def test_sample_holds_one_slab_beyond_its_output():
-    grid, _ = SLABS.validate()
-    ic = make_initial(SLABS, grid)
-    fields = _fields_beyond_output(lambda: sample(ic, grid, 0.05), grid)
-    assert fields < 0.25, fields
+@pytest.mark.parametrize("scn, limit", [
+    (SLABS, 2.25),  # a quarter of the field: 1.45 slabs
+    # every temporary is under numpy's 256 KiB threshold for computing in place: 4.5 slabs
+    (dataclasses.replace(SLABS, n_x=256, n_v=3, n_i=1, ic="riemann"), 5.0),
+], ids=["smooth_16_9_32", "riemann_256_3_1"])
+def test_sample_holds_a_few_slabs_beyond_its_output(scn, limit):
+    # the initial function's broadcast temporaries for the slab it fills
+    grid, _ = scn.validate()
+    ic = make_initial(scn, grid)
+    slabs = _fields_beyond_output(lambda: sample(ic, grid, 0.05), grid) * grid.n_v
+    assert slabs < limit, slabs
 
 
 def test_read_snapshot_reads_into_its_output(tmp_path, rng):

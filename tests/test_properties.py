@@ -41,10 +41,11 @@ from polykin import (
     step,
     table_moments,
     tensor_sandwich_check,
+    error_sup_norm,
     weighted_sup_norm,
     write_snapshot,
 )
-from polykin import cli, moments
+from polykin import cli, field, moments
 from polykin.errors import (DegenerateTemperature, NegativeField, NonFiniteField,
                             NonFiniteGaussian, PolykinError, ZeroDensity)
 from polykin.field import TILE_BYTES, row_tiles
@@ -141,6 +142,35 @@ def test_advection_in_place_across_chunk_blocks_equals_the_foot_oracle(n_x, n_v,
     in_place = DistField(f.copy(), grid)
     assert Advector(grid, dt).apply(in_place) is None
     assert in_place.values.tobytes() == _foot_oracle(f, grid, dt).tobytes()
+
+
+@PROPERTY
+@given(n_v=st.integers(1, 12), v_max=st.floats(0.5, 9.0), n_i=st.integers(1, 9),
+       i_max=st.floats(0.5, 30.0), delta=st.floats(0.5, 6.0),
+       q=st.sampled_from([1.0, 4.0, 8.0, None]), tile_bytes=st.sampled_from([8, 800, TILE_BYTES]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_v=33, v_max=7.3, n_i=2, i_max=8.0, delta=2.0, q=None, tile_bytes=TILE_BYTES, seed=0)
+@example(n_v=16, v_max=3.0, n_i=1, i_max=8.0, delta=2.0, q=4.0, tile_bytes=800, seed=1)
+def test_shell_weights_and_sup_norms_equal_the_whole_table(n_v, v_max, n_i, i_max, delta, q,
+                                                            tile_bytes, seed):
+    # q = 1 and q = 4 take numpy's sqrt and square paths, 8 and 6 + delta its pow; a row of
+    # the shell table is gathered to nodes other than the one it was computed at, and small
+    # tiles put many tiles in a cell
+    grid = build_grid(GridConfig(n_x=2, n_v=n_v, v_max=v_max, n_i=n_i, i_max=i_max))
+    q = 6.0 + delta if q is None else q
+    vsq, eps = grid.velocity_tables()[3], grid.energy_eps(delta)
+    whole = (1.0 + vsq[:, None] + eps[None, :]) ** (q / 2.0)
+    table, rows = grid.norm_weight(q, delta)
+    shells = np.unique(vsq, return_inverse=True)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(grid.velocity_shells(), shells))
+    assert table.shape[0] <= math.ceil(n_v / 2) ** 3
+    assert table[rows].tobytes() == whole.tobytes()
+    rng = np.random.default_rng(seed)
+    a, b = (DistField(rng.uniform(-1e3, 1e3, grid.field_shape), grid) for _ in range(2))
+    with mock.patch.object(field, "TILE_BYTES", tile_bytes):
+        norm, error = weighted_sup_norm(a, q, delta), error_sup_norm(a, b, q, delta)
+    assert norm == float((np.abs(a.cells) * whole).max())
+    assert error == float((np.abs(a.cells - b.cells) * whole).max())
 
 
 @PROPERTY
