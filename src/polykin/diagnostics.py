@@ -23,7 +23,7 @@ def cell_conserved(cell: np.ndarray, grid: PhaseGrid, delta: float, sums: list) 
 
     The velocity sums come from one gemm of the velocity tables with the cell's energy
     contraction.  OpenBLAS splits a long dot over its threads, so its last bits follow
-    OPENBLAS_NUM_THREADS, but it splits this gemm only along its eight outputs."""
+    OPENBLAS_NUM_THREADS; a gemm it splits along its outputs, each summed whole."""
     a = energy_contraction(cell, grid, delta)  # (nvol, 2): plain and eps-weighted
     m = grid.velocity_tables() @ a  # rows v1, v2, v3, |v|^2
     cs = a[:, 0].sum(), m[0, 0], m[1, 0], m[2, 0], 0.5 * m[3, 0] + a[:, 1].sum()

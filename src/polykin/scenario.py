@@ -62,7 +62,7 @@ def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     samples = n_x * (2 * n_v**2 * n_i + 4 * n_v + 12 * n_i) + 131072
     factors = block * (6 * n_v**3 + 3 * n_i)
     tiles = 2 * min(n_v**3, tile_rows(n_i)) * n_i
-    shells = 2 * (-(-n_v // 2)) ** 3 * n_i
+    shells = 2 * math.ceil(n_v / 2) ** 3 * n_i
     chunk = (2 * n_x + 1) * min(n_v**2 * n_i, tile_rows(n_x + 1))
     return 8 * (n_x * cell + samples + moments_peak_doubles(n_x, n_v) + factors + tiles + cell
                 + shells + 9 * n_v**3 + chunk + 16384)

@@ -99,11 +99,12 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     The Gaussian factors are evaluated for a block of cells at once, a row tile
     of the (n_x, n_v**3) factor rows.  Each cell is walked in row tiles: the
     tile's Gaussian is written into one reused tile buffer, f~'s tile is blended
-    with it in place while both are in cache, and the tile's weighted sup and
-    f ln f rows are taken.  Returns the output's conserved sums, entropy (NaN unless
-    track_entropy), weighted norm, and the Gaussian's weighted norm (None unless
-    gauss_norm): what conserved_quantities, entropy and weighted_sup_norm give
-    on the output, bit for bit.  With macro None (transport only) f~ is kept as
+    with it in place while both are in cache, and the tile's weighted sup (its
+    weights gathered from the grid's shell table) and f ln f rows are taken.
+    Returns the output's conserved sums, entropy (NaN unless track_entropy),
+    weighted norm, and the Gaussian's weighted norm (None unless gauss_norm):
+    what conserved_quantities, entropy and weighted_sup_norm give on the
+    output, bit for bit.  With macro None (transport only) f~ is kept as
     it stands and the Gaussian norm is None.
     """
     grid = f_tilde.grid
