@@ -12,8 +12,9 @@ The blend, the weighted sup norms, the entropy and the envelope ratio walk
 each cell in row tiles of field.TILE_BYTES, so on cells much larger than a tile
 they hold a small fraction of a cell table: those tests pin them under a
 quarter.  The norms gather each tile's weights from a table of one row per
-|v|^2 shell, so the grid caches nothing cell-sized.  The Gaussian factors of a relaxation come in blocks of cells of about
-one tile, so its peak does not grow with the number of cells.  run() keeps one
+|v|^2 shell, so the grid caches nothing cell-sized.  The Gaussian factors of a
+relaxation come in blocks of cells of about one tile, so its peak does not grow
+with the number of cells.  run() keeps one
 field: it samples f^0, then the exact foot values into the same array, and
 each step advects it in place through the Advector's chunk (about two tiles)
 and relaxes it in place.  compute_moments contracts one block of cells at a
@@ -289,10 +290,11 @@ def test_run_peaks_under_the_memory_guard(n_x, n_v, n_i, over):
     # 1.62, 1.36 and 1.07 fields at (64, 17), where a whole-stack contraction read 3.45,
     # 2.28 and 1.09. On small cells (n_v = 3 or 5, n_i = 1) the moments' per-cell sums and
     # tensors, a block's contraction and the relaxation's block of Gaussian factors add up
-    # to more than a field.  Two big cells hold 1.20 fields, the Gaussian factors of both
-    # cells at 6 n_v^3 doubles a cell, where a cell-sized norm-weight table and its
-    # temporary read 2.2.  At (512, 33, 1) Riemann data sample 2.05 slabs of temporaries,
-    # 0.98 of the guard's sample term, and 1.006 of a guard that counted one slab.
+    # to more than a field.  Two big cells hold 1.20 fields, mostly the Gaussian factors
+    # of both cells at 6 n_v^3 doubles a cell, where a cell-sized norm-weight table and
+    # its temporary read 2.06.  At (512, 33, 1) Riemann data sample 2.05 slabs of
+    # temporaries: the run peaks at 0.96 of the guard, and at 1.006 of one that counted
+    # a single slab.
     # Two-state data scale their slab's shape in place, and the envelope table is
     # built in one cell-sized array, so neither holds a second slab or table
     scn = dataclasses.replace(_guard_scenario(n_i), n_x=n_x, n_v=n_v, **over)
@@ -303,7 +305,7 @@ def test_run_peaks_under_the_memory_guard(n_x, n_v, n_i, over):
 
 def test_run_on_two_big_cells_holds_little_beside_its_field():
     # run() builds its grid, so the first build of every table counts: a cell-sized
-    # norm-weight table and its temporary read 2.1 fields here, the 116-shell table 1.12
+    # norm-weight table and its temporary read 2.02 fields here, the 116-shell table 1.12
     scn = Scenario(n_x=2, n_v=17, v_max=3.0, n_i=128, i_max=8.0, dt=0.05, t_final=0.1,
                    t_tr=1.1, t_int=0.85)
     fields = _run_peak(scn) / (8 * np.prod(LARGE.field_shape))

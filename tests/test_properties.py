@@ -35,13 +35,13 @@ from polykin import (
     relax,
     compute_moments,
     conserved_quantities,
+    error_sup_norm,
     gaussian_field,
     normalizer_discrete,
     read_snapshot,
     step,
     table_moments,
     tensor_sandwich_check,
-    error_sup_norm,
     weighted_sup_norm,
     write_snapshot,
 )
@@ -147,8 +147,8 @@ def test_advection_in_place_across_chunk_blocks_equals_the_foot_oracle(n_x, n_v,
 @PROPERTY
 @given(n_v=st.integers(1, 12), v_max=st.floats(0.5, 9.0), n_i=st.integers(1, 9),
        i_max=st.floats(0.5, 30.0), delta=st.floats(0.5, 6.0),
-       q=st.sampled_from([1.0, 4.0, 8.0, None]), tile_bytes=st.sampled_from([8, 800, TILE_BYTES]),
-       seed=st.integers(0, 2**32 - 1))
+       q=st.sampled_from([1.0, 4.0, 8.0, None]),
+       tile_bytes=st.sampled_from([8, 800, TILE_BYTES]), seed=st.integers(0, 2**32 - 1))
 @example(n_v=33, v_max=7.3, n_i=2, i_max=8.0, delta=2.0, q=None, tile_bytes=TILE_BYTES, seed=0)
 @example(n_v=16, v_max=3.0, n_i=1, i_max=8.0, delta=2.0, q=4.0, tile_bytes=800, seed=1)
 def test_shell_weights_and_sup_norms_equal_the_whole_table(n_v, v_max, n_i, i_max, delta, q,
