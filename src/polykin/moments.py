@@ -21,10 +21,6 @@ from .params import SchemeParams, blend_factors
 
 _ZERO_DENSITY_FLOOR = 1e-300
 _SANDWICH_SLACK = 1e-12  # relative tolerance of tensor_sandwich_check
-# G gemvs over the axis sums read 3 G n_v doubles a cell, a second contraction pass the
-# stack's n_v^3 n_i; a gemv streams its doubles where the pass makes some twenty numpy calls
-# a block, and the two broke even at 30 to 70 times as many doubles read, at n_v = 5 and 3
-_GEMV_READS = 24
 
 
 @dataclass(frozen=True)
@@ -88,12 +84,12 @@ def moments_tiling(n_cells: int, n_v: int) -> tuple[int, int]:
 
 def moments_peak_doubles(n_x: int, n_v: int) -> int:
     """Doubles compute_moments holds beside its field at peak (traced with tracemalloc):
-    under 3 n_v + 40 a cell (the moments, the axis sums and tensors), 2 n_v^3 + n_v^2 a cell
-    of one block (its energy contraction) and 5 n_v^2 + 8 n_v + 16 a cell of one group (the
-    pair sums and the small per-cell arrays)."""
+    under 40 a cell (the moments and tensors), 2 n_v^3 + n_v^2 a cell of one block (its
+    energy contraction) and 5 n_v^2 + 11 n_v + 16 a cell of one group (the pair and axis
+    sums and the small per-cell arrays)."""
     block, span = moments_tiling(n_x, n_v)
-    return (n_x * (3 * n_v + 40) + block * (2 * n_v**3 + n_v**2)
-            + span * (5 * n_v**2 + 8 * n_v + 16))
+    return (n_x * 40 + block * (2 * n_v**3 + n_v**2)
+            + span * (5 * n_v**2 + 11 * n_v + 16))
 
 
 def _check_density(rho: np.ndarray) -> None:
@@ -111,33 +107,26 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
     """Moments of a (n_cells, n_v^3, n_i) stack of distribution tables.
 
     The stack is contracted one block of cells at a time (moments_tiling) into one buffer,
-    and the pair sums are kept for one group of blocks, so beside the moments it holds
-    about two tiles.  Every cell's bulk velocity comes from a gemv over the whole stack's
-    axis sums, as a whole-stack pass takes it, since BLAS rounds a row by where it falls in
-    the call (OpenBLAS takes rows in fours, the rest apart).  While the groups are few, that
-    gemv is taken once per group, later groups' rows still zero, and the group's centred
-    moments follow at once.  Past that, the centred moments wait for one gemv after the
-    last group and a second pass that contracts the stack again.  Either way the extra
-    work is at most about one more pass over the stack, so it grows as n_cells.  Errors
-    keep the whole-stack order: a negative entry (naming the stack's minimum), then the
-    first cell of non-finite density, then the first of zero density.
+    and the axis and pair sums are kept for one group of blocks, whose cells are centred
+    before the next group is contracted, so beside the moments it holds about two tiles.
+    Every moment is reduced inside its cell, so a cell's moments do not depend on its
+    place in the stack or on the stack's size.  A group holding a cell of bad density is
+    left uncentred, and the errors keep the whole-stack order: a negative entry (naming
+    the stack's minimum), then the first cell of non-finite density, then the first of
+    zero density.
     """
     n_cells, nv = values.shape[0], grid.n_v
     dv3, v = grid.dv**3, grid.v_axis
     block, span = moments_tiling(n_cells, nv)
-    groups = [slice(s, min(s + span, n_cells)) for s in range(0, n_cells, span)]
-    eager = len(groups) * 3 * nv <= _GEMV_READS * nv**3 * values.shape[2]
     rho, eps_tot = np.empty(n_cells), np.empty(n_cells)
     u, p = np.empty((n_cells, 3)), np.empty((n_cells, 3, 3))
-    m = np.zeros((3, n_cells, nv))  # the axis sums of every cell
     buf = np.empty((block, nv**3, 2))  # each block's contraction, in turn
     pairs = np.empty((3, span, nv, nv))  # the group's (12, 13, 23) pair sums
+    axes = np.empty((3, span, nv))  # the group's axis sums
     mn = np.float64(np.inf)
-
-    def contract(group: slice) -> np.ndarray:
-        """rho, eps_tot and the pair sums of a group's cells, one block at a time."""
-        nonlocal mn
-        for s in range(group.start, group.stop, block):
+    for start in range(0, n_cells, span):
+        group = slice(start, min(start + span, n_cells))
+        for s in range(start, group.stop, block):
             cells = slice(s, min(s + block, group.stop))
             mn = np.minimum(mn, values[cells].min())  # NaN once any entry is
             contracted = energy_contraction(values[cells], grid, params.delta,
@@ -146,42 +135,28 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
             np.multiply(dv3, g.sum(axis=1), out=rho[cells])
             contracted[..., 1].sum(axis=1, out=eps_tot[cells])
             g3 = g.reshape(cells.stop - s, nv, nv, nv)
-            at = slice(s - group.start, cells.stop - group.start)
+            at = slice(s - start, cells.stop - start)
             g3.sum(axis=3, out=pairs[0, at])
             g3.sum(axis=2, out=pairs[1, at])
             g3.sum(axis=1, out=pairs[2, at])
-        return pairs[:, : group.stop - group.start]
-
-    def centre(group: slice, pair12, pair13, pair23) -> None:
-        """The group's centred second moments against its cells' bulk velocity."""
+        pair12, pair13, pair23 = pairs[:, : group.stop - start]
+        m = axes[:, : group.stop - start]
+        pair12.sum(axis=2, out=m[0])
+        pair12.sum(axis=1, out=m[1])
+        pair13.sum(axis=1, out=m[2])
+        rg = rho[group]
+        if not (_ZERO_DENSITY_FLOOR < rg.min() and rg.max() < np.inf):
+            continue  # _check_density raises on this group
+        np.divide((dv3 * np.einsum("aij,j->ai", m, v)).T, rg[:, None], out=u[group])
         d = v - u[group].T[:, :, None]  # d[a, i] = v - u_a of cell i
         pg = p[group]
-        pg[:, 0, 0], pg[:, 1, 1], pg[:, 2, 2] = np.einsum("aij,aij->ai", m[:, group], d * d)
+        pg[:, 0, 0], pg[:, 1, 1], pg[:, 2, 2] = np.einsum("aij,aij->ai", m, d * d)
         pg[:, 0, 1] = pg[:, 1, 0] = np.einsum("ijk,ij,ik->i", pair12, d[0], d[1])
         pg[:, 0, 2] = pg[:, 2, 0] = np.einsum("ijk,ij,ik->i", pair13, d[0], d[2])
         pg[:, 1, 2] = pg[:, 2, 1] = np.einsum("ijk,ij,ik->i", pair23, d[1], d[2])
-
-    for group in groups:
-        pair12, pair13, pair23 = contract(group)
-        mg = m[:, group]
-        pair12.sum(axis=2, out=mg[0])
-        pair12.sum(axis=1, out=mg[1])
-        pair13.sum(axis=1, out=mg[2])
-        if eager:  # a cell of bad density ends the centred work: _check_density raises
-            rg = rho[group]
-            eager = _ZERO_DENSITY_FLOOR < rg.min() and rg.max() < np.inf
-        if eager:
-            np.divide((dv3 * (m @ v)[:, group]).T, rho[group, None], out=u[group])
-            centre(group, pair12, pair13, pair23)
     if mn < 0:
         raise NegativeField(f"distribution has negative entry {mn!r}")
-    if not eager:
-        _check_density(rho)
-        mv = m @ v
-        mv *= dv3
-        np.divide(mv.T, rho[:, None], out=u)
-        for group in groups:
-            centre(group, *contract(group))
+    _check_density(rho)
     theta_tensor = dv3 * p / rho[:, None, None]
 
     t_tr = (theta_tensor[:, 0, 0] + theta_tensor[:, 1, 1] + theta_tensor[:, 2, 2]) / 3.0

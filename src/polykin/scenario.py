@@ -45,7 +45,7 @@ def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     summed although they never coexist (each term traced with tracemalloc):
     - sample: the initial function's temporaries while it fills one velocity slab, up to 4.5
       slabs on small grids (Riemann data at (n_x, n_v, n_i) = (256, 3, 1)), where numpy
-      computes in place on no temporary under 256 KiB, and 2.1 on large ones: under two
+      computes in place on no temporary under 256 KiB, and 1.1 on large ones: under two
       slabs, 4 n_v + 12 n_i doubles a cell and 1 MiB;
     - compute_moments: moments.moments_peak_doubles, the moments and one block's and one
       group's arrays;
@@ -244,10 +244,17 @@ def _gaussian_shape(v1, v2, v3, i_nodes, u, t_tr, t_int, delta, lam_delta):
         du1 = v1 - u[0]
         du2 = v2 - u[1]
         du3 = v3 - u[2]
-        vel = np.exp(-(du1 * du1 + du2 * du2 + du3 * du3) / (2.0 * t_tr))
+        # in place: with two-state data t_tr spans x, and a new quotient would be a
+        # second slab-sized array (asarray: scalar arguments give a numpy scalar)
+        vel = np.asarray(-(du1 * du1 + du2 * du2 + du3 * du3))
+        vel /= 2.0 * t_tr
+        np.exp(vel, out=vel)
         vel /= (2.0 * math.pi * t_tr) ** 1.5
         eng = lam_delta * np.exp(-(i_nodes ** (2.0 / delta)) / t_int) / t_int ** (delta / 2.0)
-        return vel * eng
+        if np.broadcast_shapes(vel.shape, eng.shape) != vel.shape:
+            return vel * eng
+        vel *= eng  # at n_i = 1 vel already spans the slab
+        return vel
 
 
 def make_initial(scn: Scenario, grid: PhaseGrid):

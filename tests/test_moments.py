@@ -15,7 +15,9 @@ from polykin import (
     table_moments,
     tensor_sandwich_check,
 )
+from polykin import moments
 from polykin.errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
+from polykin.moments import energy_contraction
 from tests.conftest import random_field_values
 from tests.test_field import maxwellian
 
@@ -127,13 +129,32 @@ class TestComputeMoments:
         assert exc.value.cell == 2
         assert "cell 2" in str(exc.value)
 
-    def test_table_moments_matches_field_path(self, small_grid, default_params, rng):
-        vals = random_field_values(rng, small_grid) + 1e-3
-        macro = compute_moments(DistField(vals, small_grid), default_params, dt=0.2)
-        cell = table_moments(vals[1], small_grid, default_params, dt=0.2)
-        assert cell.rho == macro.rho[1]
-        assert (cell.u == macro.u[1]).all()
-        assert (cell.t_blend == macro.t_blend[1]).all()
+    def test_each_cell_is_contracted_once(self, default_params, rng, monkeypatch):
+        # 75 groups of 1,213 cells: the moments take every group in one pass, with no
+        # second contraction of the stack however many groups it has
+        grid = build_grid(GridConfig(n_x=90000, n_v=3, v_max=3.0, n_i=1, i_max=8.0))
+        f = DistField(random_field_values(rng, grid) + 0.05, grid)
+        cells = []
+
+        def counted(values, *args, **kwargs):
+            cells.append(values.shape[0])
+            return energy_contraction(values, *args, **kwargs)
+
+        monkeypatch.setattr(moments, "energy_contraction", counted)
+        compute_moments(f, default_params, dt=0.1)
+        assert sum(cells) == grid.n_x, sum(cells)
+
+    @pytest.mark.parametrize("n_x", [2, 3, 4, 7])
+    def test_table_moments_matches_field_path(self, default_params, rng, n_x):
+        grid = build_grid(GridConfig(n_x=n_x, n_v=5, v_max=2.0, n_i=4, i_max=2.0))
+        vals = random_field_values(rng, grid) + 1e-3
+        macro = compute_moments(DistField(vals, grid), default_params, dt=0.2)
+        for i in range(n_x):
+            cell = table_moments(vals[i], grid, default_params, dt=0.2)
+            assert cell.rho == macro.rho[i]
+            assert (cell.u == macro.u[i]).all(), i
+            assert (cell.theta_tensor == macro.theta_tensor[i]).all(), i
+            assert (cell.t_blend == macro.t_blend[i]).all(), i
 
 
 class TestSandwich:

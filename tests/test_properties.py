@@ -1,9 +1,10 @@
 """Property-based checks of what the scheme guarantees step by step.
 
 Grids stay at n_x <= 6, n_v <= 5, n_i <= 6, apart from the in-place advection
-property, whose velocity slabs must span several chunk blocks, and example
-counts are bounded, so the module runs in a few seconds; derandomize makes
-every run draw the same examples.
+property, whose velocity slabs must span several chunk blocks, and the moments
+properties, which need several groups of cells or a grid that resolves a run,
+and example counts are bounded, so the module runs in a few seconds;
+derandomize makes every run draw the same examples.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ from polykin import (
     gaussian_field,
     normalizer_discrete,
     read_snapshot,
+    run,
     step,
     table_moments,
     tensor_sandwich_check,
     weighted_sup_norm,
     write_snapshot,
 )
-from polykin import cli, field, moments
+from polykin import cli, field
 from polykin.errors import (DegenerateTemperature, NegativeField, NonFiniteField,
                             NonFiniteGaussian, PolykinError, ZeroDensity)
 from polykin.field import TILE_BYTES, row_tiles
@@ -390,7 +392,8 @@ def _whole_stack_moments(values, grid, params, dt):
     g3 = g.reshape(len(rho), nv, nv, nv)
     pair12, pair13, pair23 = g3.sum(axis=3), g3.sum(axis=2), g3.sum(axis=1)
     m1, m2, m3 = pair12.sum(axis=2), pair12.sum(axis=1), pair13.sum(axis=1)
-    u = np.stack([dv3 * (m1 @ v), dv3 * (m2 @ v), dv3 * (m3 @ v)], axis=1) / rho[:, None]
+    u = np.stack([dv3 * np.einsum("ij,j->i", m, v) for m in (m1, m2, m3)],
+                 axis=1) / rho[:, None]
     d1, d2, d3 = (v[None, :] - u[:, a, None] for a in range(3))
     p = np.empty((len(rho), 3, 3))
     p[:, 0, 0] = np.einsum("ij,ij->i", m1, d1 * d1)
@@ -433,12 +436,10 @@ def _vacuum_cell(values, i, node):
 def test_tiled_moments_equal_the_whole_stack_pass(data, n_v, n_i, nu_theta, delta, dt, seed):
     # blocks of tile_rows(n_v^3) cells (1,213 at n_v = 3, 6 at n_v = 17) in groups whose
     # pair sums fill about a tile (132 cells at n_v = 9, 36 at n_v = 17): two or more
-    # groups, the last short or full, centred group by group or, as on a stack of many
-    # groups, in a second pass.  Faults go into any block, so a later block's error can
-    # pre-empt an earlier one's
+    # groups, the last short or full.  Faults go into any block, so a later block's error
+    # can pre-empt an earlier one's
     _, group = moments_tiling(10**9, n_v)
     n_x = data.draw(st.integers(1, 2)) * group + data.draw(st.integers(1, group))
-    second_pass = data.draw(st.booleans())
     grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
     params = SchemeParams(nu=nu_theta[0], theta=nu_theta[1], delta=delta, kappa=0.1, q=8.0)
     values = np.random.default_rng(seed).random((n_x, n_v**3, n_i)) + 0.05
@@ -446,18 +447,41 @@ def test_tiled_moments_equal_the_whole_stack_pass(data, n_v, n_i, nu_theta, delt
                                 max_size=2))
     for fault in faults:
         fault(values, data.draw(st.integers(0, n_x - 1)), data.draw(st.integers(0, 10**6)))
-    with mock.patch.object(moments, "_GEMV_READS", 0 if second_pass else moments._GEMV_READS):
-        try:
-            expected = _whole_stack_moments(values, grid, params, dt)
-        except PolykinError as exc:
-            with pytest.raises(PolykinError) as got:
-                _moments_of_stack(values, grid, params, dt)
-            assert type(got.value) is type(exc)
-            assert str(got.value) == str(exc)
-            return
-        got = _moments_of_stack(values, grid, params, dt)
+    try:
+        expected = _whole_stack_moments(values, grid, params, dt)
+    except PolykinError as exc:
+        with pytest.raises(PolykinError) as got:
+            _moments_of_stack(values, grid, params, dt)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    got = _moments_of_stack(values, grid, params, dt)
     for name in vars(expected):
         assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n_x=st.integers(2, 12), n_v=st.integers(7, 10), n_i=st.integers(2, 4),
+       drift=st.tuples(*[st.floats(-1.0, 1.0)] * 3), seed=st.integers(0, 2**32 - 1))
+@example(n_x=6, n_v=9, n_i=4, drift=(0.3, -0.2, 0.1), seed=0)
+@example(n_x=7, n_v=9, n_i=4, drift=(0.3, -0.2, 0.1), seed=0)
+def test_a_cells_moments_depend_only_on_its_table(n_x, n_v, n_i, drift, seed):
+    # every moment is reduced inside its cell: each cell of a random stack has the
+    # moments table_moments gives it alone, and a uniform drifting Maxwellian, whose cells
+    # advection keeps identical, stays bitwise uniform through run()
+    grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
+    params = SchemeParams(nu=0.5, theta=0.8, delta=2.0, kappa=1.0, q=8.0)
+    values = np.random.default_rng(seed).random(grid.field_shape) + 0.05
+    macro = compute_moments(DistField(values, grid), params, 0.1)
+    for i in range(n_x):
+        cell = table_moments(values[i], grid, params, 0.1)
+        for name in vars(cell):
+            assert (np.asarray(getattr(cell, name)).tobytes()
+                    == getattr(macro, name)[i].tobytes()), (i, name)
+    scn = Scenario(n_x=n_x, n_v=n_v, v_max=5.0, n_i=n_i, i_max=12.0, dt=0.05, t_final=0.5,
+                   ic="maxwellian", u0=drift, nu=0.5, theta=0.8)
+    final = run(scn, track_entropy=False).final.values
+    assert (final == final[:1]).all()
 
 
 FINITE_EXTREME = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
