@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTable, InvalidConfig, NegativeField
-from .field import DistField, error_sup_norm, row_tiles
+from .field import DistField, error_sup_norm, row_tiles, stack_tiles
 from .gaussian import gaussian_field
 from .grid import PhaseGrid
 from .moments import compute_moments, energy_contraction
@@ -17,14 +17,14 @@ from .params import SchemeParams, collision_frequency, normalizer_discrete
 _MONITOR_SLACK = 1e-12  # relative tolerance of check_envelopes
 
 
-def cell_conserved(cell: np.ndarray, grid: PhaseGrid, delta: float, sums: list) -> list:
-    """sums plus the (mass, m1, m2, m3, energy) sums of one (n_v^3, n_i) cell table, before
-    the cell weight; folding the cells in order from [0.0] * 5 needs no per-cell list.
+def cell_conserved(a: np.ndarray, grid: PhaseGrid, sums: list) -> list:
+    """sums plus the (mass, m1, m2, m3, energy) sums of one cell, from its (n_v^3, 2) energy
+    contraction a, before the cell weight; folding the cells in order from [0.0] * 5 needs
+    no per-cell list.
 
-    The velocity sums come from one gemm of the velocity tables with the cell's energy
-    contraction.  OpenBLAS splits a long dot over its threads, so its last bits follow
-    OPENBLAS_NUM_THREADS; a gemm it splits along its outputs, each summed whole."""
-    a = energy_contraction(cell, grid, delta)  # (nvol, 2): plain and eps-weighted
+    The velocity sums come from one gemm of the velocity tables with a.  OpenBLAS splits a
+    long dot over its threads, so its last bits follow OPENBLAS_NUM_THREADS; a gemm it
+    splits along its outputs, each summed whole."""
     m = grid.velocity_tables() @ a  # rows v1, v2, v3, |v|^2
     cs = a[:, 0].sum(), m[0, 0], m[1, 0], m[2, 0], 0.5 * m[3, 0] + a[:, 1].sum()
     return [s + c for s, c in zip(sums, cs)]
@@ -40,14 +40,23 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     """Total mass, momentum, and energy of a field.
 
     mass = sum f dx dv^3 dI, momentum = sum f v ..., and the energy weight is
-    |v|^2/2 + I^(2/delta).  Reductions run cell by cell in a fixed order, so
-    results are bit-reproducible for a given grid, whatever the number of BLAS
-    threads (cell_conserved).
+    |v|^2/2 + I^(2/delta).  The cells are contracted a block of row_tiles(n_x, n_v^3) at
+    a time, each by the tiles the relaxation contracts, so a step report equals this on
+    the output bit for bit.  Reductions run cell by cell in a fixed order, so results are
+    bit-reproducible for a given grid, whatever the number of BLAS threads
+    (cell_conserved).
     """
+    g = fld.grid
+    blocks = row_tiles(g.n_x, g.n_v**3)
+    buf = np.empty((blocks[0].stop, g.n_v**3, 2))
     sums = [0.0] * 5
-    for c in fld.cells:
-        sums = cell_conserved(c, fld.grid, delta, sums)
-    return conserved_totals(sums, fld.grid)
+    for cells in blocks:
+        a = buf[: cells.stop - cells.start]
+        for t, o in stack_tiles(fld.cells[cells], a):
+            energy_contraction(t, g, delta, o)
+        for c in a:
+            sums = cell_conserved(c, g, sums)
+    return conserved_totals(sums, g)
 
 
 def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray, b: np.ndarray) -> None:
@@ -63,15 +72,16 @@ def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray, b: np.ndarray) -
 def entropy(fld: DistField) -> float:
     """sum f ln f over phase space with cell weights; 0 ln 0 := 0."""
     g = fld.grid
-    if fld.values.min() < 0:
-        raise NegativeField("entropy requires a nonnegative field")
     tiles = row_tiles(g.n_v**3, g.n_i)
     rows = np.empty(g.n_v**3)
     buf = np.empty((tiles[0].stop, g.n_i))
     total = 0.0
     for cell in fld.cells:
         for s in tiles:
-            tile_flogf(cell[s], g.i_weights, rows[s], buf[: s.stop - s.start])
+            t = cell[s]
+            if t.min() < 0:  # checked in cache, before the tile's log
+                raise NegativeField("entropy requires a nonnegative field")
+            tile_flogf(t, g.i_weights, rows[s], buf[: s.stop - s.start])
         total += float(rows.sum())
     return g.dx * g.dv**3 * total
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,17 @@ def row_tiles(n_rows: int, n_cols: int) -> list[slice]:
     """Row slices of an (n_rows, n_cols) table of tile_rows(n_cols) each; the last may be short."""
     rows = tile_rows(n_cols)
     return [slice(r, min(r + rows, n_rows)) for r in range(0, n_rows, rows)]
+
+
+def stack_tiles(stack: np.ndarray, out: np.ndarray) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """(tile, out tile) pairs that cover a (cells, n_rows, n_cols) stack and the (cells,
+    n_rows, ...) out it is reduced into, in order: the whole stack once when a cell fits in
+    one row tile, else each cell's row_tiles(n_rows, n_cols) in turn."""
+    n_rows, n_cols = stack.shape[1:]
+    if n_rows <= tile_rows(n_cols):
+        return [(stack, out)]
+    tiles = row_tiles(n_rows, n_cols)
+    return ((cell[s], o[s]) for cell, o in zip(stack, out) for s in tiles)
 
 
 def weight_tile(weights: tuple[np.ndarray, np.ndarray], s: slice, out: np.ndarray) -> np.ndarray:

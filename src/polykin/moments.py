@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
-from .field import DistField, tile_rows
+from .field import DistField, stack_tiles, tile_rows
 from .grid import PhaseGrid
 from .params import SchemeParams, blend_factors
 
@@ -67,9 +67,12 @@ class MacroFields:
 
 
 def energy_contraction(values: np.ndarray, grid: PhaseGrid, delta: float,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """values @ [w, w*eps] over (..., n_v^3, n_i) tables, into out (new if None): energy
-    integrals of f and eps*f."""
+                       out: np.ndarray) -> np.ndarray:
+    """values @ [w, w*eps] into out: the energy integrals of f and eps*f over a tile of
+    field.stack_tiles, a block of cells that each fit in one row tile or one row tile of a
+    larger cell.  Every pass contracts a tile while it is in cache, and no call spans a
+    cell larger than a tile: OpenBLAS threads such a gemm, and its buffers then take
+    tens of MB that no Python allocation shows."""
     return np.matmul(values, grid.energy_moment_weights(delta), out=out)
 
 
@@ -107,6 +110,7 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
     """Moments of a (n_cells, n_v^3, n_i) stack of distribution tables.
 
     The stack is contracted one block of cells at a time (moments_tiling) into one buffer,
+    each tile of field.stack_tiles checked for its minimum and contracted in one visit,
     and the axis and pair sums are kept for one group of blocks, whose cells are centred
     before the next group is contracted, so beside the moments it holds about two tiles.
     Every moment is reduced inside its cell, so a cell's moments do not depend on its
@@ -128,9 +132,10 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
         group = slice(start, min(start + span, n_cells))
         for s in range(start, group.stop, block):
             cells = slice(s, min(s + block, group.stop))
-            mn = np.minimum(mn, values[cells].min())  # NaN once any entry is
-            contracted = energy_contraction(values[cells], grid, params.delta,
-                                            buf[: cells.stop - s])
+            contracted = buf[: cells.stop - s]
+            for t, o in stack_tiles(values[cells], contracted):
+                mn = np.minimum(mn, t.min())  # NaN once any entry is
+                energy_contraction(t, grid, params.delta, o)
             g = contracted[..., 0]
             np.multiply(dv3, g.sum(axis=1), out=rho[cells])
             contracted[..., 1].sum(axis=1, out=eps_tot[cells])

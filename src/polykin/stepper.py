@@ -32,7 +32,7 @@ from .errors import InvalidConfig, NegativeInitialData, PolykinError
 from .field import DistField, max_nan, row_tiles, sample, weight_tile, weighted_sup_norm
 from .gaussian import _gaussian_flat, gaussian_table
 from .grid import PhaseGrid
-from .moments import MacroFields, compute_moments
+from .moments import MacroFields, compute_moments, energy_contraction
 from .params import SchemeParams, collision_frequency, normalizer_discrete
 from .scenario import Scenario, certified_envelope, make_initial
 from .transport import Advector, advect
@@ -100,7 +100,8 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     of the (n_x, n_v**3) factor rows.  Each cell is walked in row tiles: the
     tile's Gaussian is written into one reused tile buffer, f~'s tile is blended
     with it in place while both are in cache, and the tile's weighted sup (its
-    weights gathered from the grid's shell table) and f ln f rows are taken.
+    weights gathered from the grid's shell table), f ln f rows and energy
+    contraction are taken; the cell's conserved sums come from its contraction.
     Returns the output's conserved sums, entropy (NaN unless track_entropy),
     weighted norm, and the Gaussian's weighted norm (None unless gauss_norm):
     what conserved_quantities, entropy and weighted_sup_norm give on the
@@ -126,6 +127,7 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
         if bufs is None:  # taken once the factor pass's temporaries are freed
             # the Gaussian, then scratch; with its norm, a tile of its weighted values
             bufs = np.empty((1 if g_norm is None else 2, tiles[0].stop, grid.n_i))
+            contracted = np.empty((grid.n_v**3, 2))  # a cell's, tile by tile
         for i, cell in enumerate(f_tilde.cells[cells]):
             for s in tiles:
                 t, m = cell[s], bufs[0, : s.stop - s.start]
@@ -144,9 +146,10 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                 norm = max_nan(norm, float(w.max()))
                 if track_entropy:
                     tile_flogf(t, grid.i_weights, flogf_rows[s], m)
+                energy_contraction(t, grid, params.delta, contracted[s])
             if track_entropy:
                 total_flogf += float(flogf_rows.sum())
-            sums = cell_conserved(cell, grid, params.delta, sums)
+            sums = cell_conserved(contracted, grid, sums)
         pev = ei = None  # freed before the next block's factors are built
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
     return conserved_totals(sums, grid), ent, norm, g_norm

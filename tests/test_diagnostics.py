@@ -9,8 +9,10 @@ import pytest
 
 from polykin import (
     DistField,
+    GridConfig,
     Scenario,
     StabilityEnvelope,
+    build_grid,
     check_envelopes,
     conserved_quantities,
     entropy,
@@ -21,6 +23,7 @@ from polykin import (
     sample,
 )
 from polykin.diagnostics import tile_flogf
+from polykin.field import row_tiles
 from polykin.errors import DegenerateTable, InvalidConfig, NegativeField
 from tests.conftest import random_field_values
 from tests.test_field import maxwellian
@@ -80,6 +83,19 @@ class TestEntropy:
         vals[0, 0, 0, 0, 0] = -1.0
         with pytest.raises(NegativeField):
             entropy(DistField(vals, small_grid))
+
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_negative_entry_in_any_tile_is_rejected(self, nan_first):
+        # each row tile's sign is checked before its log; a whole-field min() read NaN
+        # once any entry was NaN, so a negative entry after it went through
+        grid = build_grid(GridConfig(n_x=2, n_v=9, v_max=3.0, n_i=128, i_max=8.0))
+        assert len(row_tiles(grid.n_v**3, grid.n_i)) == 3
+        vals = np.ones(grid.field_shape)
+        vals[-1, -1, -1, -1, -1] = -1.0  # the last tile of the last cell
+        if nan_first:
+            vals[0, 0, 0, 0, 0] = np.nan
+        with pytest.raises(NegativeField, match="entropy requires a nonnegative field"):
+            entropy(DistField(vals, grid))
 
     def test_invariant_under_advection_of_uniform_data(self, small_grid, rng):
         from polykin import advect

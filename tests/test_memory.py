@@ -26,17 +26,24 @@ velocity slab at a time, beside a few slabs of the initial function's
 temporaries, and read_snapshot() reads the payload straight into its
 field, so neither holds a second field.  A convergence study holds its runs'
 final fields: it compares each level with the reference's cells where they lie,
-and samples one exact field at a time.
+and samples one exact field at a time.  tracemalloc does not see the buffers
+BLAS takes for its threads, so one test reads ru_maxrss in a subprocess at two
+BLAS threads: the energy contractions, taken a tile at a time, take none.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polykin
 from polykin import (
     DistField,
     GridConfig,
@@ -310,6 +317,39 @@ def test_run_on_two_big_cells_holds_little_beside_its_field():
 def _cached_arrays(grid):
     for value in grid._cache.values():
         yield from value if isinstance(value, tuple) else (value,)
+
+
+_BLAS_RSS = """
+import resource
+import numpy as np
+from polykin import DistField, GridConfig, SchemeParams, build_grid, compute_moments
+from polykin import conserved_quantities
+from polykin.stepper import _relax_into
+grid = build_grid(GridConfig(n_x=2, n_v=33, v_max=8.0, n_i=256, i_max=40.0))
+params = SchemeParams(nu=0.5, theta=0.8, delta=2.0, kappa=1.0, q=8.0)
+f = DistField(np.empty(grid.field_shape), grid)
+np.random.default_rng(0).random(out=f.values)
+f.values += 0.05
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+macro = compute_moments(f, params, 0.1)
+conserved_quantities(f, params.delta)
+_relax_into(f, macro, params, 0.1)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_contractions_take_no_threaded_blas_memory():
+    # with two BLAS threads OpenBLAS threads a gemm over a whole 35,937-row cell, and its
+    # buffers grew ru_maxrss by 52 MB beyond the field, outside what tracemalloc sees; a
+    # tile's gemm runs on the calling thread.  The passes' own arrays and the grid's
+    # tables take 5.7 MB on the criterion-4 grid
+    src = str(Path(polykin.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _BLAS_RSS], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    grown_mb = float(out.stdout)
+    assert grown_mb < 8.0, grown_mb
 
 
 def test_grid_caches_hold_no_cell_sized_table(large_fields):

@@ -130,18 +130,22 @@ class TestComputeMoments:
 
     def test_each_cell_is_contracted_once(self, default_params, rng, monkeypatch):
         # 75 groups of 1,213 cells: the moments take every group in one pass, with no
-        # second contraction of the stack however many groups it has
-        grid = build_grid(GridConfig(n_x=90000, n_v=3, v_max=3.0, n_i=1, i_max=8.0))
-        f = DistField(random_field_values(rng, grid) + 0.05, grid)
-        contract, cells = moments.energy_contraction, []
+        # second contraction of the stack however many groups it has, one call a block; a
+        # cell of 39 row tiles is contracted tile by tile, each tile once
+        contract, rows = moments.energy_contraction, []
 
         def counted(values, *args, **kwargs):
-            cells.append(values.shape[0])
+            rows.append(values[..., 0].size)
             return contract(values, *args, **kwargs)
 
         monkeypatch.setattr(moments, "energy_contraction", counted)
-        compute_moments(f, default_params, dt=0.1)
-        assert sum(cells) == grid.n_x, sum(cells)
+        for n_x, n_v, n_i, calls in [(90000, 3, 1, 75), (3, 17, 256, 3 * 39)]:
+            grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
+            f = DistField(random_field_values(rng, grid) + 0.05, grid)
+            rows.clear()
+            compute_moments(f, default_params, dt=0.1)
+            assert sum(rows) / n_v**3 == n_x, sum(rows) / n_v**3  # cells contracted
+            assert len(rows) == calls, len(rows)
 
     @pytest.mark.parametrize("n_x", [2, 3, 4, 7])
     def test_table_moments_matches_field_path(self, default_params, rng, n_x):

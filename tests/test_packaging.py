@@ -1,7 +1,8 @@
 """numpy is polykin's only runtime dependency; scipy serves the tests alone.  Every name a
 module imports is used there, unless the benchmark wraps it in that module's namespace, and
 every benchmark wrap point is called.  Only field.py reads the tile size: the other modules
-take their blocks from its row_tiles."""
+take their blocks from its row_tiles.  Only moments.energy_contraction reads the energy
+weights, so no pass forks its own contraction."""
 
 from __future__ import annotations
 
@@ -108,3 +109,26 @@ def test_only_field_reads_the_tile_size():
             if "TILE_BYTES" in names:
                 readers.append(f"{path.name}:{node.lineno}")
     assert not readers, f"TILE_BYTES read outside field.py: {readers}"
+
+
+def _readers(node: ast.AST, name: str, where: str, out: list) -> None:
+    """Append the dotted function (or class, or module) in which each read of name lies."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = f"{where}.{node.name}"
+    if (isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.ImportFrom) and name in [a.name for a in node.names]):
+        out.append(where)
+    for child in ast.iter_child_nodes(node):
+        _readers(child, name, where, out)
+
+
+def test_only_energy_contraction_reads_the_energy_weights():
+    # one contraction: the moments, the conserved sums and the relaxation all take their
+    # energy integrals through moments.energy_contraction, tile by tile
+    root = Path(polykin.__file__).resolve().parent
+    readers = []
+    for path in sorted(root.glob("*.py")):
+        _readers(ast.parse(path.read_text(encoding="utf-8")), "energy_moment_weights",
+                 path.stem, readers)
+    assert readers == ["moments.energy_contraction"], readers

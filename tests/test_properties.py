@@ -374,12 +374,14 @@ def test_block_gaussian_errors_name_the_cell_the_per_cell_loop_names(faults):
 
 
 def _whole_stack_moments(values, grid, params, dt):
-    """The moments as one pass over the whole (n_x, n_v^3, n_i) stack takes them."""
+    """The moments as one pass over the whole (n_x, n_v^3, n_i) stack takes them, each cell
+    contracted by its row tiles."""
     mn = values.min()
     if mn < 0:
         raise NegativeField(f"distribution has negative entry {mn!r}")
     nv, dv3, v = grid.n_v, grid.dv**3, grid.v_axis
-    contracted = values @ grid.energy_moment_weights(params.delta)
+    w, tiles = grid.energy_moment_weights(params.delta), row_tiles(nv**3, grid.n_i)
+    contracted = np.stack([np.concatenate([cell[s] @ w for s in tiles]) for cell in values])
     g = contracted[..., 0]
     eps_tot = contracted[..., 1].sum(axis=1)
     rho = dv3 * g.sum(axis=1)
@@ -429,33 +431,38 @@ def _vacuum_cell(values, i, node):
 
 
 @PROPERTY
-@given(data=st.data(), n_v=st.sampled_from([3, 5, 9, 17]), n_i=st.integers(1, 3),
+@given(data=st.data(), n_v=st.sampled_from([3, 5, 9, 17]), n_i=st.sampled_from([1, 2, 3, 16]),
        nu_theta=st.sampled_from([(0.5, 0.8), (-0.25, 0.25), (0.9, 1.0)]),
        delta=st.sampled_from([1.0, 2.0]), dt=st.sampled_from([0.0, 0.1]),
-       seed=st.integers(0, 2**32 - 1))
-def test_tiled_moments_equal_the_whole_stack_pass(data, n_v, n_i, nu_theta, delta, dt, seed):
+       tile_bytes=st.sampled_from([64, 800, TILE_BYTES]), seed=st.integers(0, 2**32 - 1))
+def test_tiled_moments_equal_the_whole_stack_pass(data, n_v, n_i, nu_theta, delta, dt,
+                                                  tile_bytes, seed):
     # blocks of tile_rows(n_v^3) cells (1,213 at n_v = 3, 6 at n_v = 17) in groups whose
     # pair sums fill about a tile (132 cells at n_v = 9, 36 at n_v = 17): two or more
-    # groups, the last short or full.  Faults go into any block, so a later block's error
-    # can pre-empt an earlier one's
-    _, group = moments_tiling(10**9, n_v)
-    n_x = data.draw(st.integers(1, 2)) * group + data.draw(st.integers(1, group))
-    grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
-    params = SchemeParams(nu=nu_theta[0], theta=nu_theta[1], delta=delta, kappa=0.1, q=8.0)
-    values = np.random.default_rng(seed).random((n_x, n_v**3, n_i)) + 0.05
-    faults = data.draw(st.lists(st.sampled_from([_negative_entry, _nan_entry, _vacuum_cell]),
-                                max_size=2))
-    for fault in faults:
-        fault(values, data.draw(st.integers(0, n_x - 1)), data.draw(st.integers(0, 10**6)))
-    try:
-        expected = _whole_stack_moments(values, grid, params, dt)
-    except PolykinError as exc:
-        with pytest.raises(PolykinError) as got:
-            _moments_of_stack(values, grid, params, dt)
-        assert type(got.value) is type(exc)
-        assert str(got.value) == str(exc)
-        return
-    got = _moments_of_stack(values, grid, params, dt)
+    # groups, the last short or full.  Smaller tiles cut a cell into row tiles (149 of 33
+    # rows at n_v = 17, n_i = 3 and 800 bytes), each checked and contracted on its own; at
+    # n_i = 16 BLAS rounds a 6-row tile's sums unlike a whole cell's.  Faults go into any
+    # block, so a later block's error can pre-empt an earlier one's
+    with mock.patch.object(field, "TILE_BYTES", tile_bytes):
+        _, group = moments_tiling(10**9, n_v)
+        n_x = data.draw(st.integers(1, 2)) * group + data.draw(st.integers(1, group))
+        grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
+        params = SchemeParams(nu=nu_theta[0], theta=nu_theta[1], delta=delta, kappa=0.1,
+                              q=8.0)
+        values = np.random.default_rng(seed).random((n_x, n_v**3, n_i)) + 0.05
+        faults = data.draw(st.lists(
+            st.sampled_from([_negative_entry, _nan_entry, _vacuum_cell]), max_size=2))
+        for fault in faults:
+            fault(values, data.draw(st.integers(0, n_x - 1)), data.draw(st.integers(0, 10**6)))
+        try:
+            expected = _whole_stack_moments(values, grid, params, dt)
+        except PolykinError as exc:
+            with pytest.raises(PolykinError) as got:
+                _moments_of_stack(values, grid, params, dt)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return
+        got = _moments_of_stack(values, grid, params, dt)
     for name in vars(expected):
         assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 

@@ -214,20 +214,25 @@ class TestSimulate:
 
     def test_steps_csv_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # 35,937 velocity nodes: OpenBLAS splits a dot this long over its threads, so
-        # momentum and energy taken as dots moved in their last bits from 1 thread to 2
-        scn = write(tmp_path, "n_x = 2\nn_v = 33\nn_i = 2\nv_max = 8.0\ni_max = 40.0\n"
-                              "dt = 0.01\nt_final = 0.02\nt_tr = 1.1\nt_int = 0.85\n")
+        # momentum and energy taken as dots moved in their last bits from 1 thread to 2.
+        # At (n_v, n_i) = (17, 256) a cell is 39 row tiles, each contracted on its own,
+        # and the snapshot holds the field that the tiled moments fed
         src = str(Path(__file__).resolve().parents[1] / "src")
-        steps = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-            out = tmp_path / f"threads{threads}"
-            subprocess.run([sys.executable, "-m", "polykin.cli", "simulate", str(scn),
-                            "--out", str(out)], check=True, capture_output=True, env=env,
-                           timeout=120)
-            steps.append((out / "steps.csv").read_bytes())
-        assert steps[0] == steps[1]
+        for n_v, n_i in [(33, 2), (17, 256)]:
+            scn = write(tmp_path, f"n_x = 2\nn_v = {n_v}\nn_i = {n_i}\nv_max = 8.0\n"
+                                  "i_max = 40.0\ndt = 0.01\nt_final = 0.02\nt_tr = 1.1\n"
+                                  "t_int = 0.85\nsnapshot_times = 0.02\n")
+            outputs = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                           PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+                out = tmp_path / f"{n_v}-{n_i}-threads{threads}"
+                subprocess.run([sys.executable, "-m", "polykin.cli", "simulate", str(scn),
+                                "--out", str(out)], check=True, capture_output=True, env=env,
+                               timeout=120)
+                outputs.append([(out / name).read_bytes()
+                                for name in ("steps.csv", "snapshot_t0.020000.bin")])
+            assert outputs[0] == outputs[1], (n_v, n_i)
 
     def test_non_finite_field_exits_3(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):

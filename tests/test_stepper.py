@@ -238,9 +238,12 @@ class TestFusedPass:
 
     @pytest.mark.parametrize("kappa", [1.0, 1e-6])
     def test_step_report_equals_standalone_diagnostics(self, kappa, rng):
-        grid, _ = Scenario(**TILED).validate()
-        f = DistField(random_field_values(rng, grid, sparsity=0.2), grid)
-        params = SchemeParams(nu=0.3, theta=0.7, delta=2.0, kappa=kappa, q=8.0)
-        out, rep = step(f, params, 0.05)
-        _assert_report_is_of(rep, out, params)
-        assert rep.tilde_norm_q == weighted_sup_norm(advect(f, 0.05), 8.0, 2.0)
+        # and on 50 cells of one tile each, which conserved_quantities contracts in blocks
+        # of 44 cells and the relaxation one cell at a time
+        for extents in ({}, dict(n_x=50, n_i=16)):
+            grid, _ = Scenario(**dict(TILED, **extents)).validate()
+            f = DistField(random_field_values(rng, grid, sparsity=0.2), grid)
+            params = SchemeParams(nu=0.3, theta=0.7, delta=2.0, kappa=kappa, q=8.0)
+            out, rep = step(f, params, 0.05)
+            _assert_report_is_of(rep, out, params)
+            assert rep.tilde_norm_q == weighted_sup_norm(advect(f, 0.05), 8.0, 2.0)
