@@ -17,22 +17,26 @@ from .params import SchemeParams, collision_frequency, normalizer_discrete
 _MONITOR_SLACK = 1e-12  # relative tolerance of check_envelopes
 
 
-def cell_conserved(a: np.ndarray, grid: PhaseGrid, sums: list) -> list:
-    """sums plus the (mass, m1, m2, m3, energy) sums of one cell, from its (n_v^3, 2) energy
-    contraction a, before the cell weight; folding the cells in order from [0.0] * 5 needs
-    no per-cell list.
+def cell_conserved(a: np.ndarray, grid: PhaseGrid, sums: np.ndarray) -> np.ndarray:
+    """sums plus the (mass, m1, m2, m3, energy) sums of a stack of cells, from their
+    (k, n_v^3, 2) energy contraction a, before the cell weight, added cell by cell in order,
+    so folding every block of cells from zeros(5) gives the same sums whatever the blocks.
 
-    The velocity sums come from one gemm of the velocity tables with a.  OpenBLAS splits a
-    long dot over its threads, so its last bits follow OPENBLAS_NUM_THREADS; a gemm it
-    splits along its outputs, each summed whole."""
-    m = grid.velocity_tables() @ a  # rows v1, v2, v3, |v|^2
-    cs = a[:, 0].sum(), m[0, 0], m[1, 0], m[2, 0], 0.5 * m[3, 0] + a[:, 1].sum()
-    return [s + c for s, c in zip(sums, cs)]
+    The velocity sums come from one gemm of the velocity tables with each cell's a, all in
+    one call.  OpenBLAS splits a long dot over its threads, so its last bits follow
+    OPENBLAS_NUM_THREADS; a gemm it splits along its outputs, each summed whole."""
+    m = grid.velocity_tables() @ a  # (k, 4, 2): rows v1, v2, v3, |v|^2
+    cs = np.empty((len(a) + 1, 5))
+    cs[0] = sums
+    a[..., 0].sum(axis=1, out=cs[1:, 0])
+    cs[1:, 1:4] = m[:, :3, 0]
+    np.add(0.5 * m[:, 3, 0], a[..., 1].sum(axis=1), out=cs[1:, 4])
+    return np.cumsum(cs, axis=0)[-1]  # a running sum down the cells, one add at a time
 
 
-def conserved_totals(sums: list, grid: PhaseGrid) -> tuple[float, np.ndarray, float]:
+def conserved_totals(sums: np.ndarray, grid: PhaseGrid) -> tuple[float, np.ndarray, float]:
     """(mass, momentum, energy) from the cell_conserved sums of every cell."""
-    t = grid.dx * grid.dv**3 * np.array(sums)
+    t = grid.dx * grid.dv**3 * sums
     return t[0], t[1:4], t[4]
 
 
@@ -49,13 +53,12 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     g = fld.grid
     blocks = row_tiles(g.n_x, g.n_v**3)
     buf = np.empty((blocks[0].stop, g.n_v**3, 2))
-    sums = [0.0] * 5
+    sums = np.zeros(5)
     for cells in blocks:
         a = buf[: cells.stop - cells.start]
         for t, o in stack_tiles(fld.cells[cells], a):
             energy_contraction(t, g, delta, o)
-        for c in a:
-            sums = cell_conserved(c, g, sums)
+        sums = cell_conserved(a, g, sums)
     return conserved_totals(sums, g)
 
 

@@ -114,6 +114,22 @@ def stack_tiles(stack: np.ndarray, out: np.ndarray) -> Iterable[tuple[np.ndarray
     return ((cell[s], o[s]) for cell, o in zip(stack, out) for s in tiles)
 
 
+def cell_tiles(n_cells: int, n_rows: int, n_cols: int) -> tuple[list[slice] | range,
+                                                                list[slice]]:
+    """(cells, tiles): stack[c, s] for each c in cells and, within it, each s in tiles covers
+    a (n_cells, n_rows, n_cols) stack in order, one tile at a time.  When a cell fits in one
+    row tile, each c is a group of as many whole cells as fill half of one (at least one;
+    the last group may hold fewer) and tiles is the whole cell, so a tile is a
+    (k, n_rows, n_cols) group of cells, and a scratch tile of the group and one cell's
+    gathered weights together fit in a row tile.  Else each c is a cell's index and tiles
+    are its row_tiles(n_rows, n_cols), so a tile is one 2-D row tile of one cell."""
+    rows = tile_rows(n_cols)
+    if n_rows > rows:
+        return range(n_cells), row_tiles(n_rows, n_cols)
+    k = max(1, rows // (2 * n_rows))
+    return [slice(c, min(c + k, n_cells)) for c in range(0, n_cells, k)], [slice(0, n_rows)]
+
+
 def weight_tile(weights: tuple[np.ndarray, np.ndarray], s: slice, out: np.ndarray) -> np.ndarray:
     """Row tile s of the weight table that PhaseGrid.norm_weight's (table, rows) stand for,
     gathered into the first rows of out."""
@@ -144,18 +160,19 @@ def _sup_norm(a: np.ndarray, b: np.ndarray | None, grid: PhaseGrid, q: float,
     """sup over nodes of |a - b| (|a| without b) times the weight of order q, tile by tile.
 
     a and b are stacks of (n_v**3, n_i) cell tables on grid, such as DistField.cells or a
-    strided view of it: each cell is read as it stands, so no stack is copied.  A tile's
-    weights are the same in every cell, so each is gathered once.
+    strided view of it: each tile of cell_tiles is read as it stands, so no stack is
+    copied.  A row tile's weights are the same in every cell, so each is gathered once.
     """
     weights = grid.norm_weight(q, delta)
-    tiles = row_tiles(grid.n_v**3, grid.n_i)
+    cells, tiles = cell_tiles(len(a), grid.n_v**3, grid.n_i)
     w = np.empty((tiles[0].stop, grid.n_i))
-    t = np.empty_like(w)
+    t = np.empty(a[cells[0], tiles[0]].shape)
     out = 0.0
     for s in tiles:
-        ws, ts = weight_tile(weights, s, w), t[: s.stop - s.start]
-        for i, cell in enumerate(a):
-            out = max_nan(out, tile_sup(cell[s], None if b is None else b[i][s], ws, ts))
+        ws = weight_tile(weights, s, w)
+        for c in cells:
+            x = a[c, s]
+            out = max_nan(out, tile_sup(x, None if b is None else b[c, s], ws, t[: len(x)]))
     return out
 
 

@@ -111,12 +111,13 @@ def _gaussian_flat(macro: MacroFields, cells: slice, grid: PhaseGrid, lambda_del
 
 
 def gaussian_table(pev: np.ndarray, ei: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write a cell's table, or a row tile of it, from factor rows: out[j, k] = pev[j] * ei[k].
+    """Write a cell's table, or a row tile of it, from factor rows: out[j, k] = pev[j] * ei[k];
+    with a leading cell axis on all three, the tables of a group of cells in one call.
 
     Every entry is the one product a broadcast multiply gives, bit for bit;
     einsum writes a (4913, 16) table in about 100 us against 150-170 us.
     """
-    return np.einsum("i,j->ij", pev, ei, out=out)
+    return np.einsum("...i,...j->...ij", pev, ei, out=out)
 
 
 def eval_gaussian(cell: MacroCell, grid: PhaseGrid, lambda_delta: float,

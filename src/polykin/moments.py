@@ -69,8 +69,8 @@ class MacroFields:
 def energy_contraction(values: np.ndarray, grid: PhaseGrid, delta: float,
                        out: np.ndarray) -> np.ndarray:
     """values @ [w, w*eps] into out: the energy integrals of f and eps*f over a tile of
-    field.stack_tiles, a block of cells that each fit in one row tile or one row tile of a
-    larger cell.  Every pass contracts a tile while it is in cache, and no call spans a
+    field.stack_tiles or field.cell_tiles, a block or group of cells that each fit in one
+    row tile or one row tile of a larger cell.  Every pass contracts a tile while it is in cache, and no call spans a
     cell larger than a tile: OpenBLAS threads such a gemm, and its buffers then take
     tens of MB that no Python allocation shows."""
     return np.matmul(values, grid.energy_moment_weights(delta), out=out)

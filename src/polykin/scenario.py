@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import StabilityEnvelope, masked_min_ratio
 from .errors import InvalidConfig, OutOfRange, ParseError, ValidationError
-from .field import tile_rows
+from .field import cell_tiles, tile_rows
 from .grid import GridConfig, PhaseGrid, build_grid
 from .moments import moments_peak_doubles
 from .params import SchemeParams, normalizer_discrete
@@ -50,7 +50,10 @@ def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     - compute_moments: moments.moments_peak_doubles, the moments and one block's and one
       group's arrays;
     - the relaxation: the Gaussian factors of a block of tile_rows(n_v^3) cells and their
-      temporaries, under 6 n_v^3 + 3 n_i doubles a row, and two row tiles;
+      temporaries, under 6 n_v^3 + 3 n_i doubles a row, then three tiles of the block's
+      first field.cell_tiles group (the Gaussian, its weighted values and a cell's weights)
+      and the group's contraction and f ln f rows, 3 n_v^3 doubles a cell: 17.7 thousand
+      doubles traced at (6, 5, 6), under 0.87 of these two terms;
     - the envelope's cell table;
     - the norm weights: one row of n_i per |v|^2 shell, at most ceil(n_v/2)^3 of them by
       mirror symmetry, and their temporary while built;
@@ -61,7 +64,9 @@ def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     cell, block = n_v**3 * n_i, min(n_x, tile_rows(n_v**3))
     samples = n_x * (2 * n_v**2 * n_i + 4 * n_v + 12 * n_i) + 131072
     factors = block * (6 * n_v**3 + 3 * n_i)
-    tiles = 2 * min(n_v**3, tile_rows(n_i)) * n_i
+    cells, rows = cell_tiles(block, n_v**3, n_i)
+    group = cells[0].stop if len(rows) == 1 else 1  # cells of the relaxation's first tile
+    tiles = group * (3 * rows[0].stop * n_i + 3 * n_v**3)
     shells = 2 * math.ceil(n_v / 2) ** 3 * n_i
     chunk = (2 * n_x + 1) * min(n_v**2 * n_i, tile_rows(n_x + 1))
     return 8 * (n_x * cell + samples + moments_peak_doubles(n_x, n_v) + factors + tiles + cell

@@ -29,7 +29,8 @@ from .diagnostics import (cell_conserved, conserved_quantities, conserved_totals
 # unused here, but benchmarks/spans.py wraps stepper.entropy and stepper.equilibrium_distance
 from .diagnostics import entropy, equilibrium_distance  # noqa: F401
 from .errors import InvalidConfig, NegativeInitialData, PolykinError
-from .field import DistField, max_nan, row_tiles, sample, weight_tile, weighted_sup_norm
+from .field import (DistField, cell_tiles, max_nan, row_tiles, sample, weight_tile,
+                    weighted_sup_norm)
 from .gaussian import _gaussian_flat, gaussian_table
 from .grid import PhaseGrid
 from .moments import MacroFields, compute_moments, energy_contraction
@@ -94,63 +95,82 @@ def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float) -> None:
 
 def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemeParams, dt: float,
                 track_entropy: bool = True, gauss_norm: bool = False):
-    """Overwrite f~ with its blend with its Gaussian, cell by cell, in one pass per cell.
+    """Overwrite f~ with its blend with its Gaussian, a tile at a time, in one pass per tile.
 
     The Gaussian factors are evaluated for a block of cells at once, a row tile
-    of the (n_x, n_v**3) factor rows.  Each cell is walked in row tiles: the
-    tile's Gaussian is written into one reused tile buffer, f~'s tile is blended
-    with it in place while both are in cache, and the tile's weighted sup (its
-    weights gathered from the grid's shell table), f ln f rows and energy
-    contraction are taken; the cell's conserved sums come from its contraction.
-    Returns the output's conserved sums, entropy (NaN unless track_entropy),
-    weighted norm, and the Gaussian's weighted norm (None unless gauss_norm):
-    what conserved_quantities, entropy and weighted_sup_norm give on the
-    output, bit for bit.  With macro None (transport only) f~ is kept as
-    it stands and the Gaussian norm is None.
+    of the (n_x, n_v**3) factor rows.  The block is walked by field.cell_tiles:
+    a group of whole cells that fill half a row tile at once, or each row tile
+    of a larger cell in turn.  The tile's Gaussian is written into one reused tile
+    buffer, f~'s tile is blended with it in place while both are in cache, and
+    the tile's weighted sup (its weights gathered from the grid's shell table,
+    once a call when every tile is a whole cell), f ln f rows and energy
+    contraction are taken; once a group or a cell is done, its conserved sums
+    and entropy are folded in cell order.  The buffers are taken once the first
+    block's factor temporaries are freed.  A group's, which at n_i = 1 outweigh
+    those temporaries, are freed with each block's factors and taken anew; a
+    larger cell's row tiles are kept for the call, since taking them anew in
+    each block slowed a (16, 17, 16) pass by 5%.  Returns the output's conserved sums,
+    entropy (NaN unless track_entropy), weighted norm, and the Gaussian's
+    weighted norm (None unless gauss_norm): what conserved_quantities, entropy
+    and weighted_sup_norm give on the output, bit for bit.  With macro None
+    (transport only) f~ is kept as it stands and the Gaussian norm is None.
     """
     grid = f_tilde.grid
+    n_rows = grid.n_v**3
     lambda_delta = normalizer_discrete(params.delta, grid)
     a = collision_frequency(params.nu, params.theta)
     c_f = params.kappa / (params.kappa + a * dt)
     c_m = a * dt / (params.kappa + a * dt)
     weights = grid.norm_weight(params.q, params.delta)
-    tiles = row_tiles(grid.n_v**3, grid.n_i)
-    flogf_rows = np.empty(grid.n_v**3)
-    bufs = None
+    bufs = whole = None
 
-    sums = [0.0] * 5
+    def tile_weights(s, out):  # row tile s's weights: a whole cell's, or gathered into out
+        return whole if whole is not None else weight_tile(weights, s, out)
+
+    sums = np.zeros(5)
     total_flogf = 0.0
     norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None else None)
-    for cells in row_tiles(grid.n_x, grid.n_v**3):
+    for block in row_tiles(grid.n_x, n_rows):
         if macro is not None:
-            pev, ei = _gaussian_flat(macro, cells, grid, lambda_delta, params.delta)
+            pev, ei = _gaussian_flat(macro, block, grid, lambda_delta, params.delta)
+        stack = f_tilde.cells[block]
+        cells, tiles = cell_tiles(len(stack), n_rows, grid.n_i)
+        grouped = len(tiles) == 1  # each tile is a group of whole cells
         if bufs is None:  # taken once the factor pass's temporaries are freed
             # the Gaussian, then scratch; with its norm, a tile of its weighted values
-            bufs = np.empty((1 if g_norm is None else 2, tiles[0].stop, grid.n_i))
-            contracted = np.empty((grid.n_v**3, 2))  # a cell's, tile by tile
-        for i, cell in enumerate(f_tilde.cells[cells]):
+            bufs = np.empty((1 if g_norm is None else 2,) + stack[cells[0], tiles[0]].shape)
+            # a group's contraction and f ln f rows, or one cell's, tile by tile
+            contracted = np.empty((cells[0].stop if grouped else 1, n_rows, 2))
+            flogf_rows = np.empty(contracted.shape[:2])
+            if grouped and whole is None:  # a whole cell's weights serve every group
+                whole = weight_tile(weights, tiles[0], np.empty((n_rows, grid.n_i)))
+        for c in cells:
+            o = slice(0, c.stop - c.start) if grouped else 0  # c in the buffers
             for s in tiles:
-                t, m = cell[s], bufs[0, : s.stop - s.start]
+                t = stack[c, s]
+                m = bufs[0, : len(t)]
                 if macro is not None:
-                    gaussian_table(pev[i][s], ei[i], m)
+                    gaussian_table(pev[c, s], ei[c], m)
                     if g_norm is not None:
-                        g = weight_tile(weights, s, bufs[1])
-                        g *= m
-                        g_norm = max_nan(g_norm, float(g.max()))
+                        w = bufs[1, : len(t)]
+                        w = np.multiply(m, tile_weights(s, w), w)
+                        g_norm = max_nan(g_norm, float(w.max()))
                     _blend_into(t, m, c_f, c_m)
                 # f~ is nonnegative (sampled so, advected by convex interpolation, checked by
                 # compute_moments), and so are the Gaussian and the blend: |t| is t, and a
-                # -0.0 cannot change the max
-                w = weight_tile(weights, s, m)  # m is scratch by now
-                w *= t
+                # -0.0 cannot change the max.  m is scratch by now
+                w = np.multiply(t, tile_weights(s, m), m)
                 norm = max_nan(norm, float(w.max()))
                 if track_entropy:
-                    tile_flogf(t, grid.i_weights, flogf_rows[s], m)
-                energy_contraction(t, grid, params.delta, contracted[s])
+                    tile_flogf(t, grid.i_weights, flogf_rows[o, s], m)
+                energy_contraction(t, grid, params.delta, contracted[o, s])
             if track_entropy:
-                total_flogf += float(flogf_rows.sum())
-            sums = cell_conserved(contracted, grid, sums)
+                for x in flogf_rows[o].reshape(-1, n_rows).sum(axis=1).tolist():
+                    total_flogf += x
+            sums = cell_conserved(contracted[o].reshape(-1, n_rows, 2), grid, sums)
         pev = ei = None  # freed before the next block's factors are built
+        if grouped:  # and so are a group's buffers, with the views into them
+            bufs = contracted = flogf_rows = m = w = None
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
     return conserved_totals(sums, grid), ent, norm, g_norm
 

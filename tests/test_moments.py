@@ -15,8 +15,9 @@ from polykin import (
     table_moments,
     tensor_sandwich_check,
 )
-from polykin import moments
+from polykin import moments, stepper
 from polykin.errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
+from polykin.stepper import _relax_into
 from tests.conftest import random_field_values
 from tests.test_field import maxwellian
 
@@ -144,6 +145,27 @@ class TestComputeMoments:
             f = DistField(random_field_values(rng, grid) + 0.05, grid)
             rows.clear()
             compute_moments(f, default_params, dt=0.1)
+            assert sum(rows) / n_v**3 == n_x, sum(rows) / n_v**3  # cells contracted
+            assert len(rows) == calls, len(rows)
+
+    def test_relax_contracts_a_group_of_cells_at_a_time(self, default_params, rng,
+                                                         monkeypatch):
+        # 40 cells of 125 rows fit in groups of 32 (half a 8,192-row tile at n_i = 4): two
+        # calls, one a group, where a call a cell made 40; a cell of 39 row tiles is still
+        # contracted tile by tile, each tile once
+        contract, rows = stepper.energy_contraction, []
+
+        def counted(values, *args, **kwargs):
+            rows.append(values[..., 0].size)
+            return contract(values, *args, **kwargs)
+
+        monkeypatch.setattr(stepper, "energy_contraction", counted)
+        for n_x, n_v, n_i, calls in [(40, 5, 4, 2), (3, 17, 256, 3 * 39)]:
+            grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
+            f = DistField(random_field_values(rng, grid) + 0.05, grid)
+            macro = compute_moments(f, default_params, dt=0.1)
+            rows.clear()
+            _relax_into(f, macro, default_params, 0.1)
             assert sum(rows) / n_v**3 == n_x, sum(rows) / n_v**3  # cells contracted
             assert len(rows) == calls, len(rows)
 

@@ -1,9 +1,10 @@
 """Property-based checks of what the scheme guarantees step by step.
 
 Grids stay at n_x <= 6, n_v <= 5, n_i <= 6, apart from the in-place advection
-property, whose velocity slabs must span several chunk blocks, and the moments
+property, whose velocity slabs must span several chunk blocks, the moments
 properties, which need several groups of cells or a grid that resolves a run,
-and example counts are bounded, so the module runs in a few seconds;
+and the grouped-pass property, whose groups of cells must split, and example
+counts are bounded, so the module runs in a few seconds;
 derandomize makes every run draw the same examples.
 """
 
@@ -50,11 +51,12 @@ from polykin import (
 from polykin import cli, field
 from polykin.errors import (DegenerateTemperature, NegativeField, NonFiniteField,
                             NonFiniteGaussian, PolykinError, ZeroDensity)
-from polykin.field import TILE_BYTES, row_tiles
-from polykin.gaussian import factor_spd
-from polykin.moments import _moments_of_stack, moments_tiling
-from polykin.params import blend_factors
-from polykin.stepper import _blend_into
+from polykin.diagnostics import conserved_totals, tile_flogf
+from polykin.field import TILE_BYTES, max_nan, row_tiles, tile_sup, weight_tile
+from polykin.gaussian import _gaussian_flat, factor_spd, gaussian_table
+from polykin.moments import _moments_of_stack, energy_contraction, moments_tiling
+from polykin.params import blend_factors, collision_frequency
+from polykin.stepper import _blend_into, _relax_into
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 NONNEG = st.floats(min_value=0.0, max_value=1e6)
@@ -465,6 +467,116 @@ def test_tiled_moments_equal_the_whole_stack_pass(data, n_v, n_i, nu_theta, delt
         got = _moments_of_stack(values, grid, params, dt)
     for name in vars(expected):
         assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+def _per_cell_conserved(a, grid, sums):
+    """cell_conserved of one cell's (n_v^3, 2) contraction, folded into a list of 5 sums."""
+    m = grid.velocity_tables() @ a
+    cs = a[:, 0].sum(), m[0, 0], m[1, 0], m[2, 0], 0.5 * m[3, 0] + a[:, 1].sum()
+    return [s + c for s, c in zip(sums, cs)]
+
+
+def _per_cell_relax(f, macro, params, dt, gauss_norm):
+    """_relax_into one cell at a time, each by its row tiles, with the tile's weights
+    gathered for each use: the per-cell loop that the grouped pass replaced."""
+    grid = f.grid
+    lam = normalizer_discrete(params.delta, grid)
+    a = collision_frequency(params.nu, params.theta)
+    c_f = params.kappa / (params.kappa + a * dt)
+    c_m = a * dt / (params.kappa + a * dt)
+    weights = grid.norm_weight(params.q, params.delta)
+    tiles = row_tiles(grid.n_v**3, grid.n_i)
+    bufs = np.empty((2, tiles[0].stop, grid.n_i))
+    flogf_rows, contracted = np.empty(grid.n_v**3), np.empty((grid.n_v**3, 2))
+    sums, total = [0.0] * 5, 0.0
+    norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None else None)
+    for cells in row_tiles(grid.n_x, grid.n_v**3):
+        if macro is not None:
+            pev, ei = _gaussian_flat(macro, cells, grid, lam, params.delta)
+        for i, cell in enumerate(f.cells[cells]):
+            for s in tiles:
+                t, m = cell[s], bufs[0, : s.stop - s.start]
+                if macro is not None:
+                    gaussian_table(pev[i][s], ei[i], m)
+                    if g_norm is not None:
+                        g = weight_tile(weights, s, bufs[1])
+                        g *= m
+                        g_norm = max_nan(g_norm, float(g.max()))
+                    _blend_into(t, m, c_f, c_m)
+                w = weight_tile(weights, s, m)
+                w *= t
+                norm = max_nan(norm, float(w.max()))
+                tile_flogf(t, grid.i_weights, flogf_rows[s], m)
+                energy_contraction(t, grid, params.delta, contracted[s])
+            total += float(flogf_rows.sum())
+            sums = _per_cell_conserved(contracted, grid, sums)
+    return (*conserved_totals(np.array(sums), grid), grid.dx * grid.dv**3 * total, norm,
+            g_norm)
+
+
+def _per_cell_sup_norm(a, b, grid, q, delta):
+    """_sup_norm one cell at a time, tile by tile."""
+    weights = grid.norm_weight(q, delta)
+    tiles = row_tiles(grid.n_v**3, grid.n_i)
+    w, t = np.empty((2, tiles[0].stop, grid.n_i))
+    out = 0.0
+    for s in tiles:
+        ws, ts = weight_tile(weights, s, w), t[: s.stop - s.start]
+        for i, cell in enumerate(a):
+            out = max_nan(out, tile_sup(cell[s], None if b is None else b[i][s], ws, ts))
+    return out
+
+
+def _per_cell_conserved_quantities(f, delta):
+    grid, sums = f.grid, [0.0] * 5
+    contracted = np.empty((grid.n_v**3, 2))
+    for cell in f.cells:
+        for s in row_tiles(grid.n_v**3, grid.n_i):
+            energy_contraction(cell[s], grid, delta, contracted[s])
+        sums = _per_cell_conserved(contracted, grid, sums)
+    return conserved_totals(np.array(sums), grid)
+
+
+def _same_bits(got, expected):
+    for x, y in zip(got, expected, strict=True):
+        assert (x is None) == (y is None)
+        assert np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n_x=st.integers(2, 50), n_v=st.integers(3, 9), n_i=st.integers(1, 16),
+       nu_theta=st.sampled_from([(0.0, 1.0), (0.5, 0.8), (-0.3, 0.6)]),
+       kappa=st.sampled_from([1.0, 1e-3]), tile_bytes=st.sampled_from([64, 800, TILE_BYTES]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_x=50, n_v=5, n_i=4, nu_theta=(0.5, 0.8), kappa=1.0, tile_bytes=TILE_BYTES, seed=0)
+@example(n_x=50, n_v=3, n_i=1, nu_theta=(0.0, 1.0), kappa=1e-3, tile_bytes=800, seed=1)
+def test_grouped_passes_equal_the_per_cell_loops(n_x, n_v, n_i, nu_theta, kappa, tile_bytes,
+                                                 seed):
+    # groups of whole cells that fill half a tile (32 cells at (n_v, n_i) = (5, 4), 22 at
+    # (9, 1)), the last often short, inside Gaussian blocks of tile_rows(n_v^3) cells (a
+    # tile holds 3 cells of 27 rows at 800 bytes); at 64 bytes every cell spans row tiles.
+    # The fields hold exact zeros, which f ln f takes on its own path
+    with mock.patch.object(field, "TILE_BYTES", tile_bytes):
+        grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
+        rng = np.random.default_rng(seed)
+        values = rng.random(grid.field_shape) * (rng.random(grid.field_shape) > 0.3)
+        ref = rng.random((2 * n_x,) + grid.field_shape[1:]).reshape(2 * n_x, n_v**3, n_i)
+        params = SchemeParams(nu=nu_theta[0], theta=nu_theta[1], delta=1.5, kappa=kappa,
+                              q=7.0)
+        f = DistField(values, grid)
+        _same_bits(conserved_quantities(f, 1.5), _per_cell_conserved_quantities(f, 1.5))
+        for b in (None, ref[::2]):  # a strided view of a reference's cells
+            expected = _per_cell_sup_norm(f.cells, b, grid, 7.0, 1.5)
+            got = (weighted_sup_norm(f, 7.0, 1.5) if b is None
+                   else error_sup_norm(f, b, 7.0, 1.5))
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        macro = compute_moments(f, params, dt=0.1)
+        for mac, gauss_norm in [(macro, True), (macro, False), (None, True)]:
+            got, expected = (DistField(values.copy(), grid) for _ in range(2))
+            (mass, mom, energy), *rest = _relax_into(got, mac, params, 0.1, True, gauss_norm)
+            _same_bits([mass, mom, energy, *rest],
+                       _per_cell_relax(expected, mac, params, 0.1, gauss_norm))
+            assert got.values.tobytes() == expected.values.tobytes()
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
