@@ -8,11 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTable, InvalidConfig, NegativeField
-from .field import DistField, error_sup_norm, row_tiles, stack_tiles
+from .field import DistField, cell_tiles, error_sup_norm, row_tiles
 from .gaussian import gaussian_field
 from .grid import PhaseGrid
 from .moments import compute_moments, energy_contraction
-from .params import SchemeParams, collision_frequency, normalizer_discrete
+from .params import SchemeParams, _power, collision_frequency, normalizer_discrete
 
 _MONITOR_SLACK = 1e-12  # relative tolerance of check_envelopes
 
@@ -26,6 +26,8 @@ def cell_conserved(a: np.ndarray, grid: PhaseGrid, sums: np.ndarray) -> np.ndarr
     one call.  OpenBLAS splits a long dot over its threads, so its last bits follow
     OPENBLAS_NUM_THREADS; a gemm it splits along its outputs, each summed whole."""
     m = grid.velocity_tables() @ a  # (k, 4, 2): rows v1, v2, v3, |v|^2
+    if len(a) == 1:  # the running sum below is this one add, without its arrays
+        return sums + (a[0, :, 0].sum(), *m[0, :3, 0], 0.5 * m[0, 3, 0] + a[0, :, 1].sum())
     cs = np.empty((len(a) + 1, 5))
     cs[0] = sums
     a[..., 0].sum(axis=1, out=cs[1:, 0])
@@ -44,26 +46,28 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     """Total mass, momentum, and energy of a field.
 
     mass = sum f dx dv^3 dI, momentum = sum f v ..., and the energy weight is
-    |v|^2/2 + I^(2/delta).  The cells are contracted a block of row_tiles(n_x, n_v^3) at
-    a time, each by the tiles the relaxation contracts, so a step report equals this on
-    the output bit for bit.  Reductions run cell by cell in a fixed order, so results are
-    bit-reproducible for a given grid, whatever the number of BLAS threads
-    (cell_conserved).
+    |v|^2/2 + I^(2/delta).  Each block of row_tiles(n_x, n_v^3) cells is contracted by the
+    tiles of its field.cell_tiles, as the relaxation contracts them, so a step report equals
+    this on the output bit for bit, and folded in one call, cell by cell in a fixed order:
+    the sums are bit-reproducible whatever the number of BLAS threads (cell_conserved).
     """
     g = fld.grid
     blocks = row_tiles(g.n_x, g.n_v**3)
     buf = np.empty((blocks[0].stop, g.n_v**3, 2))
     sums = np.zeros(5)
-    for cells in blocks:
-        a = buf[: cells.stop - cells.start]
-        for t, o in stack_tiles(fld.cells[cells], a):
-            energy_contraction(t, g, delta, o)
+    for block in blocks:
+        stack, a = fld.cells[block], buf[: block.stop - block.start]
+        cells, tiles = cell_tiles(len(stack), g.n_v**3, g.n_i)
+        for c in cells:
+            for s in tiles:
+                energy_contraction(stack[c, s], g, delta, a[c, s])
         sums = cell_conserved(a, g, sums)
     return conserved_totals(sums, g)
 
 
 def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray, b: np.ndarray) -> None:
-    """rows = (t ln t) @ wk over one row tile, with 0 ln 0 := 0; b is a scratch tile."""
+    """rows = (t ln t) @ wk over one tile of field.cell_tiles, with 0 ln 0 := 0; b is a
+    scratch tile of t's shape."""
     zero = t == 0  # exact zeros only: NaN and inf propagate as they would in xlogy
     # a zero's log is taken of 1, not 0 (log's -inf path is slow), and 0 * t keeps its sign
     np.log(np.add(t, zero, out=b) if zero.any() else t, out=b)
@@ -73,19 +77,22 @@ def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray, b: np.ndarray) -
 
 
 def entropy(fld: DistField) -> float:
-    """sum f ln f over phase space with cell weights; 0 ln 0 := 0."""
-    g = fld.grid
-    tiles = row_tiles(g.n_v**3, g.n_i)
-    rows = np.empty(g.n_v**3)
-    buf = np.empty((tiles[0].stop, g.n_i))
+    """sum f ln f over phase space with cell weights; 0 ln 0 := 0.  Taken by the tiles of
+    field.cell_tiles and summed cell by cell, as the relaxation takes it."""
+    g, stack = fld.grid, fld.cells
+    cells, tiles = cell_tiles(g.n_x, g.n_v**3, g.n_i)
+    rows = np.empty((cells[0].stop, g.n_v**3))
+    buf = np.empty(stack[cells[0], tiles[0]].shape)
     total = 0.0
-    for cell in fld.cells:
+    for c in cells:
+        r = rows[: c.stop - c.start]
         for s in tiles:
-            t = cell[s]
+            t = stack[c, s]
             if t.min() < 0:  # checked in cache, before the tile's log
                 raise NegativeField("entropy requires a nonnegative field")
-            tile_flogf(t, g.i_weights, rows[s], buf[: s.stop - s.start])
-        total += float(rows.sum())
+            tile_flogf(t, g.i_weights, r[:, s], buf[: len(t), : s.stop - s.start])
+        for x in r.sum(axis=1).tolist():
+            total += x
     return g.dx * g.dv**3 * total
 
 
@@ -143,15 +150,21 @@ class StabilityEnvelope:
         return disc_mass / (self.c01 * cont_v * cont_i)
 
 
-def masked_min_ratio(cell: np.ndarray, table: np.ndarray) -> float:
-    """min of cell / table, tile by tile, over the nodes where the envelope table is > 0 (where
-    it underflows to 0 it bounds nothing); a NaN quotient is skipped, as min() skips NaN."""
+def masked_min_ratio(stack: np.ndarray, table: np.ndarray) -> float:
+    """min of stack / table over every cell's nodes where the envelope table is > 0 (where it
+    underflows to 0 it bounds nothing), by the tiles of field.cell_tiles in one scratch tile;
+    a NaN quotient is skipped, whatever the tile holding it."""
+    cells, tiles = cell_tiles(len(stack), *table.shape)
+    buf = np.empty(stack[cells[0], tiles[0]].shape)
     worst = math.inf
-    for s in row_tiles(*table.shape):
-        env = table[s]
-        with np.errstate(over="ignore"):  # an overflowing quotient is +inf: it bounds nothing
-            q = np.divide(cell[s], env, out=np.full(env.shape, math.inf), where=env > 0)
-        worst = min(worst, float(q.min()))
+    for s in tiles:
+        env, q = table[s], buf[:, : s.stop - s.start]
+        q.fill(math.inf)  # where the table is not > 0, kept for every group of this tile
+        for c in cells:
+            qc = q[: c.stop - c.start]
+            with np.errstate(over="ignore"):  # an overflowing quotient is +inf: it bounds nothing
+                np.divide(stack[c, s], env, out=qc, where=env > 0)
+            worst = min(worst, float(np.fmin.reduce(qc, axis=None)))
     return worst
 
 
@@ -211,9 +224,10 @@ def check_envelopes(run, envelope: StabilityEnvelope) -> EnvelopeReport:
     worst_lo = math.inf
     worst_hi = math.inf
     for n, rep in enumerate(reports):
+        # a lower bound that underflows to 0, or an upper one that overflows, bounds nothing
         lo_bound = dec**n
-        lo_slack = rep.envelope_min_ratio / lo_bound - 1.0
-        hi_bound = growth**n * norm0
+        lo_slack = rep.envelope_min_ratio / lo_bound - 1.0 if lo_bound > 0 else math.inf
+        hi_bound = _power(growth, n) * norm0
         hi_slack = 1.0 - rep.tilde_norm_q / hi_bound
         worst_lo = min(worst_lo, lo_slack)
         worst_hi = min(worst_hi, hi_slack)

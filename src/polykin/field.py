@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,31 +102,14 @@ def row_tiles(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(r, min(r + rows, n_rows)) for r in range(0, n_rows, rows)]
 
 
-def stack_tiles(stack: np.ndarray, out: np.ndarray) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """(tile, out tile) pairs that cover a (cells, n_rows, n_cols) stack and the (cells,
-    n_rows, ...) out it is reduced into, in order: the whole stack once when a cell fits in
-    one row tile, else each cell's row_tiles(n_rows, n_cols) in turn."""
-    n_rows, n_cols = stack.shape[1:]
-    if n_rows <= tile_rows(n_cols):
-        return [(stack, out)]
-    tiles = row_tiles(n_rows, n_cols)
-    return ((cell[s], o[s]) for cell, o in zip(stack, out) for s in tiles)
-
-
-def cell_tiles(n_cells: int, n_rows: int, n_cols: int) -> tuple[list[slice] | range,
-                                                                list[slice]]:
-    """(cells, tiles): stack[c, s] for each c in cells and, within it, each s in tiles covers
-    a (n_cells, n_rows, n_cols) stack in order, one tile at a time.  When a cell fits in one
-    row tile, each c is a group of as many whole cells as fill half of one (at least one;
-    the last group may hold fewer) and tiles is the whole cell, so a tile is a
-    (k, n_rows, n_cols) group of cells, and a scratch tile of the group and one cell's
-    gathered weights together fit in a row tile.  Else each c is a cell's index and tiles
-    are its row_tiles(n_rows, n_cols), so a tile is one 2-D row tile of one cell."""
-    rows = tile_rows(n_cols)
-    if n_rows > rows:
-        return range(n_cells), row_tiles(n_rows, n_cols)
-    k = max(1, rows // (2 * n_rows))
-    return [slice(c, min(c + k, n_cells)) for c in range(0, n_cells, k)], [slice(0, n_rows)]
+def cell_tiles(n_cells: int, n_rows: int, n_cols: int) -> tuple[list[slice], list[slice]]:
+    """(cells, tiles), the walk of every per-cell pass: stack[c, s] for each c in cells and,
+    within it, each s in tiles covers a (n_cells, n_rows, n_cols) stack in order, one
+    (k, rows, n_cols) tile at a time.  Each c is a group of as many whole cells as fill half
+    a row tile, at least one (the last may hold fewer), so the group's scratch tile and one
+    cell's weights fit in a tile; tiles are row_tiles(n_rows, n_cols), several only if k is 1."""
+    k = max(1, tile_rows(n_cols) // (2 * n_rows))
+    return [slice(c, min(c + k, n_cells)) for c in range(0, n_cells, k)], row_tiles(n_rows, n_cols)
 
 
 def weight_tile(weights: tuple[np.ndarray, np.ndarray], s: slice, out: np.ndarray) -> np.ndarray:
@@ -140,7 +122,8 @@ def weight_tile(weights: tuple[np.ndarray, np.ndarray], s: slice, out: np.ndarra
 
 
 def tile_sup(a: np.ndarray, b: np.ndarray | None, w: np.ndarray, t: np.ndarray) -> float:
-    """max of |a - b| (|a| without b) times w over one row tile, taken in t."""
+    """max of |a - b| (|a| without b) times w over one tile of cell_tiles, taken in t; w is
+    the tile's weights, the same in each of its cells."""
     if b is None:
         t = np.abs(a, out=t)
     else:
@@ -169,10 +152,10 @@ def _sup_norm(a: np.ndarray, b: np.ndarray | None, grid: PhaseGrid, q: float,
     t = np.empty(a[cells[0], tiles[0]].shape)
     out = 0.0
     for s in tiles:
-        ws = weight_tile(weights, s, w)
+        ws, ts = weight_tile(weights, s, w), t[:, : s.stop - s.start]
         for c in cells:
             x = a[c, s]
-            out = max_nan(out, tile_sup(x, None if b is None else b[c, s], ws, t[: len(x)]))
+            out = max_nan(out, tile_sup(x, None if b is None else b[c, s], ws, ts[: len(x)]))
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
-from .field import DistField, stack_tiles, tile_rows
+from .field import DistField, cell_tiles, tile_rows
 from .grid import PhaseGrid
 from .params import SchemeParams, blend_factors
 
@@ -69,10 +69,10 @@ class MacroFields:
 def energy_contraction(values: np.ndarray, grid: PhaseGrid, delta: float,
                        out: np.ndarray) -> np.ndarray:
     """values @ [w, w*eps] into out: the energy integrals of f and eps*f over a tile of
-    field.stack_tiles or field.cell_tiles, a block or group of cells that each fit in one
-    row tile or one row tile of a larger cell.  Every pass contracts a tile while it is in cache, and no call spans a
-    cell larger than a tile: OpenBLAS threads such a gemm, and its buffers then take
-    tens of MB that no Python allocation shows."""
+    field.cell_tiles, a group of cells of one row tile each or one row tile of a larger
+    cell.  Every pass contracts a tile while it is in cache, and no call spans a cell
+    larger than a tile: OpenBLAS threads such a gemm, and its buffers then take tens of MB
+    that no Python allocation shows."""
     return np.matmul(values, grid.energy_moment_weights(delta), out=out)
 
 
@@ -110,9 +110,11 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
     """Moments of a (n_cells, n_v^3, n_i) stack of distribution tables.
 
     The stack is contracted one block of cells at a time (moments_tiling) into one buffer,
-    each tile of field.stack_tiles checked for its minimum and contracted in one visit,
-    and the axis and pair sums are kept for one group of blocks, whose cells are centred
+    each tile of the block's field.cell_tiles checked for its minimum and contracted in one
+    visit.  The axis and pair sums are kept for one group of blocks, whose cells are centred
     before the next group is contracted, so beside the moments it holds about two tiles.
+    The blocks stay on their own rule: a cell of several row tiles takes its pair sums with
+    the rest of its block, since alone it took them 30% slower at (256, 17, 16).
     Every moment is reduced inside its cell, so a cell's moments do not depend on its
     place in the stack or on the stack's size.  A group holding a cell of bad density is
     left uncentred, and the errors keep the whole-stack order: a negative entry (naming
@@ -132,10 +134,13 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
         group = slice(start, min(start + span, n_cells))
         for s in range(start, group.stop, block):
             cells = slice(s, min(s + block, group.stop))
-            contracted = buf[: cells.stop - s]
-            for t, o in stack_tiles(values[cells], contracted):
-                mn = np.minimum(mn, t.min())  # NaN once any entry is
-                energy_contraction(t, grid, params.delta, o)
+            contracted, stack = buf[: cells.stop - s], values[cells]
+            parts, tiles = cell_tiles(len(stack), nv**3, grid.n_i)
+            for c in parts:
+                for r in tiles:
+                    t = stack[c, r]
+                    mn = np.minimum(mn, t.min())  # NaN once any entry is
+                    energy_contraction(t, grid, params.delta, contracted[c, r])
             g = contracted[..., 0]
             np.multiply(dv3, g.sum(axis=1), out=rho[cells])
             contracted[..., 1].sum(axis=1, out=eps_tot[cells])

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGrid, OutOfRange
+
+
+def _power(base: float, exponent: float) -> float:
+    """base**exponent in floats, inf where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def _check_ranges(nu: float, theta: float) -> None:

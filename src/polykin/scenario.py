@@ -20,19 +20,11 @@ from .errors import InvalidConfig, OutOfRange, ParseError, ValidationError
 from .field import cell_tiles, tile_rows
 from .grid import GridConfig, PhaseGrid, build_grid
 from .moments import moments_peak_doubles
-from .params import SchemeParams, normalizer_discrete
+from .params import SchemeParams, _power, normalizer_discrete
 
 IC_KINDS = ("maxwellian", "smooth", "riemann")
 ENVELOPE_MODES = ("off", "auto", "explicit")
 MAX_STEPS = 1_000_000  # a run keeps one StepReport per step in memory
-
-
-def _power(base: float, exponent: float) -> float:
-    """base**exponent in floats, inf where it overflows."""
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
 
 
 def physical_memory() -> int:
@@ -65,7 +57,7 @@ def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     samples = n_x * (2 * n_v**2 * n_i + 4 * n_v + 12 * n_i) + 131072
     factors = block * (6 * n_v**3 + 3 * n_i)
     cells, rows = cell_tiles(block, n_v**3, n_i)
-    group = cells[0].stop if len(rows) == 1 else 1  # cells of the relaxation's first tile
+    group = cells[0].stop  # cells of the relaxation's first tile
     tiles = group * (3 * rows[0].stop * n_i + 3 * n_v**3)
     shells = 2 * math.ceil(n_v / 2) ** 3 * n_i
     chunk = (2 * n_x + 1) * min(n_v**2 * n_i, tile_rows(n_x + 1))
@@ -345,7 +337,7 @@ def certified_envelope(scn: Scenario, grid: PhaseGrid) -> StabilityEnvelope | No
     )
 
     shape = StabilityEnvelope(c01=1.0, c02=c02, a_exp=a, b_exp=b).table(grid)
-    ratio = masked_min_ratio(profile_min.reshape(shape.shape), shape)
+    ratio = masked_min_ratio(profile_min.reshape((1,) + shape.shape), shape)
     c01 = ratio * (1.0 - 1e-9)  # headroom over the monitors' 1e-12 slack
     if c01 <= 0:
         raise ValidationError("envelope", "initial data does not admit a positive envelope")

@@ -97,23 +97,21 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                 track_entropy: bool = True, gauss_norm: bool = False):
     """Overwrite f~ with its blend with its Gaussian, a tile at a time, in one pass per tile.
 
-    The Gaussian factors are evaluated for a block of cells at once, a row tile
-    of the (n_x, n_v**3) factor rows.  The block is walked by field.cell_tiles:
-    a group of whole cells that fill half a row tile at once, or each row tile
-    of a larger cell in turn.  The tile's Gaussian is written into one reused tile
-    buffer, f~'s tile is blended with it in place while both are in cache, and
-    the tile's weighted sup (its weights gathered from the grid's shell table,
-    once a call when every tile is a whole cell), f ln f rows and energy
-    contraction are taken; once a group or a cell is done, its conserved sums
-    and entropy are folded in cell order.  The buffers are taken once the first
-    block's factor temporaries are freed.  A group's, which at n_i = 1 outweigh
-    those temporaries, are freed with each block's factors and taken anew; a
-    larger cell's row tiles are kept for the call, since taking them anew in
-    each block slowed a (16, 17, 16) pass by 5%.  Returns the output's conserved sums,
-    entropy (NaN unless track_entropy), weighted norm, and the Gaussian's
-    weighted norm (None unless gauss_norm): what conserved_quantities, entropy
-    and weighted_sup_norm give on the output, bit for bit.  With macro None
-    (transport only) f~ is kept as it stands and the Gaussian norm is None.
+    The Gaussian factors are evaluated for a block of cells at once, a row tile of the
+    (n_x, n_v**3) factor rows, and the block is walked by field.cell_tiles.  Each tile's
+    Gaussian is written into one reused tile buffer, f~'s tile is blended with it in place
+    while both are in cache, and the tile's weighted sup, f ln f rows and energy
+    contraction are taken; once a group of cells is done, its conserved sums and entropy
+    are folded in cell order.  Cells of one row tile take their weights from one gather a
+    call; a larger cell gathers each tile's into the scratch tile.  The buffers are taken
+    once the first block's factor temporaries are freed.  Those of one-tile cells, which
+    at n_i = 1 outweigh the temporaries, are freed with each block's factors and taken
+    anew; a larger cell's are kept for the call, since taking them anew in each block
+    slowed a (16, 17, 16) pass by 5%.  Returns the output's conserved sums, entropy (NaN
+    unless track_entropy), weighted norm, and the Gaussian's weighted norm (None unless
+    gauss_norm): what conserved_quantities, entropy and weighted_sup_norm give on the
+    output, bit for bit.  With macro None (transport only) f~ is kept as it stands and the
+    Gaussian norm is None.
     """
     grid = f_tilde.grid
     n_rows = grid.n_v**3
@@ -125,7 +123,8 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     bufs = whole = None
 
     def tile_weights(s, out):  # row tile s's weights: a whole cell's, or gathered into out
-        return whole if whole is not None else weight_tile(weights, s, out)
+        # given as out's own (1, rows, n_i) shape, else numpy copies out to multiply into it
+        return whole if whole is not None else weight_tile(weights, s, out[0])[None]
 
     sums = np.zeros(5)
     total_flogf = 0.0
@@ -135,24 +134,22 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
             pev, ei = _gaussian_flat(macro, block, grid, lambda_delta, params.delta)
         stack = f_tilde.cells[block]
         cells, tiles = cell_tiles(len(stack), n_rows, grid.n_i)
-        grouped = len(tiles) == 1  # each tile is a group of whole cells
         if bufs is None:  # taken once the factor pass's temporaries are freed
             # the Gaussian, then scratch; with its norm, a tile of its weighted values
             bufs = np.empty((1 if g_norm is None else 2,) + stack[cells[0], tiles[0]].shape)
-            # a group's contraction and f ln f rows, or one cell's, tile by tile
-            contracted = np.empty((cells[0].stop if grouped else 1, n_rows, 2))
+            contracted = np.empty((cells[0].stop, n_rows, 2))  # a group's, tile by tile
             flogf_rows = np.empty(contracted.shape[:2])
-            if grouped and whole is None:  # a whole cell's weights serve every group
+            if len(tiles) == 1 and whole is None:  # one gather serves every group
                 whole = weight_tile(weights, tiles[0], np.empty((n_rows, grid.n_i)))
         for c in cells:
-            o = slice(0, c.stop - c.start) if grouped else 0  # c in the buffers
+            o = slice(0, c.stop - c.start)  # c in the buffers
             for s in tiles:
                 t = stack[c, s]
-                m = bufs[0, : len(t)]
+                m = bufs[0, o, : s.stop - s.start]
                 if macro is not None:
                     gaussian_table(pev[c, s], ei[c], m)
                     if g_norm is not None:
-                        w = bufs[1, : len(t)]
+                        w = bufs[1, o, : s.stop - s.start]
                         w = np.multiply(m, tile_weights(s, w), w)
                         g_norm = max_nan(g_norm, float(w.max()))
                     _blend_into(t, m, c_f, c_m)
@@ -165,11 +162,11 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                     tile_flogf(t, grid.i_weights, flogf_rows[o, s], m)
                 energy_contraction(t, grid, params.delta, contracted[o, s])
             if track_entropy:
-                for x in flogf_rows[o].reshape(-1, n_rows).sum(axis=1).tolist():
+                for x in flogf_rows[o].sum(axis=1).tolist():
                     total_flogf += x
-            sums = cell_conserved(contracted[o].reshape(-1, n_rows, 2), grid, sums)
+            sums = cell_conserved(contracted[o], grid, sums)
         pev = ei = None  # freed before the next block's factors are built
-        if grouped:  # and so are a group's buffers, with the views into them
+        if len(tiles) == 1:  # and so are one-tile cells' buffers, with the views into them
             bufs = contracted = flogf_rows = m = w = None
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
     return conserved_totals(sums, grid), ent, norm, g_norm
@@ -248,7 +245,7 @@ def _defect_scales(cons0, delta: float) -> tuple[float, float, float]:
 
 def _envelope_min_ratio(f_tilde: DistField, env_table: np.ndarray) -> float:
     """min of f~ / envelope over the nodes where the envelope is > 0."""
-    return min(masked_min_ratio(cell, env_table) for cell in f_tilde.cells)
+    return masked_min_ratio(f_tilde.cells, env_table)
 
 
 def _sample_initial(scn: Scenario, ic, grid: PhaseGrid, shift_dt: float,

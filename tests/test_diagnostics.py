@@ -227,6 +227,46 @@ class TestEnvelopes:
         assert report.first_violation == (0 if violations else None)
         assert report.ok == (violations == 0)
 
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_a_bound_that_underflows_or_overflows_bounds_nothing(self, bound):
+        # kappa = 1e-6 and A*dt = 0.056 make the decay 1.8e-5, whose power underflows to 0
+        # after 68 reports (ratio / 0 raised ZeroDivisionError); a Gaussian norm 1e10 times
+        # the run's makes a growth whose power overflows after about 30 (OverflowError).
+        # Such a bound adds no violation and no slack: the report on 80 reports equals the
+        # one on their first 2, where the worst slacks lie
+        from polykin import certified_envelope
+
+        scn = self.scenario(kappa=1e-6, dt=0.05, t_final=0.1)
+        grid, _ = scn.validate()
+        env = certified_envelope(scn, grid)
+        res = run(scn, track_entropy=False)
+        reports = res.reports
+        if bound == "upper":
+            reports = [dataclasses.replace(r, gaussian_norm_q=1e10 * r.gaussian_norm_q)
+                       for r in reports]
+        long = check_envelopes(dataclasses.replace(res, reports=reports * 40), env)
+        short = check_envelopes(dataclasses.replace(res, reports=reports), env)
+        assert long.steps == 80
+        if bound == "lower":
+            assert long.decay_factor ** 79 == 0.0
+        else:
+            assert long.growth_factor > 1e9
+        for name in ("lower_violations", "upper_violations", "first_violation",
+                     "worst_lower_slack", "worst_upper_slack"):
+            assert getattr(long, name) == getattr(short, name), name
+
+    def test_min_ratio_skips_each_nan_quotient(self):
+        # node by node, so a NaN cannot hide the minimum of the tile or group holding it;
+        # where the table is 0 nothing is bounded, not even a negative value
+        from polykin.diagnostics import masked_min_ratio
+
+        table = np.ones((4, 2))
+        table[3] = 0.0
+        stack = np.full((3, 4, 2), 2.0)
+        stack[1, 0, 0], stack[1, 2, 1], stack[2, 3, 0] = np.nan, 0.5, -7.0
+        assert masked_min_ratio(stack, table) == 0.5
+        assert masked_min_ratio(stack[:1], table) == 2.0
+
     @pytest.mark.parametrize("c01", [np.nan, np.inf])
     def test_non_finite_envelope_constant_rejected(self, c01):
         with pytest.raises(InvalidConfig):

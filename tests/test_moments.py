@@ -16,6 +16,7 @@ from polykin import (
     tensor_sandwich_check,
 )
 from polykin import moments, stepper
+from polykin.field import cell_tiles
 from polykin.errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
 from polykin.stepper import _relax_into
 from tests.conftest import random_field_values
@@ -130,9 +131,10 @@ class TestComputeMoments:
         assert "cell 2" in str(exc.value)
 
     def test_each_cell_is_contracted_once(self, default_params, rng, monkeypatch):
-        # 75 groups of 1,213 cells: the moments take every group in one pass, with no
-        # second contraction of the stack however many groups it has, one call a block; a
-        # cell of 39 row tiles is contracted tile by tile, each tile once
+        # the moments take every block in one pass, with no second contraction of the stack
+        # however many blocks it has, one call a tile of the block's field.cell_tiles: 75
+        # blocks of up to 1,213 cells in groups of 606 make 223 calls; a cell of 39 row
+        # tiles is contracted tile by tile, each tile once
         contract, rows = moments.energy_contraction, []
 
         def counted(values, *args, **kwargs):
@@ -140,13 +142,18 @@ class TestComputeMoments:
             return contract(values, *args, **kwargs)
 
         monkeypatch.setattr(moments, "energy_contraction", counted)
-        for n_x, n_v, n_i, calls in [(90000, 3, 1, 75), (3, 17, 256, 3 * 39)]:
+        for n_x, n_v, n_i in [(90000, 3, 1), (3, 17, 256)]:
             grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
             f = DistField(random_field_values(rng, grid) + 0.05, grid)
             rows.clear()
             compute_moments(f, default_params, dt=0.1)
             assert sum(rows) / n_v**3 == n_x, sum(rows) / n_v**3  # cells contracted
-            assert len(rows) == calls, len(rows)
+            block, _ = moments.moments_tiling(n_x, n_v)
+            calls = 0
+            for start in range(0, n_x, block):
+                cells, tiles = cell_tiles(min(block, n_x - start), n_v**3, n_i)
+                calls += len(cells) * len(tiles)
+            assert len(rows) == calls, (len(rows), calls)
 
     def test_relax_contracts_a_group_of_cells_at_a_time(self, default_params, rng,
                                                          monkeypatch):

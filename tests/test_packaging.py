@@ -132,3 +132,27 @@ def test_only_energy_contraction_reads_the_energy_weights():
         _readers(ast.parse(path.read_text(encoding="utf-8")), "energy_moment_weights",
                  path.stem, readers)
     assert readers == ["moments.energy_contraction"], readers
+
+
+def test_every_per_cell_pass_walks_cell_tiles():
+    # one walker: a function that contracts, takes f ln f of or sups over a field's tiles
+    # takes them from field.cell_tiles, and the second walker stack_tiles is gone
+    root = Path(polykin.__file__).resolve().parent
+    kernels = {"energy_contraction", "tile_flogf", "tile_sup"}
+    missing, passes = [], []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            called = {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                      for n in ast.walk(node) if isinstance(n, ast.Call)
+                      and isinstance(n.func, (ast.Name, ast.Attribute))}
+            if called & kernels and node.name not in kernels:
+                passes.append(f"{path.stem}.{node.name}")
+                if "cell_tiles" not in called:
+                    missing.append(passes[-1])
+    assert not missing, f"per-cell passes that do not walk cell_tiles: {missing}"
+    assert sorted(passes) == ["diagnostics.conserved_quantities", "diagnostics.entropy",
+                              "field._sup_norm", "moments._moments_of_stack",
+                              "stepper._relax_into"], passes
+    assert not hasattr(polykin.field, "stack_tiles")

@@ -32,11 +32,13 @@ from polykin import (
     MacroFields,
     Scenario,
     SchemeParams,
+    StabilityEnvelope,
     advect,
     build_grid,
     relax,
     compute_moments,
     conserved_quantities,
+    entropy,
     error_sup_norm,
     gaussian_field,
     normalizer_discrete,
@@ -56,7 +58,7 @@ from polykin.field import TILE_BYTES, max_nan, row_tiles, tile_sup, weight_tile
 from polykin.gaussian import _gaussian_flat, factor_spd, gaussian_table
 from polykin.moments import _moments_of_stack, energy_contraction, moments_tiling
 from polykin.params import blend_factors, collision_frequency
-from polykin.stepper import _blend_into, _relax_into
+from polykin.stepper import _blend_into, _envelope_min_ratio, _relax_into
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 NONNEG = st.floats(min_value=0.0, max_value=1e6)
@@ -537,6 +539,30 @@ def _per_cell_conserved_quantities(f, delta):
     return conserved_totals(np.array(sums), grid)
 
 
+def _per_cell_entropy(f):
+    """entropy one cell at a time, each by its row tiles, summing the cell's rows."""
+    grid, total = f.grid, 0.0
+    tiles = row_tiles(grid.n_v**3, grid.n_i)
+    rows, buf = np.empty(grid.n_v**3), np.empty((tiles[0].stop, grid.n_i))
+    for cell in f.cells:
+        for s in tiles:
+            tile_flogf(cell[s], grid.i_weights, rows[s], buf[: s.stop - s.start])
+        total += float(rows.sum())
+    return grid.dx * grid.dv**3 * total
+
+
+def _per_cell_min_ratio(f, table):
+    """_envelope_min_ratio one cell at a time, each by its row tiles, in a new tile each."""
+    worst = math.inf
+    for cell in f.cells:
+        for s in row_tiles(*table.shape):
+            env = table[s]
+            with np.errstate(over="ignore"):
+                q = np.divide(cell[s], env, out=np.full(env.shape, math.inf), where=env > 0)
+            worst = min(worst, float(q.min()))
+    return worst
+
+
 def _same_bits(got, expected):
     for x, y in zip(got, expected, strict=True):
         assert (x is None) == (y is None)
@@ -555,7 +581,9 @@ def test_grouped_passes_equal_the_per_cell_loops(n_x, n_v, n_i, nu_theta, kappa,
     # groups of whole cells that fill half a tile (32 cells at (n_v, n_i) = (5, 4), 22 at
     # (9, 1)), the last often short, inside Gaussian blocks of tile_rows(n_v^3) cells (a
     # tile holds 3 cells of 27 rows at 800 bytes); at 64 bytes every cell spans row tiles.
-    # The fields hold exact zeros, which f ln f takes on its own path
+    # The fields hold exact zeros, which f ln f takes on its own path.  The envelope
+    # underflows to 0 at the far nodes, where it bounds nothing, and is subnormal (its
+    # quotients overflow to inf) in between
     with mock.patch.object(field, "TILE_BYTES", tile_bytes):
         grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
         rng = np.random.default_rng(seed)
@@ -565,6 +593,11 @@ def test_grouped_passes_equal_the_per_cell_loops(n_x, n_v, n_i, nu_theta, kappa,
                               q=7.0)
         f = DistField(values, grid)
         _same_bits(conserved_quantities(f, 1.5), _per_cell_conserved_quantities(f, 1.5))
+        _same_bits([entropy(f)], [_per_cell_entropy(f)])
+        env = StabilityEnvelope(c01=1e-300, c02=10.0, a_exp=2.0, b_exp=2.0).table(grid)
+        assert (env == 0).any() and (env > 0).any()
+        for g in (f, DistField(values + 0.5 * rng.random(grid.field_shape), grid)):
+            _same_bits([_envelope_min_ratio(g, env)], [_per_cell_min_ratio(g, env)])
         for b in (None, ref[::2]):  # a strided view of a reference's cells
             expected = _per_cell_sup_norm(f.cells, b, grid, 7.0, 1.5)
             got = (weighted_sup_norm(f, 7.0, 1.5) if b is None
