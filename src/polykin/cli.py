@@ -149,14 +149,21 @@ def cmd_sweep(args) -> int:
     if not kappas or any(k <= 0 for k in kappas):
         raise ValidationError("kappa", f"need one or more kappa values > 0, got {kappas}")
 
+    k_scns = [dataclasses.replace(scn, kappa=k, envelope="off") for k in kappas]  # monitors unread
+    for k_scn in k_scns:  # every kappa, before the first one runs
+        k_scn.validate()
     rows = []
-    for kappa in kappas:
-        k_scn = dataclasses.replace(scn, kappa=kappa, envelope="off")  # monitors unread
-        result = stepper.run(k_scn, track_entropy=False)
-        finite = all(
-            math.isfinite(r.norm_q) and math.isfinite(r.mass) for r in result.reports
-        )
-        final_dist = equilibrium_distance(result.final, result.params, dt=k_scn.dt)
+    for kappa, k_scn in zip(kappas, k_scns):
+        try:
+            result = stepper.run(k_scn, track_entropy=False)
+            finite = all(
+                math.isfinite(r.norm_q) and math.isfinite(r.mass) for r in result.reports
+            )
+            final_dist = equilibrium_distance(result.final, result.params, dt=k_scn.dt)
+        except PolykinError as exc:
+            exc.args = (f"kappa={kappa:g}: {exc}",)
+            raise
+        del result  # its field is freed before the next kappa's run
         rows.append((kappa, finite, final_dist))
         print(f"sweep: kappa={kappa:g} finite={finite} |f-G(f)|_q={final_dist:.6e}")
 

@@ -8,8 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTable, InvalidConfig, NegativeField
-from .field import DistField, cell_tiles, error_sup_norm, row_tiles
-from .gaussian import gaussian_field
+from .field import DistField, cell_tiles, max_nan, row_tiles, tile_sup, weight_tile
+# unused here, but benchmarks/spans.py wraps diagnostics.gaussian_field and error_sup_norm
+from .field import error_sup_norm  # noqa: F401
+from .gaussian import _gaussian_flat, gaussian_table
+from .gaussian import gaussian_field  # noqa: F401
 from .grid import PhaseGrid
 from .moments import compute_moments, energy_contraction
 from .params import SchemeParams, _power, collision_frequency, normalizer_discrete
@@ -103,11 +106,34 @@ def equilibrium_distance(fld: DistField, params: SchemeParams, dt: float = 0.0) 
     tensor, making the distance a property of the state alone; passing the
     scheme's dt instead measures the distance to the actual per-step
     relaxation target at that Knudsen number.
+
+    The Gaussian is never built as a field: as the relaxation does, its factors are
+    evaluated a block of row_tiles(n_x, n_v**3) cells at a time, and each tile of the
+    block's field.cell_tiles is written into one reused tile buffer and its weighted
+    sup taken there, the weights gathered once per tile per block.  So the distance
+    equals error_sup_norm(f, gaussian_field(...)) bit for bit, and the first cell whose
+    Gaussian fails raises the same error.
     """
+    g = fld.grid
     macro = compute_moments(fld, params, dt=dt)
-    lam_delta = normalizer_discrete(params.delta, fld.grid)
-    gauss = gaussian_field(macro, fld.grid, lam_delta, params.delta)
-    return error_sup_norm(fld, gauss, params.q, params.delta)
+    lam_delta = normalizer_discrete(params.delta, g)
+    weights = g.norm_weight(params.q, params.delta)
+    blocks = row_tiles(g.n_x, g.n_v**3)
+    cells, tiles = cell_tiles(blocks[0].stop, g.n_v**3, g.n_i)
+    w = np.empty((tiles[0].stop, g.n_i))
+    buf = np.empty((cells[0].stop, tiles[0].stop, g.n_i))
+    dist = 0.0
+    for block in blocks:
+        pev, ei = _gaussian_flat(macro, block, g, lam_delta, params.delta)
+        stack = fld.cells[block]
+        cells, tiles = cell_tiles(len(stack), g.n_v**3, g.n_i)
+        for s in tiles:
+            ws, m = weight_tile(weights, s, w), buf[:, : s.stop - s.start]
+            for c in cells:
+                t = gaussian_table(pev[c, s], ei[c], m[: c.stop - c.start])
+                dist = max_nan(dist, tile_sup(stack[c, s], t, ws, t))
+        pev = ei = None  # freed before the next block's factors are built
+    return dist
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,11 @@ velocity slab at a time, beside a few slabs of the initial function's
 temporaries, and read_snapshot() reads the payload straight into its
 field, so neither holds a second field.  A convergence study holds its runs'
 final fields: it compares each level with the reference's cells where they lie,
-and samples one exact field at a time.  tracemalloc does not see the buffers
-BLAS takes for its threads, so one test reads ru_maxrss in a subprocess at two
-BLAS threads: the energy contractions, taken a tile at a time, take none.
+and samples one exact field at a time.  The equilibrium distance takes its Gaussian
+a tile at a time, as the relaxation does, and a sweep frees each kappa's field before
+the next kappa runs, so a sweep peaks where one run does.  tracemalloc does not see
+the buffers BLAS takes for its threads, so one test reads ru_maxrss in a subprocess
+at two BLAS threads: the energy contractions, taken a tile at a time, take none.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from polykin import (
     build_grid,
     compute_moments,
     entropy,
+    equilibrium_distance,
     error_sup_norm,
     gaussian_field,
     normalizer_discrete,
@@ -279,6 +282,40 @@ def test_convergence_errors_hold_little_beside_the_runs_fields(tmp_path, monkeyp
         tracemalloc.stop()
     cells = (peak - after_runs[-1]) / (8 * 17**3 * 2)
     assert cells < limit, cells
+
+
+SWEEP = ("n_x = 16\nn_v = 17\nn_i = 16\nv_max = 4.0\ni_max = 8.0\ndt = 0.05\nt_final = 0.1\n"
+         "ic = smooth\nalpha = 0.2\n")
+
+
+def test_sweep_holds_one_run_at_a_time(tmp_path):
+    # each kappa's final field is freed before the next kappa runs, and its equilibrium
+    # distance holds a tile of its Gaussian, not a field: the sweep peaks where one run
+    # does, 12.2 MB against a guard of 17.2 MB and a 10.1 MB field.  Keeping the previous
+    # kappa's result through the next run, and a whole Gaussian field, read 22.4 MB
+    path = tmp_path / "sweep.txt"
+    path.write_text(SWEEP, encoding="utf-8")
+    argv = ["sweep", str(path), "--kappa", "1,1e-6", "--out", str(tmp_path / "o")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < run_peak_bytes(16, 17, 16), peak / run_peak_bytes(16, 17, 16)
+
+
+@pytest.mark.parametrize("n_x, n_v, n_i", [(16, 17, 16), (2, 33, 32), (256, 5, 4), (1024, 3, 1)])
+def test_equilibrium_distance_peaks_under_the_memory_guard(rng, n_x, n_v, n_i):
+    # the Gaussian is taken a tile at a time, never as a field: its input and the moments,
+    # a block's factors and a tile beside it stay under what a run may hold: 0.67 of the
+    # guard at (16, 17, 16), where a whole Gaussian field read 1.24
+    grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=4.0, n_i=n_i, i_max=8.0))
+    params = SchemeParams(nu=0.5, theta=0.8, delta=2.0, kappa=1e-6, q=8.0)
+    f = DistField(rng.random(grid.field_shape) + 0.05, grid)
+    peak = _fields_beyond_output(lambda: equilibrium_distance(f, params, 0.05), grid)
+    held = (1 + peak) * f.values.nbytes
+    assert held < run_peak_bytes(n_x, n_v, n_i), held / run_peak_bytes(n_x, n_v, n_i)
 
 
 @pytest.mark.parametrize("n_x, n_v, n_i, over", [

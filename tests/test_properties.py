@@ -39,6 +39,7 @@ from polykin import (
     compute_moments,
     conserved_quantities,
     entropy,
+    equilibrium_distance,
     error_sup_norm,
     gaussian_field,
     normalizer_discrete,
@@ -610,6 +611,59 @@ def test_grouped_passes_equal_the_per_cell_loops(n_x, n_v, n_i, nu_theta, kappa,
             _same_bits([mass, mom, energy, *rest],
                        _per_cell_relax(expected, mac, params, 0.1, gauss_norm))
             assert got.values.tobytes() == expected.values.tobytes()
+
+
+def _oracle_distance(f, params, dt):
+    """The equilibrium distance through the whole Gaussian field."""
+    lam = normalizer_discrete(params.delta, f.grid)
+    gauss = gaussian_field(compute_moments(f, params, dt), f.grid, lam, params.delta)
+    return error_sup_norm(f, gauss, params.q, params.delta)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n_x=st.integers(2, 50), n_v=st.integers(3, 9), n_i=st.integers(1, 16),
+       nu_theta=st.sampled_from([(0.0, 1.0), (0.5, 0.8), (-0.3, 0.6)]),
+       kappa=st.sampled_from([1.0, 1e-6]), dt=st.sampled_from([0.0, 0.1]),
+       tile_bytes=st.sampled_from([64, 800, TILE_BYTES]), seed=st.integers(0, 2**32 - 1))
+# a cell of two row tiles; two factor blocks of one-tile cells at n_i = 1, in groups of
+# 131; three blocks of one-tile cells, one to a group
+@example(n_x=2, n_v=9, n_i=64, nu_theta=(0.5, 0.8), kappa=1.0, dt=0.1, tile_bytes=TILE_BYTES,
+         seed=0)
+@example(n_x=300, n_v=5, n_i=1, nu_theta=(0.0, 1.0), kappa=1e-6, dt=0.0, tile_bytes=TILE_BYTES,
+         seed=1)
+@example(n_x=14, n_v=17, n_i=4, nu_theta=(-0.3, 0.6), kappa=1e-6, dt=0.1,
+         tile_bytes=TILE_BYTES, seed=2)
+def test_tiled_equilibrium_distance_equals_the_gaussian_field_oracle(
+        n_x, n_v, n_i, nu_theta, kappa, dt, tile_bytes, seed):
+    # at 800 bytes a factor block holds 3 cells of 27 rows, and at 64 every cell spans
+    # row tiles; the fields hold exact zeros
+    with mock.patch.object(field, "TILE_BYTES", tile_bytes):
+        grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
+        rng = np.random.default_rng(seed)
+        f = DistField(rng.random(grid.field_shape) * (rng.random(grid.field_shape) > 0.3), grid)
+        params = SchemeParams(nu=nu_theta[0], theta=nu_theta[1], delta=1.5, kappa=kappa, q=7.0)
+        got = equilibrium_distance(f, params, dt)
+        assert np.float64(got).tobytes() == np.float64(_oracle_distance(f, params, dt)).tobytes()
+
+
+def test_equilibrium_distance_errors_name_the_cell_the_oracle_names(rng):
+    # a cell at rest at zero temperature (all its mass on the node v = 0, I = 0) has a
+    # relaxation temperature of 0: the second and fourth cells of the second factor block
+    grid = ERROR_GRID
+    blocks = row_tiles(grid.n_x, grid.n_v**3)
+    f = DistField(rng.random(grid.field_shape) + 0.05, grid)
+    for i in (blocks[1].start + 1, blocks[1].start + 3):
+        f.cells[i] = 0.0
+        f.cells[i, grid.n_v**3 // 2, 0] = 1.0
+    params = SchemeParams(nu=0.5, theta=0.8, delta=2.0, kappa=1.0, q=8.0)
+    for dt in (0.0, 0.1):
+        with pytest.raises(PolykinError) as expected:
+            _oracle_distance(f, params, dt)
+        assert str(expected.value).startswith(f"cell {blocks[1].start + 1}: ")
+        with pytest.raises(PolykinError) as got:
+            equilibrium_distance(f, params, dt)
+        assert type(got.value) is type(expected.value) is DegenerateTemperature
+        assert str(got.value) == str(expected.value)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -564,6 +564,31 @@ class TestSweepCli:
         scn = write(tmp_path, SMOOTH)
         assert main(["sweep", str(scn), "--kappa", "1,0", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_kappa_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                     value):
+        # every kappa's scenario is validated before the first kappa runs
+        runs = []
+        monkeypatch.setattr(stepper, "run", lambda *args, **kwargs: runs.append(args))
+        scn = write(tmp_path, SMOOTH)
+        code = main(["sweep", str(scn), "--kappa", f"1,{value}", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and not runs
+        assert err == f"error: kappa: {value} is not a finite number\n", err
+
+    @pytest.mark.parametrize("rho0, message", [
+        # kappa = 1 runs; at kappa = 1e-300 the step-1 Gaussian prefactor overflows
+        ("1e200", "kappa=1e-300: step 1: cell 0: Gaussian prefactor inf"),
+        # kappa = 1 runs, and its final state's Gaussian prefactor overflows
+        ("1e250", "kappa=1: cell 0: Gaussian prefactor inf"),
+    ], ids=["step", "distance"])
+    def test_an_error_names_its_kappa(self, tmp_path, capsys, rho0, message):
+        path = write(tmp_path, TINY + f"rho0 = {rho0}\n")
+        assert main(["sweep", str(path), "--kappa", "1,1e-300",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
     def test_sweep_runs_without_envelope_monitor(self, tmp_path):
         # auto certification rejects two-state data, but a sweep reads no monitor
         text = SMOOTH.replace("ic = smooth", "ic = riemann") + "envelope = auto\n"
