@@ -1,7 +1,8 @@
 """Property-based checks of what the scheme guarantees step by step.
 
-Grids stay at n_x <= 6, n_v <= 5, n_i <= 6, apart from the in-place advection
-property, whose velocity slabs must span several chunk blocks, the moments
+Grids stay at n_x <= 6, n_v <= 5, n_i <= 6, apart from the advection
+properties, which draw up to 64 cells and velocity slabs of several chunk
+blocks, so that both of transport.direct_path's sides are taken, the moments
 properties, which need several groups of cells or a grid that resolves a run,
 and the grouped-pass property, whose groups of cells must split, and example
 counts are bounded, so the module runs in a few seconds;
@@ -55,11 +56,12 @@ from polykin import cli, field
 from polykin.errors import (DegenerateTemperature, NegativeField, NonFiniteField,
                             NonFiniteGaussian, PolykinError, ZeroDensity)
 from polykin.diagnostics import conserved_totals, tile_flogf
-from polykin.field import TILE_BYTES, max_nan, row_tiles, tile_sup, weight_tile
+from polykin.field import TILE_BYTES, max_nan, row_tiles, tile_rows, tile_sup, weight_tile
 from polykin.gaussian import _gaussian_flat, factor_spd, gaussian_table
 from polykin.moments import _moments_of_stack, energy_contraction, moments_tiling
 from polykin.params import blend_factors, collision_frequency
 from polykin.stepper import _blend_into, _envelope_min_ratio, _relax_into
+from polykin.transport import direct_path
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 NONNEG = st.floats(min_value=0.0, max_value=1e6)
@@ -106,49 +108,92 @@ def test_advection_keeps_sign_and_never_raises_the_weighted_norm(f, dt):
     assert weighted_sup_norm(out, 8.0, 2.0) <= weighted_sup_norm(f, 8.0, 2.0)
 
 
-@PROPERTY
-@given(data=st.data(), n_x=st.integers(1, 8), n_v=st.integers(1, 5),
-       dt=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
-def test_advector_equals_the_foot_oracle(data, n_x, n_v, dt):
-    # v_max*dt*n_x reaches 80*n_x cells, so feet wrap many periods; the v = 0 node of an
-    # odd n_v, and dt = 0, give b = 0 nodes
-    grid = build_grid(GridConfig(n_x=max(n_x, 2), n_v=n_v, v_max=data.draw(st.floats(0.5, 8.0)),
-                                 n_i=data.draw(st.integers(1, 3)), i_max=1.0))
+def _advection_grid(n_x: int, n_v: int, v_max: float, n_i: int):
+    grid = build_grid(GridConfig(n_x=max(n_x, 2), n_v=n_v, v_max=v_max, n_i=n_i, i_max=1.0))
     if n_x == 1:  # build_grid asks for two cells; the stencil is defined for one
         grid = dataclasses.replace(grid, n_x=1, dx=1.0, x_nodes=np.zeros(1), _cache={})
-    f = data.draw(arrays(np.float64, grid.field_shape, elements=NONNEG))
+    return grid
+
+
+@st.composite
+def _feet(draw, n_x: int, n_v: int, still: bool = True):
+    """(v_max, dt): any feet, or with n_x a power of two > 1, feet an exact whole or half
+    number of cells away (v integer or half-integer, dt = m/n_x), so slabs with b = 0 and
+    lo != 0 come up, besides the v = 0 node of an odd n_v and, if still, dt = 0 (b = 0,
+    lo = 0)."""
+    if n_x > 1 and n_x & (n_x - 1) == 0 and draw(st.booleans()):
+        return max((n_v - 1) / 2.0, 0.5), draw(st.integers(0 if still else 1, 4 * n_x)) / n_x
+    # the fastest foot moves up to one cell (lo is 0 or n_x - 1), or up to 80 periods
+    v_max, cells = draw(st.floats(0.5, 8.0)), draw(st.sampled_from([1.0, 80.0 * n_x]))
+    moving = st.floats(0.0, cells / (v_max * n_x), exclude_min=True)
+    return v_max, draw(st.one_of(st.just(0.0), moving) if still else moving)
+
+
+# nonnegative, with both signs of zero: a slab blended, rotated or left alone must keep
+# each sign the oracle gives it
+SIGNED_ZEROS = st.one_of(st.sampled_from([0.0, -0.0]), NONNEG)
+
+
+def _assert_advection_equals_the_oracle(f: np.ndarray, grid, dt: float) -> None:
     out = DistField(f.copy(), grid)
-    Advector(grid, dt).apply(out)
+    assert Advector(grid, dt).apply(out) is None
     assert out.values.tobytes() == _foot_oracle(f, grid, dt).tobytes()
+    for j, v in enumerate(grid.v_axis):
+        fw = grid.foot(0, v, dt)
+        if fw.s == 0 and fw.a == 1.0:  # every foot on its own node: left as it stands
+            assert out.values[:, j].tobytes() == f[:, j].tobytes()
+
+
+@PROPERTY
+@given(data=st.data(), n_x=st.sampled_from([1, 2, 3, 4, 5, 8, 16, 17, 32]),
+       n_v=st.integers(1, 5), tile_bytes=st.sampled_from([8, 96, 800, TILE_BYTES]))
+@example(data=None, n_x=1, n_v=3, tile_bytes=8)
+def test_advector_equals_the_foot_oracle(data, n_x, n_v, tile_bytes):
+    # feet move less than a cell, or wrap many periods.  Small tiles cut a slab
+    # into several chunk blocks: up to 8 cells it is blended straight from the field
+    # (transport.direct_path), from 16 through the chunk, as is a slab of one block
+    if data is None:  # the example: one cell, the direct path, -0.0 everywhere
+        grid = _advection_grid(1, n_v, 1.0, 4)
+        f, dt = np.full(grid.field_shape, -0.0), 0.5
+    else:
+        v_max, dt = data.draw(_feet(n_x, n_v))
+        grid = _advection_grid(n_x, n_v, v_max, data.draw(st.integers(1, 3)))
+        f = data.draw(arrays(np.float64, grid.field_shape, elements=SIGNED_ZEROS))
+    with mock.patch.object(field, "TILE_BYTES", tile_bytes):
+        n_blocks = len(row_tiles(n_v**2 * grid.n_i, n_x + 1))
+        assert direct_path(n_x, n_blocks) == (n_x <= 8 and n_blocks > 1)
+        _assert_advection_equals_the_oracle(f, grid, dt)
 
 
 def _foot_oracle(f: np.ndarray, grid, dt: float) -> np.ndarray:
-    """Advection of f node by node from PhaseGrid.foot."""
+    """Advection of f node by node from PhaseGrid.foot; a foot on a node (a = 1) takes the
+    node's value as it stands, -0.0 included, where lo + 0*(hi - lo) would give +0.0."""
     expected = np.empty_like(f)
     for j, v in enumerate(grid.v_axis):
         fw = grid.foot(0, v, dt)  # the foot of node i is node 0's, moved by i cells
         for i in range(grid.n_x):
             lo, hi = f[(i + fw.s) % grid.n_x, j], f[(i + fw.s + 1) % grid.n_x, j]
-            expected[i, j] = lo + (1.0 - fw.a) * (hi - lo)
+            expected[i, j] = lo if fw.a == 1.0 else lo + (1.0 - fw.a) * (hi - lo)
     return expected
 
 
-@settings(derandomize=True, max_examples=25, deadline=None)
-@given(n_x=st.integers(40, 64), n_v=st.integers(5, 7), n_i=st.integers(33, 48),
-       v_max=st.floats(0.5, 8.0), dt=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
-       seed=st.integers(0, 2**32 - 1))
-def test_advection_in_place_across_chunk_blocks_equals_the_foot_oracle(n_x, n_v, n_i, v_max,
-                                                                       dt, seed):
-    # each velocity slab is cut into several chunk blocks, the last one mostly short
-    grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=v_max, n_i=n_i, i_max=1.0))
-    n_cols = n_v**2 * n_i
-    assert len(row_tiles(n_cols, n_x + 1)) > 1
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), n_x=st.sampled_from([1, 2, 3, 8, 40, 47, 64]),
+       n_v=st.integers(5, 7), seed=st.integers(0, 2**32 - 1))
+def test_advection_in_place_across_chunk_blocks_equals_the_foot_oracle(data, n_x, n_v, seed):
+    # each velocity slab is cut into several chunk blocks of the shipped tile size, the last
+    # one mostly short: few cells take the direct path, 40 and more the chunk
+    cols = tile_rows(n_x + 1)  # of one block
+    n_i = data.draw(st.integers(cols // n_v**2 + 1, max(cols // n_v**2 * 3 // 2, 48)))
+    v_max, dt = data.draw(_feet(n_x, n_v, still=False))
+    grid = _advection_grid(n_x, n_v, v_max, n_i)
+    n_blocks = len(row_tiles(n_v**2 * n_i, n_x + 1))
+    assert n_blocks > 1 and direct_path(n_x, n_blocks) == (n_x <= 8)
     rng = np.random.default_rng(seed)
     f = rng.random(grid.field_shape)
     f[f < 0.3] = 0.0
-    in_place = DistField(f.copy(), grid)
-    assert Advector(grid, dt).apply(in_place) is None
-    assert in_place.values.tobytes() == _foot_oracle(f, grid, dt).tobytes()
+    f[f > 0.9] = -0.0
+    _assert_advection_equals_the_oracle(f, grid, dt)
 
 
 @PROPERTY

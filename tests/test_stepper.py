@@ -140,6 +140,20 @@ class TestRun:
         # genuine dissipation, not just noise
         assert ent[-1] < ent[0] - 1e-6
 
+    @pytest.mark.parametrize("ic, n_x, n_v, n_i", [("smooth", 8, 5, 4), ("riemann", 6, 3, 1),
+                                                   ("maxwellian", 2, 17, 64)])
+    def test_initial_norm_and_sums_are_those_of_the_sampled_field(self, ic, n_x, n_v, n_i):
+        # run() takes both in one walk of f^0; (2, 17, 64) has cells of several row tiles
+        scn = Scenario(n_x=n_x, n_v=n_v, n_i=n_i, dt=0.05, t_final=0.05, ic=ic, v_max=3.0,
+                       i_max=4.0, t_tr=1.1, t_int=0.85)
+        grid, params = scn.validate()
+        f0 = sample(make_initial(scn, grid), grid)
+        res = run(scn)
+        norm = weighted_sup_norm(f0, params.q, params.delta)
+        assert np.float64(res.initial_norm_q).tobytes() == np.float64(norm).tobytes()
+        got, expected = res.initial_conserved, conserved_quantities(f0, params.delta)
+        assert np.hstack(got).tobytes() == np.hstack(expected).tobytes()
+
     def test_free_streaming_matches_transport_only(self):
         base = dict(n_x=8, n_v=5, n_i=4, dt=0.05, t_final=0.25,
                     ic="smooth", alpha=0.2, v_max=2.0, i_max=2.0, q=8.0)

@@ -76,3 +76,19 @@ def test_advector_matches_foot_table(small_grid, rng):
             fw = small_grid.foot(i, v, dt)
             expected = fw.a * f[fw.s, j] + (1 - fw.a) * f[(fw.s + 1) % small_grid.n_x, j]
             assert np.allclose(out.values[i, j], expected, rtol=1e-14, atol=0)
+
+
+def test_identity_slabs_come_back_byte_identical(rng):
+    # the v = 0 node of an odd n_v, and every node at dt = 0, keep their feet on their own
+    # nodes: those slabs are never written, so bytes that arithmetic would change survive
+    # (-0.0, a NaN payload, inf); (2, 3, 4096) takes the direct path, (16, 3, 256) the chunk
+    odd = np.array([-0.0, np.inf, 5e-324, np.uint64(0x7FF8DEADBEEF0001).view(np.float64)])
+    for n_x, n_i in [(2, 4096), (16, 256)]:
+        g = build_grid(GridConfig(n_x=n_x, n_v=3, v_max=1.0, n_i=n_i, i_max=1.0))
+        f = random_field_values(rng, g)
+        f[:, 1] = rng.choice(odd, size=f[:, 1].shape)
+        for dt, slabs in [(0.3, [1]), (0.0, [0, 1, 2])]:
+            out = DistField(f.copy(), g)
+            Advector(g, dt).apply(out)
+            for j in slabs:
+                assert out.values[:, j].tobytes() == f[:, j].tobytes()
