@@ -103,8 +103,7 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     while both are in cache, and the tile's weighted sup, f ln f rows and energy
     contraction are taken; once a group of cells is done, its conserved sums and entropy
     are folded in cell order.  Cells of one row tile take their weights from one gather a
-    call; a larger cell gathers each tile's once, into the scratch tile, or with the
-    Gaussian's norm into a third tile that serves both norms.  The buffers are taken
+    call; a larger cell gathers each tile's into the scratch tile.  The buffers are taken
     once the first block's factor temporaries are freed.  Those of one-tile cells, which
     at n_i = 1 outweigh the temporaries, are freed with each block's factors and taken
     anew; a larger cell's are kept for the call, since taking them anew in each block
@@ -136,10 +135,8 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
         stack = f_tilde.cells[block]
         cells, tiles = cell_tiles(len(stack), n_rows, grid.n_i)
         if bufs is None:  # taken once the factor pass's temporaries are freed
-            # the Gaussian, then scratch; with its norm, a tile of its weighted values and, on
-            # cells of several tiles, a tile of weights gathered once for both norms
-            n_bufs = 1 if g_norm is None else 2 if len(tiles) == 1 else 3
-            bufs = np.empty((n_bufs,) + stack[cells[0], tiles[0]].shape)
+            # the Gaussian, then scratch; with its norm, a tile of its weighted values
+            bufs = np.empty((1 if g_norm is None else 2,) + stack[cells[0], tiles[0]].shape)
             contracted = np.empty((cells[0].stop, n_rows, 2))  # a group's, tile by tile
             flogf_rows = np.empty(contracted.shape[:2])
             if len(tiles) == 1 and whole is None:  # one gather serves every group
@@ -148,19 +145,18 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
             o = slice(0, c.stop - c.start)  # c in the buffers
             for s in tiles:
                 t = stack[c, s]
-                m, ws = bufs[0, o, : s.stop - s.start], None
+                m = bufs[0, o, : s.stop - s.start]
                 if macro is not None:
                     gaussian_table(pev[c, s], ei[c], m)
-                    if g_norm is not None:  # one gather, into bufs[2], for both norms
-                        # (one-tile cells read whole, so bufs[-1], then bufs[1], is not written)
-                        ws = tile_weights(s, bufs[-1, o, : s.stop - s.start])
-                        w = np.multiply(m, ws, bufs[1, o, : s.stop - s.start])
+                    if g_norm is not None:
+                        w = bufs[1, o, : s.stop - s.start]
+                        w = np.multiply(m, tile_weights(s, w), w)
                         g_norm = max_nan(g_norm, float(w.max()))
                     _blend_into(t, m, c_f, c_m)
                 # f~ is nonnegative (sampled so, advected by convex interpolation, checked by
                 # compute_moments), and so are the Gaussian and the blend: |t| is t, and a
                 # -0.0 cannot change the max.  m is scratch by now
-                w = np.multiply(t, tile_weights(s, m) if ws is None else ws, m)
+                w = np.multiply(t, tile_weights(s, m), m)
                 norm = max_nan(norm, float(w.max()))
                 if track_entropy:
                     tile_flogf(t, grid.i_weights, flogf_rows[o, s], m)

@@ -35,13 +35,16 @@ def direct_path(n_x: int, n_blocks: int) -> bool:
 
     The direct blend saves the chunk's copies in and out but reads the field's rows where
     they lie; which is faster was measured, not derived.  Timed per apply in separate
-    processes on a 2-CPU x86-64 box, numpy 2.4, dt 0.01 to 0.3, the direct blend took
-    0.70-0.87 of the chunk's time at n_x = 2, 3, 4 and 8 ((2, 33, 256), (2, 33, 128),
-    (3, 33, 128), (4, 33, 64), (8, 25, 64), (8, 33, 32), (8, 17, 64)), but 1.1-1.3 at
-    n_x = 12, 16 and 64 ((12, 25, 64), (12, 17, 128), (16, 17, 16), (16, 25, 64),
-    (64, 17, 16)), and was no faster on a slab of one block ((4, 5, 4)), where the per-call
-    overhead of its extra ufuncs is what counts."""
-    return n_x <= 8 and n_blocks > 1
+    processes on a 2-CPU x86-64 box, numpy 2.4, the direct blend took 0.70-0.87 of the
+    chunk's time at n_x = 2, 3 and 4 ((2, 33, 256), (2, 33, 128), (3, 33, 128), (4, 33, 64),
+    dt 0.01 to 0.3) and 1.1-1.3 at n_x = 12, 16 and 64 ((12, 25, 64), (12, 17, 128),
+    (16, 17, 16), (16, 25, 64), (64, 17, 16)).  Near the crossover, on (n_x, 25, 64),
+    (n_x, 17, 128) and (n_x, 33, 32) at dt 0.01 and 0.3 (medians of 3 processes a side),
+    it took 0.72-1.10 of the chunk's time at n_x = 8, 0.68-0.99 at 9, 0.87-1.23 at 10 and
+    1.00-1.32 at 11: 9 is the last n_x where it never lost by more than this machine's
+    noise.  On a slab of one block ((4, 5, 4)) it was slower, 25.6 against 16.6 us, as the
+    per-call overhead of its extra ufuncs is what counts there."""
+    return n_x <= 9 and n_blocks > 1
 
 
 def _blend_direct(x: np.ndarray, lo: int, b: float, blend: np.ndarray) -> None:

@@ -52,7 +52,7 @@ from polykin import (
     weighted_sup_norm,
     write_snapshot,
 )
-from polykin import cli, field
+from polykin import cli, field, transport
 from polykin.errors import (DegenerateTemperature, NegativeField, NonFiniteField,
                             NonFiniteGaussian, PolykinError, ZeroDensity)
 from polykin.diagnostics import conserved_totals, tile_flogf
@@ -61,7 +61,6 @@ from polykin.gaussian import _gaussian_flat, factor_spd, gaussian_table
 from polykin.moments import _moments_of_stack, energy_contraction, moments_tiling
 from polykin.params import blend_factors, collision_frequency
 from polykin.stepper import _blend_into, _envelope_min_ratio, _relax_into
-from polykin.transport import direct_path
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 NONNEG = st.floats(min_value=0.0, max_value=1e6)
@@ -134,9 +133,15 @@ def _feet(draw, n_x: int, n_v: int, still: bool = True):
 SIGNED_ZEROS = st.one_of(st.sampled_from([0.0, -0.0]), NONNEG)
 
 
-def _assert_advection_equals_the_oracle(f: np.ndarray, grid, dt: float) -> None:
+def _assert_advection_equals_the_oracle(f: np.ndarray, grid, dt: float, direct: bool) -> None:
+    """Advector(grid, dt) gives the oracle's bytes, and blends straight from the field iff
+    direct (the side of transport.direct_path the grid is meant to take) and a foot moves
+    off its node."""
     out = DistField(f.copy(), grid)
-    assert Advector(grid, dt).apply(out) is None
+    with mock.patch.object(transport, "_blend_direct", wraps=transport._blend_direct) as spy:
+        assert Advector(grid, dt).apply(out) is None
+    blended = any(grid.foot(0, v, dt).a != 1.0 for v in grid.v_axis)
+    assert spy.called == (direct and blended)
     assert out.values.tobytes() == _foot_oracle(f, grid, dt).tobytes()
     for j, v in enumerate(grid.v_axis):
         fw = grid.foot(0, v, dt)
@@ -145,13 +150,13 @@ def _assert_advection_equals_the_oracle(f: np.ndarray, grid, dt: float) -> None:
 
 
 @PROPERTY
-@given(data=st.data(), n_x=st.sampled_from([1, 2, 3, 4, 5, 8, 16, 17, 32]),
+@given(data=st.data(), n_x=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 10, 16, 17, 32]),
        n_v=st.integers(1, 5), tile_bytes=st.sampled_from([8, 96, 800, TILE_BYTES]))
 @example(data=None, n_x=1, n_v=3, tile_bytes=8)
 def test_advector_equals_the_foot_oracle(data, n_x, n_v, tile_bytes):
     # feet move less than a cell, or wrap many periods.  Small tiles cut a slab
-    # into several chunk blocks: up to 8 cells it is blended straight from the field
-    # (transport.direct_path), from 16 through the chunk, as is a slab of one block
+    # into several chunk blocks: up to 9 cells it is blended straight from the field
+    # (transport.direct_path), from 10 through the chunk, as is a slab of one block
     if data is None:  # the example: one cell, the direct path, -0.0 everywhere
         grid = _advection_grid(1, n_v, 1.0, 4)
         f, dt = np.full(grid.field_shape, -0.0), 0.5
@@ -161,8 +166,7 @@ def test_advector_equals_the_foot_oracle(data, n_x, n_v, tile_bytes):
         f = data.draw(arrays(np.float64, grid.field_shape, elements=SIGNED_ZEROS))
     with mock.patch.object(field, "TILE_BYTES", tile_bytes):
         n_blocks = len(row_tiles(n_v**2 * grid.n_i, n_x + 1))
-        assert direct_path(n_x, n_blocks) == (n_x <= 8 and n_blocks > 1)
-        _assert_advection_equals_the_oracle(f, grid, dt)
+        _assert_advection_equals_the_oracle(f, grid, dt, direct=n_x <= 9 and n_blocks > 1)
 
 
 def _foot_oracle(f: np.ndarray, grid, dt: float) -> np.ndarray:
@@ -177,23 +181,33 @@ def _foot_oracle(f: np.ndarray, grid, dt: float) -> np.ndarray:
     return expected
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(data=st.data(), n_x=st.sampled_from([1, 2, 3, 8, 40, 47, 64]),
-       n_v=st.integers(5, 7), seed=st.integers(0, 2**32 - 1))
-def test_advection_in_place_across_chunk_blocks_equals_the_foot_oracle(data, n_x, n_v, seed):
+def _check_advection_across_shipped_blocks(data, n_x: int, n_v: int, seed: int) -> None:
     # each velocity slab is cut into several chunk blocks of the shipped tile size, the last
-    # one mostly short: few cells take the direct path, 40 and more the chunk
+    # one mostly short: up to 9 cells take the direct path, 40 and more the chunk
     cols = tile_rows(n_x + 1)  # of one block
     n_i = data.draw(st.integers(cols // n_v**2 + 1, max(cols // n_v**2 * 3 // 2, 48)))
     v_max, dt = data.draw(_feet(n_x, n_v, still=False))
     grid = _advection_grid(n_x, n_v, v_max, n_i)
-    n_blocks = len(row_tiles(n_v**2 * n_i, n_x + 1))
-    assert n_blocks > 1 and direct_path(n_x, n_blocks) == (n_x <= 8)
+    assert len(row_tiles(n_v**2 * n_i, n_x + 1)) > 1
     rng = np.random.default_rng(seed)
     f = rng.random(grid.field_shape)
     f[f < 0.3] = 0.0
     f[f > 0.9] = -0.0
-    _assert_advection_equals_the_oracle(f, grid, dt)
+    _assert_advection_equals_the_oracle(f, grid, dt, direct=n_x <= 9)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data(), n_x=st.integers(40, 64), n_v=st.integers(5, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_advection_in_place_across_chunk_blocks_equals_the_foot_oracle(data, n_x, n_v, seed):
+    _check_advection_across_shipped_blocks(data, n_x, n_v, seed)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data(), n_x=st.sampled_from([1, 2, 3, 8, 9]), n_v=st.integers(5, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_direct_advection_across_chunk_blocks_equals_the_foot_oracle(data, n_x, n_v, seed):
+    _check_advection_across_shipped_blocks(data, n_x, n_v, seed)
 
 
 @PROPERTY
