@@ -21,6 +21,7 @@ from .field import cell_tiles, tile_rows
 from .grid import GridConfig, PhaseGrid, build_grid
 from .moments import moments_peak_doubles
 from .params import SchemeParams, _power, normalizer_discrete
+from .transport import chunk_doubles
 
 IC_KINDS = ("maxwellian", "smooth", "riemann")
 ENVELOPE_MODES = ("off", "auto", "explicit")
@@ -50,7 +51,7 @@ def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     - the norm weights: one row of n_i per |v|^2 shell, at most ceil(n_v/2)^3 of them by
       mirror symmetry, and their temporary while built;
     - the four velocity tables, the shell of each node and what finding the shells takes
-      beside them, under 9 n_v^3 doubles; the Advector's chunk;
+      beside them, under 9 n_v^3 doubles; the Advector's chunk (transport.chunk_doubles);
     - 128 KiB of numpy's iteration buffers and array headers (traced at up to 133 KB in
       compute_moments and 75 KB in sample)."""
     cell, block = n_v**3 * n_i, min(n_x, tile_rows(n_v**3))
@@ -60,9 +61,8 @@ def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     group = cells[0].stop  # cells of the relaxation's first tile
     tiles = group * (3 * rows[0].stop * n_i + 3 * n_v**3)
     shells = 2 * math.ceil(n_v / 2) ** 3 * n_i
-    chunk = (2 * n_x + 1) * min(n_v**2 * n_i, tile_rows(n_x + 1))
     return 8 * (n_x * cell + samples + moments_peak_doubles(n_x, n_v) + factors + tiles + cell
-                + shells + 9 * n_v**3 + chunk + 16384)
+                + shells + 9 * n_v**3 + chunk_doubles(n_x, n_v**2 * n_i) + 16384)
 
 
 @dataclass
@@ -202,9 +202,14 @@ class Scenario:
                                           f"factors, cell and velocity tables, a velocity slab and "
                                           f"an advection chunk), more than the {memory / 1e9:.3g} "
                                           f"GB of physical memory")
+        v_max = self.resolved_v_max()
+        # after the memory guard, so n_x converts; in Python floats, so it prints no warning
+        if not math.isfinite(float(v_max) * float(self.dt) * self.n_x):
+            raise ValidationError("dt", f"the foot offset v_max*dt*n_x overflows (v_max = "
+                                        f"{v_max!r}, dt = {self.dt!r}, n_x = {self.n_x})")
         try:
             grid = build_grid(GridConfig(
-                n_x=self.n_x, n_v=self.n_v, v_max=self.resolved_v_max(),
+                n_x=self.n_x, n_v=self.n_v, v_max=v_max,
                 n_i=self.n_i, i_max=self.resolved_i_max(),
             ))
         except InvalidConfig as exc:

@@ -102,8 +102,8 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     Gaussian is written into one reused tile buffer, f~'s tile is blended with it in place
     while both are in cache, and the tile's weighted sup, f ln f rows and energy
     contraction are taken; once a group of cells is done, its conserved sums and entropy
-    are folded in cell order.  Cells of one row tile take their weights from one gather a
-    call; a larger cell gathers each tile's into the scratch tile.  The buffers are taken
+    are folded in cell order.  Each weighted sup gathers its tile's weights into the first
+    cell of the buffer it multiplies into, once a group and tile.  The buffers are taken
     once the first block's factor temporaries are freed.  Those of one-tile cells, which
     at n_i = 1 outweigh the temporaries, are freed with each block's factors and taken
     anew; a larger cell's are kept for the call, since taking them anew in each block
@@ -120,12 +120,7 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     c_f = params.kappa / (params.kappa + a * dt)
     c_m = a * dt / (params.kappa + a * dt)
     weights = grid.norm_weight(params.q, params.delta)
-    bufs = whole = None
-
-    def tile_weights(s, out):  # row tile s's weights: a whole cell's, or gathered into out
-        # given as out's own (1, rows, n_i) shape, else numpy copies out to multiply into it
-        return whole if whole is not None else weight_tile(weights, s, out[0])[None]
-
+    bufs = None
     sums = np.zeros(5)
     total_flogf = 0.0
     norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None else None)
@@ -139,8 +134,6 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
             bufs = np.empty((1 if g_norm is None else 2,) + stack[cells[0], tiles[0]].shape)
             contracted = np.empty((cells[0].stop, n_rows, 2))  # a group's, tile by tile
             flogf_rows = np.empty(contracted.shape[:2])
-            if len(tiles) == 1 and whole is None:  # one gather serves every group
-                whole = weight_tile(weights, tiles[0], np.empty((n_rows, grid.n_i)))
         for c in cells:
             o = slice(0, c.stop - c.start)  # c in the buffers
             for s in tiles:
@@ -150,13 +143,14 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                     gaussian_table(pev[c, s], ei[c], m)
                     if g_norm is not None:
                         w = bufs[1, o, : s.stop - s.start]
-                        w = np.multiply(m, tile_weights(s, w), w)
+                        w = np.multiply(m, weight_tile(weights, s, w[0])[None], w)
                         g_norm = max_nan(g_norm, float(w.max()))
                     _blend_into(t, m, c_f, c_m)
                 # f~ is nonnegative (sampled so, advected by convex interpolation, checked by
                 # compute_moments), and so are the Gaussian and the blend: |t| is t, and a
-                # -0.0 cannot change the max.  m is scratch by now
-                w = np.multiply(t, tile_weights(s, m), m)
+                # -0.0 cannot change the max.  m is scratch by now; numpy copies the weights
+                # in its first cell before a group of several cells writes over them
+                w = np.multiply(t, weight_tile(weights, s, m[0])[None], m)
                 norm = max_nan(norm, float(w.max()))
                 if track_entropy:
                     tile_flogf(t, grid.i_weights, flogf_rows[o, s], m)
@@ -175,8 +169,8 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
 def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
           dt: float) -> DistField:
     """Implicit relaxation solved in closed form: convex blend of f~ and G(f~), in a new field."""
-    if dt <= 0:
-        raise InvalidConfig("relax requires dt > 0")
+    if not 0 < dt < math.inf:  # NaN too
+        raise InvalidConfig(f"relax requires dt > 0 and finite, got {dt!r}")
     out = DistField(f_tilde.values.copy(), f_tilde.grid)
     _relax_into(out, macro, params, dt, track_entropy=False)
     return out
@@ -184,8 +178,8 @@ def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
 
 def step(f: DistField, params: SchemeParams, dt: float) -> tuple[DistField, StepReport]:
     """One full scheme step; the report is populated from the output field."""
-    if dt <= 0:
-        raise InvalidConfig("step requires dt > 0")
+    if not 0 < dt < math.inf:  # NaN too
+        raise InvalidConfig(f"step requires dt > 0 and finite, got {dt!r}")
     out = advect(f, dt)  # f~, which the relaxation overwrites
     prev = conserved_quantities(f, params.delta)
     report = _relax_step(out, 0, params, dt, prev, _defect_scales(prev, params.delta),

@@ -3,20 +3,16 @@
 Each velocity node v_j transports information from the foot x_i - v_j^1*dt.
 On the uniform periodic grid the foot's cell offset and interpolation weight
 depend only on j, so advection reduces to two rotations of each velocity
-slab f[:, j] blended with fixed weights, a block of the slab's columns at a
-time.  The blocks are the row tiles (field.row_tiles) of a slab's columns,
-each n_x + 1 values long, and a block is read whole before it is written, so
-the field is advected in place.  A slab whose feet all sit on their own nodes
-(the v = 0 node, or dt = 0) is left as it stands.  Otherwise a block goes
-through one scratch chunk: its cells are copied into the chunk already
-rotated (two plain slices, never an index array), blended there, and the
-blend is copied back.  On a grid of few cells whose slabs span several
-blocks (direct_path), a block is blended straight from the field instead:
-the differences of its rotations go into the chunk, and are scaled and added
-to the lower rotation, in the field itself when that is the block unrotated.
-Both take the same IEEE operations, so the output is the same bit for bit.
-The shift/weight table, the chunk and the choice of path are made when the
-Advector is built and reused for every step.
+slab f[:, j] blended with fixed weights, one block of the slab's columns (a
+row tile, field.row_tiles, of n_x + 1 values a column) at a time, each read
+whole before it is written: the field is advected in place.  A slab whose
+feet all sit on their own nodes (the v = 0 node, or dt = 0) is left as it
+stands.  _blend, the one blend, takes every other block: where it lies in
+the field on a grid of few cells whose slabs span several blocks
+(direct_path), else in the chunk, into which the block is copied already
+rotated (two plain slices, never an index array) and from which it is copied
+back.  A rotation (no blend) is that copy alone on both paths.  The stencil,
+the chunk and the path are fixed when the Advector is built.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import InvalidConfig
-from .field import DistField, row_tiles
+from .field import DistField, row_tiles, tile_rows
 from .grid import PhaseGrid
 
 
@@ -47,9 +43,16 @@ def direct_path(n_x: int, n_blocks: int) -> bool:
     return n_x <= 9 and n_blocks > 1
 
 
-def _blend_direct(x: np.ndarray, lo: int, b: float, blend: np.ndarray) -> None:
-    """x[i] = x[i+lo] + b*(x[i+lo+1] - x[i+lo]), indices mod len(x), with blend (x's shape,
-    contiguous) as scratch: the chunk's three ufuncs on the same operands."""
+def chunk_doubles(n_x: int, n_cols: int) -> int:
+    """Doubles in the Advector's chunk for slabs of n_x rows and n_cols columns: the rotated
+    copy and the blend of one column block (row_tiles(n_cols, n_x + 1)), n_x rows each."""
+    return 2 * n_x * min(n_cols, tile_rows(n_x + 1))
+
+
+def _blend(x: np.ndarray, lo: int, b: float, blend: np.ndarray) -> None:
+    """x[i] = x[i+lo] + b*(x[i+lo+1] - x[i+lo]), indices mod len(x), in place, with blend
+    (x's shape, contiguous) as scratch.  lo + b*(hi - lo) never rounds outside the span of
+    its two nodes, nor below zero for nonnegative nodes."""
     n = len(x)
     k = n - lo - 1  # rows i < k read both nodes unwrapped, row k wraps the upper one
     if k:
@@ -70,8 +73,9 @@ class Advector:
     """Advection by dt on one grid; apply(f) advects f in place and returns None."""
 
     def __init__(self, grid: PhaseGrid, dt: float):
-        if dt < 0:
-            raise InvalidConfig("dt must be >= 0")
+        # the largest foot offset, in Python floats: an overflow prints no numpy warning
+        if not (dt >= 0 and math.isfinite(float(grid.v_axis[-1]) * float(dt) * grid.n_x)):
+            raise InvalidConfig(f"dt must be >= 0 with finite foot offsets v*dt*n_x, got {dt!r}")
         self.grid = grid
         n = grid.n_x
         # Per j: b = 1 - a and the lower node's offset lo: out[i] blends the nodes
@@ -82,14 +86,15 @@ class Advector:
             t0 = 0.0 - grid.foot_offset(v, dt)
             s0 = math.floor(t0)
             self._stencil.append((1.0 - ((s0 + 1) - t0), s0 % n))
-        # per block of a slab's columns, its rotated copy (n_x + 1 rows) and its blend
-        # (n_x rows), both contiguous in one chunk, so the ufuncs on them run unbuffered
-        blocks = row_tiles(grid.n_v**2 * grid.n_i, n + 1)  # a slab is (n_x, n_v**2 * n_i)
-        chunk = np.empty((2 * n + 1) * blocks[0].stop)
+        # per block of a slab's columns, its rotated copy and its blend (n_x rows each),
+        # both contiguous in one chunk, so the ufuncs on them run unbuffered
+        cols = grid.n_v**2 * grid.n_i  # a slab is (n_x, n_v**2 * n_i)
+        blocks = row_tiles(cols, n + 1)
+        chunk = np.empty(chunk_doubles(n, cols))
         self._views = []
-        for cols in blocks:
-            block = chunk[: (2 * n + 1) * (cols.stop - cols.start)].reshape(2 * n + 1, -1)
-            self._views.append((cols, block[: n + 1], block[n + 1 :]))
+        for c in blocks:
+            block = chunk[: 2 * n * (c.stop - c.start)].reshape(2 * n, -1)
+            self._views.append((c, block[:n], block[n:]))
         self._direct = direct_path(n, len(blocks))
 
     def apply(self, field: DistField) -> None:
@@ -99,23 +104,17 @@ class Advector:
         for j, (b, lo) in enumerate(self._stencil):
             if b == 0.0 and lo == 0:  # every foot on its own node
                 continue
-            direct = self._direct and b != 0.0  # a rotation (b = 0) takes the chunk
             for cols, rot, blend in self._views:
-                if direct:
-                    _blend_direct(f[:, j, cols], lo, b, blend)
+                x = f[:, j, cols]
+                if self._direct and b != 0.0:  # a rotation (b = 0) takes the chunk
+                    _blend(x, lo, b, blend)
                     continue
-                # row i of rot is node (i + lo) mod n_x, row i + 1 its upper neighbour
-                rot[: n - lo] = f[lo:, j, cols]
-                rot[n - lo :] = f[: lo + 1, j, cols]
-                if b == 0.0:
-                    f[:, j, cols] = rot[:n]
-                    continue
-                # f_lo + b*(f_hi - f_lo): never rounds outside [slice min, slice max]
-                # and never below zero for nonnegative inputs
-                np.subtract(rot[1:], rot[:n], out=blend)
-                blend *= b
-                blend += rot[:n]
-                f[:, j, cols] = blend
+                # row i of rot is node (i + lo) mod n_x
+                rot[: n - lo] = x[lo:]
+                rot[n - lo :] = x[:lo]
+                if b != 0.0:
+                    _blend(rot, 0, b, blend)
+                x[...] = rot
 
 
 def advect(field: DistField, dt: float) -> DistField:

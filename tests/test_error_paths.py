@@ -10,6 +10,7 @@ from polykin import (
     Advector,
     DistField,
     GridConfig,
+    advect,
     build_grid,
     compute_moments,
     normalizer_discrete,
@@ -107,10 +108,18 @@ def test_field_values_must_be_c_ordered(small_grid):
 
 @pytest.mark.parametrize("call, match", [
     (lambda f, p: step(f, p, 0.0), "step requires dt > 0"),
+    (lambda f, p: step(f, p, math.nan), "step requires dt > 0 and finite, got nan"),
+    (lambda f, p: step(f, p, math.inf), "step requires dt > 0 and finite, got inf"),
+    # finite, but its foot offsets |v|*dt*n_x overflow
+    (lambda f, p: step(f, p, 1e308), "dt must be >= 0 with finite foot offsets"),
     (lambda f, p: Advector(f.grid, -1.0), "dt must be >= 0"),
+    (lambda f, p: Advector(f.grid, math.nan), "dt must be >= 0 .*, got nan"),
+    (lambda f, p: advect(f, math.inf), "dt must be >= 0 .*, got inf"),
     (lambda f, p: sample(lambda x, v1, v2, v3, i: x, f.grid, -0.1), "shift_dt must be >= 0"),
     (lambda f, p: weighted_sup_norm(f, 0.0, 2.0), "q must be > 0"),
-], ids=["step", "Advector", "sample", "weighted_sup_norm"])
+], ids=["step", "step_nan", "step_inf", "step_overflowing_foot", "Advector", "Advector_nan",
+        "advect_inf", "sample", "weighted_sup_norm"])
+@pytest.mark.filterwarnings("error")  # the typed error comes with no numpy warning
 def test_bad_argument_raises_invalid_config(small_grid, default_params, call, match):
     f = DistField(np.ones(small_grid.field_shape), small_grid)
     with pytest.raises(InvalidConfig, match=match):
@@ -122,11 +131,14 @@ def test_foot_rejects_negative_dt(small_grid):
         small_grid.foot(0, 1.0, -0.1)
 
 
-def test_relax_rejects_nonpositive_dt(small_grid, default_params, rng):
+@pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+@pytest.mark.filterwarnings("error")
+def test_relax_rejects_nonpositive_or_non_finite_dt(small_grid, default_params, rng, dt):
+    # dt <= 0 alone let NaN through, into an all-NaN field
     f = DistField(random_field_values(rng, small_grid) + 0.1, small_grid)
     macro = compute_moments(f, default_params, dt=0.1)
-    with pytest.raises(InvalidConfig):
-        relax(f, macro, default_params, dt=0.0)
+    with pytest.raises(InvalidConfig, match=f"relax requires dt > 0 and finite, got {dt!r}"):
+        relax(f, macro, default_params, dt=dt)
 
 
 def test_run_error_names_the_step():

@@ -2,7 +2,8 @@
 module imports is used there, unless the benchmark wraps it in that module's namespace, and
 every benchmark wrap point is called.  Only field.py reads the tile size: the other modules
 take their blocks from its row_tiles.  Only moments.energy_contraction reads the energy
-weights, so no pass forks its own contraction."""
+weights, so no pass forks its own contraction, and only transport._blend blends in the
+advection."""
 
 from __future__ import annotations
 
@@ -135,6 +136,26 @@ def test_only_energy_contraction_reads_the_energy_weights():
         _readers(ast.parse(path.read_text(encoding="utf-8")), "energy_moment_weights",
                  path.stem, readers)
     assert readers == ["moments.energy_contraction"], readers
+
+
+def test_only_blend_subtracts_or_updates_in_place_in_transport():
+    # one advection blend: both paths call transport._blend, and no second lo + b*(hi - lo)
+    # (a subtraction, or an in-place update such as blend *= b) lies anywhere else
+    path = Path(polykin.__file__).resolve().parent / "transport.py"
+    sites = []
+    _blend_sites(ast.parse(path.read_text(encoding="utf-8")), "transport", sites)
+    assert sites and set(sites) == {"transport._blend"}, sites
+
+
+def _blend_sites(node: ast.AST, where: str, out: list) -> None:
+    """Append the dotted function in which each np.subtract call or in-place update lies."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = f"{where}.{node.name}"
+    if (isinstance(node, ast.AugAssign)
+            or isinstance(node, ast.Attribute) and node.attr == "subtract"):
+        out.append(where)
+    for child in ast.iter_child_nodes(node):
+        _blend_sites(child, where, out)
 
 
 def test_every_per_cell_pass_walks_cell_tiles():

@@ -282,6 +282,7 @@ class TestExtremeFiniteInputs:
         ("delta = 1e-3\ni_max = 2.0", "delta"),  # i_max^(2/delta) = 2^2000
         ("temperature = 1e300", "temperature"),  # (2*pi*T)^1.5
         ("q = 1e300", "q"),  # the norm weight (1 + |v|^2 + eps)^(q/2)
+        ("n_v = 3\nn_i = 2\ndt = 1e308\nt_final = 1e308", "dt"),  # the foot offset v_max*dt*n_x
     ])
     def test_overflowing_resolved_quantity_exits_2_naming_the_key(self, tmp_path, capsys,
                                                                   extra, key):
@@ -339,13 +340,15 @@ class TestExtremeFiniteInputs:
 
     @pytest.mark.parametrize("extra, code", [
         ("temperature = 1e-300", 2),  # the samples overflow to +inf
+        # finite, but the foot offset v_max*dt*n_x overflows: rejected before the run
+        ("n_v = 3\nn_i = 2\ndt = 1e308\nt_final = 1e308", 2),
         ("kappa = 1e-300\nrho0 = 1e300", 3),  # the step-1 Gaussian prefactor overflows
         # f ln f overflows in the step-1 entropy
         ("v_max = 1e-26\ni_max = 1e-290\ntemperature = 1e17\ndelta = 1\nu0x = -1\n"
          "q = 10\nalpha = 0", 3),
     ])
     def test_typed_error_comes_without_numpy_warnings(self, tmp_path, extra, code):
-        path = write(tmp_path, TINY + extra + "\n")
+        path = write(tmp_path, override(TINY, extra))
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run(
