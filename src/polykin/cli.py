@@ -99,7 +99,7 @@ def cmd_convergence(args) -> int:
     runs = levels + ([] if transport_only else [reference])
     level_scenario(runs[-1]).validate()  # the finest run alone, before the first level runs
     # the study peaks in its finest run, beside the other runs' fields, or, transport-only,
-    # in its error loop, which holds every level's field and one exact field
+    # in its error loop, which holds at most every level's field and one exact field
     cell = 8 * scn.n_v**3 * scn.n_i
     peak = run_peak_bytes(runs[-1], scn.n_v, scn.n_i) + cell * sum(runs[:-1])
     held = "the finest run beside the other runs' fields"
@@ -114,14 +114,15 @@ def cmd_convergence(args) -> int:
                               f"{memory / 1e9:.3g} GB of physical memory")
     fields: dict[int, DistField] = {}
     for n_x in runs:
-        result = stepper.run(level_scenario(n_x), track_entropy=False)
+        result = stepper.run(level_scenario(n_x), diagnostics="off")
         fields[n_x] = result.final
         print(f"convergence: level n_x={n_x} done ({len(result.reports)} steps)")
+        del result  # and its reports, before the next level runs
 
     _, params = scn.validate()
     errors = []
     for n_x in levels:
-        coarse = fields[n_x]
+        coarse = fields.pop(n_x)  # freed once its error is taken
         if transport_only:
             # exact transport solution: initial data sampled at the shifted feet
             exact = sample(make_initial(scn, coarse.grid), coarse.grid, shift_dt=scn.t_final)
@@ -155,7 +156,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for kappa, k_scn in zip(kappas, k_scns):
         try:
-            result = stepper.run(k_scn, track_entropy=False)
+            result = stepper.run(k_scn, diagnostics="no_entropy")
             finite = all(
                 math.isfinite(r.norm_q) and math.isfinite(r.mass) for r in result.reports
             )

@@ -93,26 +93,37 @@ def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float) -> None:
         ft += m
 
 
+def _untracked() -> tuple:
+    """What _relax_into returns with diagnostics "off": every number NaN, no Gaussian norm."""
+    return (math.nan, np.full(3, math.nan), math.nan), math.nan, math.nan, None
+
+
 def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemeParams, dt: float,
-                track_entropy: bool = True, gauss_norm: bool = False):
+                diagnostics: str = "all", gauss_norm: bool = False):
     """Overwrite f~ with its blend with its Gaussian, a tile at a time, in one pass per tile.
 
     The Gaussian factors are evaluated for a block of cells at once, a row tile of the
     (n_x, n_v**3) factor rows, and the block is walked by field.cell_tiles.  Each tile's
     Gaussian is written into one reused tile buffer, f~'s tile is blended with it in place
-    while both are in cache, and the tile's weighted sup, f ln f rows and energy
-    contraction are taken; once a group of cells is done, its conserved sums and entropy
-    are folded in cell order.  Each weighted sup gathers its tile's weights into the first
-    cell of the buffer it multiplies into, once a group and tile.  The buffers are taken
-    once the first block's factor temporaries are freed.  Those of one-tile cells, which
-    at n_i = 1 outweigh the temporaries, are freed with each block's factors and taken
-    anew; a larger cell's are kept for the call, since taking them anew in each block
-    slowed a (16, 17, 16) pass by 5%.  Returns the output's conserved sums, entropy (NaN
-    unless track_entropy), weighted norm, and the Gaussian's weighted norm (None unless
-    gauss_norm): what conserved_quantities, entropy and weighted_sup_norm give on the
-    output, bit for bit.  With macro None (transport only, or run()'s f^0) f~ is kept as
-    it stands and the Gaussian norm is None.
+    while both are in cache, and, unless diagnostics is "off", the tile's weighted sup,
+    f ln f rows (diagnostics "all" only) and energy contraction are taken; once a group of
+    cells is done, its conserved sums and entropy are folded in cell order.  Each weighted
+    sup gathers its tile's weights once a group and tile: into a slot of one cell's
+    weights where the group has several cells, since numpy would copy weights that the
+    product writes over first, else into the buffer it multiplies into.  The buffers are
+    taken once the first block's factor temporaries are freed.  Those of one-tile cells,
+    which at n_i = 1 outweigh the temporaries, are freed with each block's factors and
+    taken anew; a larger cell's are kept for the call, since taking them anew in each
+    block slowed a (16, 17, 16) pass by 5%.  Returns the output's conserved sums, entropy
+    (NaN unless diagnostics is "all"), weighted norm, and the Gaussian's weighted norm
+    (None unless gauss_norm): what conserved_quantities, entropy and weighted_sup_norm give
+    on the output, bit for bit; with diagnostics "off", _untracked().  With macro None
+    (transport only, or run()'s f^0) f~ is kept as it stands and the Gaussian norm is None,
+    and with diagnostics "off" as well there is nothing to do.
     """
+    if macro is None and diagnostics == "off":
+        return _untracked()
+    track, track_entropy = diagnostics != "off", diagnostics == "all"
     grid = f_tilde.grid
     n_rows = grid.n_v**3
     lambda_delta = normalizer_discrete(params.delta, grid)
@@ -123,7 +134,7 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     bufs = None
     sums = np.zeros(5)
     total_flogf = 0.0
-    norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None else None)
+    norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None and track else None)
     for block in row_tiles(grid.n_x, n_rows):
         if macro is not None:
             pev, ei = _gaussian_flat(macro, block, grid, lambda_delta, params.delta)
@@ -132,8 +143,10 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
         if bufs is None:  # taken once the factor pass's temporaries are freed
             # the Gaussian, then scratch; with its norm, a tile of its weighted values
             bufs = np.empty((1 if g_norm is None else 2,) + stack[cells[0], tiles[0]].shape)
-            contracted = np.empty((cells[0].stop, n_rows, 2))  # a group's, tile by tile
-            flogf_rows = np.empty(contracted.shape[:2])
+            if track:
+                contracted = np.empty((cells[0].stop, n_rows, 2))  # a group's, tile by tile
+                flogf_rows = np.empty(contracted.shape[:2]) if track_entropy else None
+                slot = np.empty(stack[0].shape) if cells[0].stop > 1 else None  # one-tile cells
         for c in cells:
             o = slice(0, c.stop - c.start)  # c in the buffers
             for s in tiles:
@@ -143,14 +156,17 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                     gaussian_table(pev[c, s], ei[c], m)
                     if g_norm is not None:
                         w = bufs[1, o, : s.stop - s.start]
-                        w = np.multiply(m, weight_tile(weights, s, w[0])[None], w)
+                        ws = weight_tile(weights, s, w[0] if slot is None else slot)
+                        w = np.multiply(m, ws[None], w)
                         g_norm = max_nan(g_norm, float(w.max()))
                     _blend_into(t, m, c_f, c_m)
+                if not track:
+                    continue
                 # f~ is nonnegative (sampled so, advected by convex interpolation, checked by
                 # compute_moments), and so are the Gaussian and the blend: |t| is t, and a
-                # -0.0 cannot change the max.  m is scratch by now; numpy copies the weights
-                # in its first cell before a group of several cells writes over them
-                w = np.multiply(t, weight_tile(weights, s, m[0])[None], m)
+                # -0.0 cannot change the max.  m is scratch by now
+                ws = weight_tile(weights, s, m[0] if slot is None else slot)
+                w = np.multiply(t, ws[None], m)
                 norm = max_nan(norm, float(w.max()))
                 if track_entropy:
                     tile_flogf(t, grid.i_weights, flogf_rows[o, s], m)
@@ -158,10 +174,13 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
             if track_entropy:
                 for x in flogf_rows[o].sum(axis=1).tolist():
                     total_flogf += x
-            sums = cell_conserved(contracted[o], grid, sums)
+            if track:
+                sums = cell_conserved(contracted[o], grid, sums)
         pev = ei = None  # freed before the next block's factors are built
         if len(tiles) == 1:  # and so are one-tile cells' buffers, with the views into them
-            bufs = contracted = flogf_rows = m = w = None
+            bufs = contracted = flogf_rows = slot = m = w = ws = None
+    if not track:
+        return _untracked()
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
     return conserved_totals(sums, grid), ent, norm, g_norm
 
@@ -172,7 +191,7 @@ def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
     if not 0 < dt < math.inf:  # NaN too
         raise InvalidConfig(f"relax requires dt > 0 and finite, got {dt!r}")
     out = DistField(f_tilde.values.copy(), f_tilde.grid)
-    _relax_into(out, macro, params, dt, track_entropy=False)
+    _relax_into(out, macro, params, dt, "no_entropy")
     return out
 
 
@@ -188,7 +207,7 @@ def step(f: DistField, params: SchemeParams, dt: float) -> tuple[DistField, Step
 
 
 def _relax_step(f_tilde: DistField, n: int, params: SchemeParams, dt: float, prev, scales,
-                transport_only: bool = False, track_entropy: bool = True,
+                transport_only: bool = False, diagnostics: str = "all",
                 gauss_norm: bool = False, **monitors) -> StepReport:
     """The step body of step() and run(): relax f~ in place as step n, its errors named
     "step {n}: ", and report it against the conserved sums before it and the defect
@@ -196,7 +215,7 @@ def _relax_step(f_tilde: DistField, n: int, params: SchemeParams, dt: float, pre
     try:
         macro = None if transport_only else compute_moments(f_tilde, params, dt)
         (mass, mom, energy), ent, norm, g_norm = _relax_into(f_tilde, macro, params, dt,
-                                                             track_entropy, gauss_norm)
+                                                             diagnostics, gauss_norm)
     except PolykinError as exc:
         exc.args = (f"step {n}: {exc}",)
         raise
@@ -252,25 +271,35 @@ def _sample_initial(scn: Scenario, ic, grid: PhaseGrid, shift_dt: float,
         raise
 
 
-def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunResult:
+DIAGNOSTICS = ("all", "no_entropy", "off")
+
+
+def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunResult:
     """Execute a scenario: N_t scheme steps from exactly sampled initial data.
 
     snapshot_writer, when given, is called as writer(time, field) after each step
-    that Scenario.snapshot_steps names.  Reports carry conserved quantities,
-    relative per-step defects, entropy, the weighted norm of the output, and
-    (when the scenario certifies an envelope) the norms of f~ and of the
-    Gaussian and the envelope margin that the stability monitors read.
+    that Scenario.snapshot_steps names.  With diagnostics "all", reports carry
+    conserved quantities, relative per-step defects, entropy, the weighted norm of
+    the output, and (when the scenario certifies an envelope) the norms of f~ and of
+    the Gaussian and the envelope margin that the stability monitors read.  With
+    "no_entropy" the entropy is NaN.  With "off" nothing is taken beside the field:
+    each report keeps its step and time, its numbers are NaN and its monitors None,
+    and so are the initial norm and sums.  The field is the same in every mode.
     """
+    if diagnostics not in DIAGNOSTICS:
+        raise InvalidConfig(f"diagnostics must be one of {DIAGNOSTICS}, got {diagnostics!r}")
     grid, params = scn.validate()
     n_steps = scn.n_steps()
     ic = make_initial(scn, grid)
-    envelope = certified_envelope(scn, grid)
+    envelope = certified_envelope(scn, grid)  # checked in every mode, read unless "off"
+    if diagnostics == "off":
+        envelope = None
 
     f = _sample_initial(scn, ic, grid, 0.0)
     # f^0 is nonnegative (sample checks it), so the transport-only pass takes its
     # weighted_sup_norm and conserved_quantities, bit for bit, in one walk
-    initial_cons, _, initial_norm, _ = _relax_into(f, None, params, scn.dt,
-                                                   track_entropy=False)
+    initial_cons, _, initial_norm, _ = _relax_into(
+        f, None, params, scn.dt, "off" if diagnostics == "off" else "no_entropy")
     if n_steps == 0:
         return RunResult(grid, params, scn.dt, [], f, initial_norm, initial_cons)
 
@@ -294,7 +323,7 @@ def run(scn: Scenario, snapshot_writer=None, track_entropy: bool = True) -> RunR
             monitors = dict(tilde_norm_q=weighted_sup_norm(f, params.q, params.delta),
                             envelope_min_ratio=_envelope_min_ratio(f, env_table))
         report = _relax_step(f, n, params, scn.dt, prev_cons, scales, scn.transport_only,
-                             track_entropy, gauss_norm=envelope is not None, **monitors)
+                             diagnostics, gauss_norm=envelope is not None, **monitors)
         reports.append(report)
         prev_cons = (report.mass, report.momentum, report.energy)
 

@@ -379,7 +379,7 @@ def test_criterion_9_envelope_monitors():
     )
     grid, _ = scn.validate()
     envelope = certified_envelope(scn, grid)
-    result = run(scn, track_entropy=False)
+    result = run(scn, diagnostics="no_entropy")
     report = check_envelopes(result, envelope)
     assert report.steps == 200
     assert report.lower_violations == 0, f"lower envelope violated: {report}"

@@ -221,7 +221,7 @@ class TestEnvelopes:
         scn = dataclasses.replace(auto, envelope="explicit", c01=c01, c02=0.5)
         env = certified_envelope(scn, grid)
         assert (env.c01, env.c02) == (c01, 0.5)
-        report = check_envelopes(run(scn, track_entropy=False), env)
+        report = check_envelopes(run(scn, diagnostics="no_entropy"), env)
         assert report.lower_violations == violations
         assert report.upper_violations == 0
         assert report.first_violation == (0 if violations else None)
@@ -239,7 +239,7 @@ class TestEnvelopes:
         scn = self.scenario(kappa=1e-6, dt=0.05, t_final=0.1)
         grid, _ = scn.validate()
         env = certified_envelope(scn, grid)
-        res = run(scn, track_entropy=False)
+        res = run(scn, diagnostics="no_entropy")
         reports = res.reports
         if bound == "upper":
             reports = [dataclasses.replace(r, gaussian_norm_q=1e10 * r.gaussian_norm_q)

@@ -10,12 +10,14 @@ from polykin import (
     Advector,
     DistField,
     GridConfig,
+    Scenario,
     advect,
     build_grid,
     compute_moments,
     normalizer_discrete,
     read_snapshot,
     relax,
+    run,
     sample,
     step,
     weighted_sup_norm,
@@ -106,6 +108,9 @@ def test_field_values_must_be_c_ordered(small_grid):
         DistField(np.asfortranarray(np.ones(small_grid.field_shape)), small_grid)
 
 
+TINY_RUN = Scenario(n_x=4, n_v=3, n_i=2, dt=0.1, t_final=0.2)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda f, p: step(f, p, 0.0), "step requires dt > 0"),
     (lambda f, p: step(f, p, math.nan), "step requires dt > 0 and finite, got nan"),
@@ -117,8 +122,12 @@ def test_field_values_must_be_c_ordered(small_grid):
     (lambda f, p: advect(f, math.inf), "dt must be >= 0 .*, got inf"),
     (lambda f, p: sample(lambda x, v1, v2, v3, i: x, f.grid, -0.1), "shift_dt must be >= 0"),
     (lambda f, p: weighted_sup_norm(f, 0.0, 2.0), "q must be > 0"),
+    (lambda f, p: run(TINY_RUN, diagnostics="none"),
+     r"diagnostics must be one of \('all', 'no_entropy', 'off'\), got 'none'"),
+    # the flag that the mode replaced, passed where it stood
+    (lambda f, p: run(TINY_RUN, None, False), "diagnostics must be one of .*, got False"),
 ], ids=["step", "step_nan", "step_inf", "step_overflowing_foot", "Advector", "Advector_nan",
-        "advect_inf", "sample", "weighted_sup_norm"])
+        "advect_inf", "sample", "weighted_sup_norm", "run_diagnostics", "run_diagnostics_bool"])
 @pytest.mark.filterwarnings("error")  # the typed error comes with no numpy warning
 def test_bad_argument_raises_invalid_config(small_grid, default_params, call, match):
     f = DistField(np.ones(small_grid.field_shape), small_grid)
@@ -146,7 +155,6 @@ def test_run_error_names_the_step():
     # temperature; the abort must carry the step index
     import warnings
 
-    from polykin import Scenario, run
     from polykin.errors import PolykinError
 
     scn = Scenario(n_x=4, n_v=3, n_i=2, dt=0.1, t_final=0.5,

@@ -128,7 +128,7 @@ def test_fused_relax_pass_holds_under_a_quarter_table(large_fields, kappa, trans
     macro = None if transport_only else compute_moments(f, params, dt=0.1)
 
     def fused():  # blend (none without macro), norms, entropy and conserved sums, in place
-        _relax_into(f, macro, params, 0.1, track_entropy=True, gauss_norm=True)
+        _relax_into(f, macro, params, 0.1, "all", gauss_norm=True)
 
     assert _tables_beyond_output(fused, LARGE) < 0.25
 

@@ -2,8 +2,8 @@
 module imports is used there, unless the benchmark wraps it in that module's namespace, and
 every benchmark wrap point is called.  Only field.py reads the tile size: the other modules
 take their blocks from its row_tiles.  Only moments.energy_contraction reads the energy
-weights, so no pass forks its own contraction, and only transport._blend blends in the
-advection."""
+weights, so no pass forks its own contraction, only transport._blend blends in the
+advection, and stepper blends and builds Gaussians at one call site each."""
 
 from __future__ import annotations
 
@@ -156,6 +156,15 @@ def _blend_sites(node: ast.AST, where: str, out: list) -> None:
         out.append(where)
     for child in ast.iter_child_nodes(node):
         _blend_sites(child, where, out)
+
+
+def test_stepper_blends_and_builds_gaussians_at_one_site():
+    # one relaxation pass: its diagnostics modes are branches of stepper._relax_into, not a
+    # second loop with a Gaussian and a blend of its own
+    path = Path(polykin.__file__).resolve().parent / "stepper.py"
+    calls = [n.func.id for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    assert calls.count("_blend_into") == calls.count("gaussian_table") == 1, calls
 
 
 def test_every_per_cell_pass_walks_cell_tiles():

@@ -685,10 +685,13 @@ def test_grouped_passes_equal_the_per_cell_loops(n_x, n_v, n_i, nu_theta, kappa,
         macro = compute_moments(f, params, dt=0.1)
         for mac, gauss_norm in [(macro, True), (macro, False), (None, True)]:
             got, expected = (DistField(values.copy(), grid) for _ in range(2))
-            (mass, mom, energy), *rest = _relax_into(got, mac, params, 0.1, True, gauss_norm)
+            (mass, mom, energy), *rest = _relax_into(got, mac, params, 0.1, "all", gauss_norm)
             _same_bits([mass, mom, energy, *rest],
                        _per_cell_relax(expected, mac, params, 0.1, gauss_norm))
             assert got.values.tobytes() == expected.values.tobytes()
+            off = DistField(values.copy(), grid)  # the same blend, with no diagnostic
+            _relax_into(off, mac, params, 0.1, "off", gauss_norm)
+            assert off.values.tobytes() == expected.values.tobytes()
 
 
 def _oracle_distance(f, params, dt):
@@ -764,7 +767,7 @@ def test_a_cells_moments_depend_only_on_its_table(n_x, n_v, n_i, drift, seed):
                     == getattr(macro, name)[i].tobytes()), (i, name)
     scn = Scenario(n_x=n_x, n_v=n_v, v_max=5.0, n_i=n_i, i_max=12.0, dt=0.05, t_final=0.5,
                    ic="maxwellian", u0=drift, nu=0.5, theta=0.8)
-    final = run(scn, track_entropy=False).final.values
+    final = run(scn, diagnostics="no_entropy").final.values
     assert (final == final[:1]).all()
 
 

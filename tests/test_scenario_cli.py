@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import io
 import math
 import os
 import re
@@ -12,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polykin import DistField, Scenario, cli, parse_scenario, read_snapshot, stepper
+from polykin import (DistField, Scenario, cli, error_sup_norm, parse_scenario, read_snapshot,
+                     stepper)
 from polykin.cli import main
+from polykin.diagnostics import observed_order
 from polykin.errors import NonFiniteField, ParseError, ValidationError
 from polykin.scenario import run_peak_bytes
 from tests.test_acceptance import SMOOTH_SCENARIO, _read_orders
@@ -43,6 +47,18 @@ alpha = 0.2
 """
 
 TINY = "n_x = 4\nn_v = 5\nn_i = 4\ndt = 0.1\nt_final = 0.2\nic = smooth\n"
+
+
+def _record_run_modes(monkeypatch) -> list:
+    """Wrap stepper.run to record (n_x, kappa, diagnostics) of each call."""
+    real, modes = stepper.run, []
+
+    def recording(scn, snapshot_writer=None, diagnostics="all"):
+        modes.append((scn.n_x, scn.kappa, diagnostics))
+        return real(scn, snapshot_writer, diagnostics)
+
+    monkeypatch.setattr(stepper, "run", recording)
+    return modes
 
 
 def write(tmp_path, text, name="scn.txt"):
@@ -391,6 +407,27 @@ class TestConvergenceCli:
                      "--out", str(tmp_path / "o")]) == 0
         assert calls == [(4, False, True), (8, False, True), (16, False, True)]
 
+    def test_levels_run_without_diagnostics_and_give_the_diagnosed_runs_table(self, tmp_path,
+                                                                                 monkeypatch):
+        # the study reads each run's final field alone, so no run takes a diagnostic, and
+        # its table is the one the fields of fully diagnosed runs give, byte for byte
+        modes = _record_run_modes(monkeypatch)
+        path = write(tmp_path, SMOOTH.replace("t_final = 0.2", "t_final = 0.25"))
+        out = tmp_path / "o"
+        assert main(["convergence", str(path), "--levels", "4,8,16", "--reference", "32",
+                     "--out", str(out)]) == 0
+        assert modes == [(n_x, 1.0, "off") for n_x in (4, 8, 16, 32)]
+        scn = parse_scenario(path)
+        _, params = scn.validate()
+        finals = {n_x: stepper.run(dataclasses.replace(scn, n_x=n_x, dt=1.0 / n_x),
+                                   diagnostics="all").final for n_x in (4, 8, 16, 32)}
+        errors = [error_sup_norm(finals[n_x], finals[32].cells[:: 32 // n_x], params.q,
+                                 params.delta) for n_x in (4, 8, 16)]
+        expected = io.StringIO()
+        observed_order(list(zip([1 / 4, 1 / 8, 1 / 16], errors)),
+                       labels=["n_x=4", "n_x=8", "n_x=16"]).to_csv(expected)
+        assert (out / "convergence.csv").read_bytes() == expected.getvalue().encode()
+
     def test_duplicate_levels_rejected(self, tmp_path):
         scn = write(tmp_path, SMOOTH)
         code = main([
@@ -597,6 +634,13 @@ class TestSweepCli:
         text = SMOOTH.replace("ic = smooth", "ic = riemann") + "envelope = auto\n"
         scn = write(tmp_path, text)
         assert main(["sweep", str(scn), "--kappa", "1", "--out", str(tmp_path / "o")]) == 0
+
+    def test_each_kappa_runs_with_its_norms_and_sums_alone(self, tmp_path, monkeypatch):
+        # the finite column reads each step's norm_q and mass, and nothing reads the entropy
+        modes = _record_run_modes(monkeypatch)
+        scn = write(tmp_path, SMOOTH)
+        assert main(["sweep", str(scn), "--kappa", "1,1e-2", "--out", str(tmp_path / "o")]) == 0
+        assert modes == [(8, 1.0, "no_entropy"), (8, 1e-2, "no_entropy")]
 
     def test_zero_step_sweep_writes_finite_distance(self, tmp_path):
         # no steps, no reports: the distance is taken from the initial field

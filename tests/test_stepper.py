@@ -27,6 +27,7 @@ from polykin import (
 )
 from polykin.errors import ValidationError
 from polykin.field import row_tiles
+from polykin import stepper
 from polykin.stepper import _blend_into, _envelope_min_ratio
 from tests.conftest import random_field_values
 
@@ -199,15 +200,19 @@ class TestRun:
 # 729 velocity rows of 128 energies: row tiles of 256, 256 and a partial 217 per cell
 TILED = dict(n_x=3, n_v=9, n_i=128, v_max=3.0, i_max=8.0, dt=0.05, t_final=0.1,
              nu=0.3, theta=0.7, u0=(0.2, 0.0, -0.1), snapshot_times=(0.05, 0.1))
+# TILED, on 50 cells of one tile each (groups of one cell), and on 40 cells of a 32-cell
+# group and an 8-cell one, whose norms gather their weights beside the product
+EXTENTS = [{}, dict(n_x=50, n_i=16), dict(n_x=40, n_v=5, n_i=4)]
+EXTENT_IDS = ["tiled", "one_tile_cells", "several_cell_groups"]
 
 
-def _assert_report_is_of(rep, out, params, track_entropy=True):
+def _assert_report_is_of(rep, out, params, diagnostics="all"):
     """The fused pass reports what the standalone diagnostics give on its output, bitwise."""
     mass, mom, energy = conserved_quantities(out, params.delta)
     assert (rep.mass, rep.energy) == (mass, energy)
     assert rep.momentum.tobytes() == mom.tobytes()
     assert rep.norm_q == weighted_sup_norm(out, params.q, params.delta)
-    if track_entropy:
+    if diagnostics == "all":
         assert rep.entropy == entropy(out)
     else:
         assert math.isnan(rep.entropy)
@@ -218,19 +223,31 @@ class TestFusedPass:
         tiles = row_tiles(TILED["n_v"] ** 3, TILED["n_i"])
         assert len(tiles) == 3 and tiles[-1].stop - tiles[-1].start < tiles[0].stop
 
+    @pytest.mark.parametrize("extents", EXTENTS, ids=EXTENT_IDS)
     @pytest.mark.parametrize("envelope", ["off", "auto"])
-    @pytest.mark.parametrize("track_entropy", [True, False])
+    @pytest.mark.parametrize("diagnostics", ["all", "no_entropy", "off"])
     @pytest.mark.parametrize("kappa, transport_only", [(1.0, False), (1e-6, False), (1.0, True)],
                              ids=["1.0", "1e-06", "transport_only"])  # c_m <= 1/2, c_m > 1/2
     def test_run_reports_equal_standalone_diagnostics(self, kappa, transport_only,
-                                                      track_entropy, envelope):
-        scn = Scenario(kappa=kappa, envelope=envelope, transport_only=transport_only, **TILED)
+                                                      diagnostics, envelope, extents):
+        scn = Scenario(kappa=kappa, envelope=envelope, transport_only=transport_only,
+                       **dict(TILED, **extents))
         outs = []
-        res = run(scn, track_entropy=track_entropy,
+        res = run(scn, diagnostics=diagnostics,
                   snapshot_writer=lambda t, f: outs.append(DistField(f.values.copy(), f.grid)))
         assert len(outs) == len(res.reports) == 2
+        if diagnostics == "off":
+            # the same field, bit for bit, one report a step, and nothing taken beside it
+            full = run(scn)
+            assert res.final.values.tobytes() == full.final.values.tobytes()
+            assert [r.time for r in res.reports] == [r.time for r in full.reports]
+            for rep in res.reports:
+                assert np.isnan(rep.csv_row()[1:]).all()  # all but the time
+                assert rep.gaussian_norm_q is rep.tilde_norm_q is rep.envelope_min_ratio is None
+            assert np.isnan(np.hstack([res.initial_norm_q, *res.initial_conserved])).all()
+            return
         for rep, out in zip(res.reports, outs):
-            _assert_report_is_of(rep, out, res.params, track_entropy)
+            _assert_report_is_of(rep, out, res.params, diagnostics)
         grid, params = res.grid, res.params
         tilde = sample(make_initial(scn, grid), grid, scn.dt)  # step 0's f~
         rep = res.reports[0]
@@ -250,11 +267,34 @@ class TestFusedPass:
         else:
             assert rep.tilde_norm_q is None and rep.envelope_min_ratio is None
 
+    @pytest.mark.parametrize("extents", EXTENTS, ids=EXTENT_IDS)
+    @pytest.mark.parametrize("kappa, transport_only", [(1.0, False), (1.0, True)],
+                             ids=["1.0", "transport_only"])
+    def test_an_off_run_takes_no_diagnostic(self, monkeypatch, kappa, transport_only,
+                                            extents):
+        # "off" keeps the one pass and only branches: it blends each tile and gathers no
+        # weights, takes no norm, contraction, conserved sum or f ln f, and reads no monitor
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a diagnostic ran with diagnostics off")
+
+        for name in ("weight_tile", "energy_contraction", "cell_conserved", "tile_flogf",
+                     "conserved_totals", "weighted_sup_norm", "_envelope_min_ratio"):
+            monkeypatch.setattr(stepper, name, forbidden)
+        blends = []
+        real_blend = stepper._blend_into
+        monkeypatch.setattr(stepper, "_blend_into",
+                            lambda *args: blends.append(1) or real_blend(*args))
+        scn = Scenario(kappa=kappa, envelope="auto", transport_only=transport_only,
+                       **dict(TILED, **extents))
+        res = run(scn, diagnostics="off")
+        assert len(res.reports) == 2
+        assert bool(blends) != transport_only
+
     @pytest.mark.parametrize("kappa", [1.0, 1e-6])
     def test_step_report_equals_standalone_diagnostics(self, kappa, rng):
         # and on 50 cells of one tile each, which conserved_quantities contracts in blocks
-        # of 44 cells and the relaxation one cell at a time
-        for extents in ({}, dict(n_x=50, n_i=16)):
+        # of 44 cells and the relaxation one cell at a time, and on groups of several cells
+        for extents in EXTENTS:
             grid, _ = Scenario(**dict(TILED, **extents)).validate()
             f = DistField(random_field_values(rng, grid, sparsity=0.2), grid)
             params = SchemeParams(nu=0.3, theta=0.7, delta=2.0, kappa=kappa, q=8.0)
