@@ -99,13 +99,13 @@ def cmd_convergence(args) -> int:
     runs = levels + ([] if transport_only else [reference])
     level_scenario(runs[-1]).validate()  # the finest run alone, before the first level runs
     # the study peaks in its finest run, beside the other runs' fields, or, transport-only,
-    # in its error loop, which holds at most every level's field and one exact field
+    # in its error loop, which holds level i's exact field beside the fields of levels i on
     cell = 8 * scn.n_v**3 * scn.n_i
     peak = run_peak_bytes(runs[-1], scn.n_v, scn.n_i) + cell * sum(runs[:-1])
     held = "the finest run beside the other runs' fields"
     if transport_only:
-        peak = max(peak, cell * (sum(levels) + levels[-1]))
-        held += ", or every level's field beside an exact one"
+        peak = max(peak, cell * max(sum(levels[i:]) + levels[i] for i in range(len(levels))))
+        held += ", or a level's exact field beside its and the finer levels' fields"
     memory = physical_memory()
     if peak > memory:
         raise ValidationError("levels" if transport_only else "reference",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTable, InvalidConfig, NegativeField
-from .field import DistField, cell_tiles, max_nan, row_tiles, tile_sup, weight_tile
+from .field import DistField, _sup_norm, cell_tiles, max_nan, row_tiles
 # unused here, but benchmarks/spans.py wraps diagnostics.gaussian_field and error_sup_norm
 from .field import error_sup_norm  # noqa: F401
 from .gaussian import _gaussian_flat, gaussian_table
@@ -49,21 +49,19 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     """Total mass, momentum, and energy of a field.
 
     mass = sum f dx dv^3 dI, momentum = sum f v ..., and the energy weight is
-    |v|^2/2 + I^(2/delta).  Each block of row_tiles(n_x, n_v^3) cells is contracted by the
-    tiles of its field.cell_tiles, as the relaxation contracts them, so a step report equals
-    this on the output bit for bit, and folded in one call, cell by cell in a fixed order:
-    the sums are bit-reproducible whatever the number of BLAS threads (cell_conserved).
+    |v|^2/2 + I^(2/delta).  Each group of field.cell_tiles is contracted by its tiles and
+    folded, cell by cell in a fixed order, as the relaxation does, so a step report equals
+    this on the output bit for bit, and the sums are bit-reproducible whatever the number
+    of BLAS threads (cell_conserved).
     """
-    g = fld.grid
-    blocks = row_tiles(g.n_x, g.n_v**3)
-    buf = np.empty((blocks[0].stop, g.n_v**3, 2))
+    g, stack = fld.grid, fld.cells
+    cells, tiles = cell_tiles(g.n_x, g.n_v**3, g.n_i)
+    buf = np.empty((cells[0].stop, g.n_v**3, 2))
     sums = np.zeros(5)
-    for block in blocks:
-        stack, a = fld.cells[block], buf[: block.stop - block.start]
-        cells, tiles = cell_tiles(len(stack), g.n_v**3, g.n_i)
-        for c in cells:
-            for s in tiles:
-                energy_contraction(stack[c, s], g, delta, a[c, s])
+    for c in cells:
+        a = buf[: c.stop - c.start]
+        for s in tiles:
+            energy_contraction(stack[c, s], g, delta, a[:, s])
         sums = cell_conserved(a, g, sums)
     return conserved_totals(sums, g)
 
@@ -108,30 +106,22 @@ def equilibrium_distance(fld: DistField, params: SchemeParams, dt: float = 0.0) 
     relaxation target at that Knudsen number.
 
     The Gaussian is never built as a field: as the relaxation does, its factors are
-    evaluated a block of row_tiles(n_x, n_v**3) cells at a time, and each tile of the
-    block's field.cell_tiles is written into one reused tile buffer and its weighted
-    sup taken there, the weights gathered once per tile per block.  So the distance
-    equals error_sup_norm(f, gaussian_field(...)) bit for bit, and the first cell whose
-    Gaussian fails raises the same error.
+    evaluated a block of row_tiles(n_x, n_v**3) cells at a time, and field._sup_norm
+    takes the block's distance, writing each tile of the Gaussian into its scratch tile.
+    So the distance equals error_sup_norm(f, gaussian_field(...)) bit for bit, and the
+    first cell whose Gaussian fails raises the same error.
     """
     g = fld.grid
     macro = compute_moments(fld, params, dt=dt)
     lam_delta = normalizer_discrete(params.delta, g)
-    weights = g.norm_weight(params.q, params.delta)
-    blocks = row_tiles(g.n_x, g.n_v**3)
-    cells, tiles = cell_tiles(blocks[0].stop, g.n_v**3, g.n_i)
-    w = np.empty((tiles[0].stop, g.n_i))
-    buf = np.empty((cells[0].stop, tiles[0].stop, g.n_i))
     dist = 0.0
-    for block in blocks:
+    for block in row_tiles(g.n_x, g.n_v**3):
         pev, ei = _gaussian_flat(macro, block, g, lam_delta, params.delta)
-        stack = fld.cells[block]
-        cells, tiles = cell_tiles(len(stack), g.n_v**3, g.n_i)
-        for s in tiles:
-            ws, m = weight_tile(weights, s, w), buf[:, : s.stop - s.start]
-            for c in cells:
-                t = gaussian_table(pev[c, s], ei[c], m[: c.stop - c.start])
-                dist = max_nan(dist, tile_sup(stack[c, s], t, ws, t))
+
+        def gauss(c, s, out):  # the block's Gaussian tile [c, s], written into out
+            return gaussian_table(pev[c, s], ei[c], out)
+
+        dist = max_nan(dist, _sup_norm(fld.cells[block], gauss, g, params.q, params.delta))
         pev = ei = None  # freed before the next block's factors are built
     return dist
 

@@ -138,13 +138,14 @@ def max_nan(acc: float, x: float) -> float:
     return x if x != x else max(acc, x)
 
 
-def _sup_norm(a: np.ndarray, b: np.ndarray | None, grid: PhaseGrid, q: float,
-              delta: float) -> float:
+def _sup_norm(a: np.ndarray, b, grid: PhaseGrid, q: float, delta: float) -> float:
     """sup over nodes of |a - b| (|a| without b) times the weight of order q, tile by tile.
 
     a and b are stacks of (n_v**3, n_i) cell tables on grid, such as DistField.cells or a
     strided view of it: each tile of cell_tiles is read as it stands, so no stack is
-    copied.  A row tile's weights are the same in every cell, so each is gathered once.
+    copied.  b may also be a function b(c, s, out) that writes the tile b[c, s] into the
+    scratch tile out and returns it.  A row tile's weights are the same in every cell, so
+    each is gathered once.
     """
     weights = grid.norm_weight(q, delta)
     cells, tiles = cell_tiles(len(a), grid.n_v**3, grid.n_i)
@@ -154,8 +155,9 @@ def _sup_norm(a: np.ndarray, b: np.ndarray | None, grid: PhaseGrid, q: float,
     for s in tiles:
         ws, ts = weight_tile(weights, s, w), t[:, : s.stop - s.start]
         for c in cells:
-            x = a[c, s]
-            out = max_nan(out, tile_sup(x, None if b is None else b[c, s], ws, ts[: len(x)]))
+            tc = ts[: c.stop - c.start]
+            y = None if b is None else b(c, s, tc) if callable(b) else b[c, s]
+            out = max_nan(out, tile_sup(a[c, s], y, ws, tc))
     return out
 
 

@@ -131,23 +131,25 @@ class PhaseGrid:
             self._cache[key] = np.column_stack((w, w * self.energy_eps(delta)))
         return self._cache[key]
 
-    def velocity_shells(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct |v|^2 values, ascending, and the index of each velocity node's value.
-
-        Mirror symmetry of the axis leaves at most ceil(n_v/2)^3 of them (464 at n_v = 33).
-        The result is np.unique(vsq, return_inverse=True)'s, at about two thirds of its cost
-        on a 125-node grid (14 us against 22 us), which a step on a new grid pays once."""
+    def velocity_shells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(values, rows, order, starts): the distinct |v|^2 values ascending and the index
+        of each velocity node's value, as np.unique(vsq, return_inverse=True) gives them, and
+        the nodes by ascending |v|^2 with where each shell starts among them, so that
+        np.maximum.reduceat(a[:, order], starts, axis=1) takes each row's max on each shell.
+        Mirror symmetry of the axis leaves at most ceil(n_v/2)^3 shells (464 at n_v = 33)."""
         if "shells" not in self._cache:
             vsq = self.velocity_tables()[3]
             order = vsq.argsort()
             ranked = vsq[order]
-            shell = np.empty(vsq.size, np.intp)  # of each ranked node
-            shell[0] = 0
-            np.cumsum(ranked[1:] != ranked[:-1], out=shell[1:])
-            values, rows = np.empty(shell[-1] + 1), np.empty_like(shell)
-            values[shell] = ranked
+            first = np.empty(vsq.size, bool)  # of each ranked node: the first of its shell
+            first[0] = True
+            np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            shell = np.cumsum(first, dtype=np.intp)  # of each ranked node, from 1
+            shell -= 1
+            rows = np.empty_like(shell)
             rows[order] = shell
-            self._cache["shells"] = values, rows
+            self._cache["shells"] = ranked[starts], rows, order, starts
         return self._cache["shells"]
 
     def norm_weight(self, q: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +160,7 @@ class PhaseGrid:
         expression of the same |v|^2 and eps as that node's row of the whole table."""
         key = ("nw", float(q), float(delta))
         if key not in self._cache:
-            vsq, rows = self.velocity_shells()
+            vsq, rows, _, _ = self.velocity_shells()
             eps = self.energy_eps(delta)
             # keep one table per grid
             for k in [k for k in self._cache if isinstance(k, tuple) and k[0] == "nw"]:
@@ -175,13 +177,17 @@ class PhaseGrid:
 
         Returns the wrapped lower cell s and the weight a in (0, 1] such that
         the foot lies in [x_s, x_{s+1}) and linear interpolation uses
-        a*f[s] + (1-a)*f[s+1].  A foot landing exactly on a node gets a = 1.
+        a*f[s] + (1-a)*f[s+1].  A foot landing exactly on a node gets a = 1, and so
+        does one so close below node s + 1 that 1 - a rounds to 1 (a v*dt*n_x of at
+        most 5.5e-17), where f[s] + 1*(f[s+1] - f[s]) can round below both nodes.
         """
         if dt < 0:
             raise InvalidConfig("dt must be >= 0")
         t = i - self.foot_offset(vj1, dt)
         s = math.floor(t)
         a = (s + 1) - t
+        if 1.0 - a == 1.0:
+            s, a = s + 1, 1.0
         return FootWeight(s % self.n_x, a)
 
 

@@ -43,10 +43,10 @@ def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     - compute_moments: moments.moments_peak_doubles, the moments and one block's and one
       group's arrays;
     - the relaxation: the Gaussian factors of a block of tile_rows(n_v^3) cells and their
-      temporaries, under 6 n_v^3 + 3 n_i doubles a row, then three tiles of the block's
-      first field.cell_tiles group (the Gaussian, its weighted values and a cell's weights)
-      and the group's contraction and f ln f rows, 3 n_v^3 doubles a cell: 17.7 thousand
-      doubles traced at (6, 5, 6), under 0.87 of these two terms;
+      temporaries, under 6 n_v^3 + 3 n_i doubles a row, then two tiles of the block's
+      first field.cell_tiles group (the Gaussian, then scratch, and a cell's weights) and
+      the group's contraction and f ln f rows, 3 n_v^3 doubles a cell: 13.3 thousand
+      doubles traced at (6, 5, 6), under 0.84 of these two terms;
     - the envelope's cell table;
     - the norm weights: one row of n_i per |v|^2 shell, at most ceil(n_v/2)^3 of them by
       mirror symmetry, and their temporary while built;
@@ -59,7 +59,7 @@ def run_peak_bytes(n_x: int, n_v: int, n_i: int) -> int:
     factors = block * (6 * n_v**3 + 3 * n_i)
     cells, rows = cell_tiles(block, n_v**3, n_i)
     group = cells[0].stop  # cells of the relaxation's first tile
-    tiles = group * (3 * rows[0].stop * n_i + 3 * n_v**3)
+    tiles = group * (2 * rows[0].stop * n_i + 3 * n_v**3)
     shells = 2 * math.ceil(n_v / 2) ** 3 * n_i
     return 8 * (n_x * cell + samples + moments_peak_doubles(n_x, n_v) + factors + tiles + cell
                 + shells + 9 * n_v**3 + chunk_doubles(n_x, n_v**2 * n_i) + 16384)

@@ -102,24 +102,24 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                 diagnostics: str = "all", gauss_norm: bool = False):
     """Overwrite f~ with its blend with its Gaussian, a tile at a time, in one pass per tile.
 
-    The Gaussian factors are evaluated for a block of cells at once, a row tile of the
-    (n_x, n_v**3) factor rows, and the block is walked by field.cell_tiles.  Each tile's
-    Gaussian is written into one reused tile buffer, f~'s tile is blended with it in place
-    while both are in cache, and, unless diagnostics is "off", the tile's weighted sup,
-    f ln f rows (diagnostics "all" only) and energy contraction are taken; once a group of
-    cells is done, its conserved sums and entropy are folded in cell order.  Each weighted
-    sup gathers its tile's weights once a group and tile: into a slot of one cell's
-    weights where the group has several cells, since numpy would copy weights that the
-    product writes over first, else into the buffer it multiplies into.  The buffers are
-    taken once the first block's factor temporaries are freed.  Those of one-tile cells,
-    which at n_i = 1 outweigh the temporaries, are freed with each block's factors and
-    taken anew; a larger cell's are kept for the call, since taking them anew in each
-    block slowed a (16, 17, 16) pass by 5%.  Returns the output's conserved sums, entropy
-    (NaN unless diagnostics is "all"), weighted norm, and the Gaussian's weighted norm
-    (None unless gauss_norm): what conserved_quantities, entropy and weighted_sup_norm give
-    on the output, bit for bit; with diagnostics "off", _untracked().  With macro None
-    (transport only, or run()'s f^0) f~ is kept as it stands and the Gaussian norm is None,
-    and with diagnostics "off" as well there is nothing to do.
+    The Gaussian factors come a block of cells at a time (a row tile of the (n_x, n_v**3)
+    factor rows), and the block is walked by field.cell_tiles.  Each tile's Gaussian is
+    written into one tile buffer, f~'s tile is blended with it in place while both are in
+    cache and, unless diagnostics is "off", the tile's weighted sup, f ln f rows ("all"
+    only) and energy contraction are taken with the buffer as scratch; a group's conserved
+    sums and entropy are folded in cell order.  The sup's weights are gathered once a group
+    and tile, into a slot of one cell's weights where the group has several cells (numpy
+    would copy weights that the product overwrites), else into the buffer.  The Gaussian's
+    weighted norm comes from its factors: each |v|^2 shell's largest velocity factor, times
+    the energy factor, times the shell's weights.  Rounding is monotone and the factors are
+    finite and >= 0, so this is the max over the Gaussian's nodes, bit for bit; each tile
+    takes the shell rows among its rows, in its buffer.  The buffers are taken once the
+    first block's factor temporaries are freed; one-tile cells' are freed with each block's
+    factors and taken anew, a larger cell's kept for the call.  Returns the output's
+    conserved sums, entropy (NaN unless "all"), weighted norm and the Gaussian's weighted
+    norm (None unless gauss_norm), as conserved_quantities, entropy and weighted_sup_norm
+    give them on the output, bit for bit; with diagnostics "off", _untracked().  With macro
+    None (transport only, or run()'s f^0) f~ stays as it is and the Gaussian norm is None.
     """
     if macro is None and diagnostics == "off":
         return _untracked()
@@ -130,35 +130,37 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     a = collision_frequency(params.nu, params.theta)
     c_f = params.kappa / (params.kappa + a * dt)
     c_m = a * dt / (params.kappa + a * dt)
-    weights = grid.norm_weight(params.q, params.delta)
-    bufs = None
+    weights = table, _ = grid.norm_weight(params.q, params.delta)
+    _, _, order, starts = grid.velocity_shells()
+    buf = None
     sums = np.zeros(5)
     total_flogf = 0.0
     norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None and track else None)
     for block in row_tiles(grid.n_x, n_rows):
         if macro is not None:
             pev, ei = _gaussian_flat(macro, block, grid, lambda_delta, params.delta)
+            if g_norm is not None:  # each cell's largest velocity factor on each shell
+                peak = np.maximum.reduceat(pev[:, order], starts, axis=1)
         stack = f_tilde.cells[block]
         cells, tiles = cell_tiles(len(stack), n_rows, grid.n_i)
-        if bufs is None:  # taken once the factor pass's temporaries are freed
-            # the Gaussian, then scratch; with its norm, a tile of its weighted values
-            bufs = np.empty((1 if g_norm is None else 2,) + stack[cells[0], tiles[0]].shape)
+        if buf is None:  # taken once the factor pass's temporaries are freed
+            buf = np.empty(stack[cells[0], tiles[0]].shape)  # the Gaussian, then scratch
             if track:
                 contracted = np.empty((cells[0].stop, n_rows, 2))  # a group's, tile by tile
                 flogf_rows = np.empty(contracted.shape[:2]) if track_entropy else None
                 slot = np.empty(stack[0].shape) if cells[0].stop > 1 else None  # one-tile cells
         for c in cells:
-            o = slice(0, c.stop - c.start)  # c in the buffers
+            o = slice(0, c.stop - c.start)  # c in the buffer
             for s in tiles:
                 t = stack[c, s]
-                m = bufs[0, o, : s.stop - s.start]
+                m = buf[o, : s.stop - s.start]
                 if macro is not None:
+                    if g_norm is not None and s.start < len(table):
+                        r = slice(s.start, min(s.stop, len(table)))  # the shells in s's rows
+                        g = np.multiply(peak[c, r, None], ei[c, None], m[:, : r.stop - r.start])
+                        g *= table[r]
+                        g_norm = max_nan(g_norm, float(g.max()))
                     gaussian_table(pev[c, s], ei[c], m)
-                    if g_norm is not None:
-                        w = bufs[1, o, : s.stop - s.start]
-                        ws = weight_tile(weights, s, w[0] if slot is None else slot)
-                        w = np.multiply(m, ws[None], w)
-                        g_norm = max_nan(g_norm, float(w.max()))
                     _blend_into(t, m, c_f, c_m)
                 if not track:
                     continue
@@ -176,9 +178,9 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                     total_flogf += x
             if track:
                 sums = cell_conserved(contracted[o], grid, sums)
-        pev = ei = None  # freed before the next block's factors are built
+        pev = ei = peak = None  # freed before the next block's factors are built
         if len(tiles) == 1:  # and so are one-tile cells' buffers, with the views into them
-            bufs = contracted = flogf_rows = slot = m = w = ws = None
+            buf = contracted = flogf_rows = slot = m = w = ws = g = None
     if not track:
         return _untracked()
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan

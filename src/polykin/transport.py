@@ -51,8 +51,8 @@ def chunk_doubles(n_x: int, n_cols: int) -> int:
 
 def _blend(x: np.ndarray, lo: int, b: float, blend: np.ndarray) -> None:
     """x[i] = x[i+lo] + b*(x[i+lo+1] - x[i+lo]), indices mod len(x), in place, with blend
-    (x's shape, contiguous) as scratch.  lo + b*(hi - lo) never rounds outside the span of
-    its two nodes, nor below zero for nonnegative nodes."""
+    (x's shape, contiguous) as scratch.  With b < 1, lo + b*(hi - lo) never rounds outside
+    the span of its two nodes, nor below zero for nonnegative nodes."""
     n = len(x)
     k = n - lo - 1  # rows i < k read both nodes unwrapped, row k wraps the upper one
     if k:
@@ -78,14 +78,9 @@ class Advector:
             raise InvalidConfig(f"dt must be >= 0 with finite foot offsets v*dt*n_x, got {dt!r}")
         self.grid = grid
         n = grid.n_x
-        # Per j: b = 1 - a and the lower node's offset lo: out[i] blends the nodes
-        # (i + lo) mod n_x and (i + lo + 1) mod n_x, the rotations of the cells by s0
-        # and s0 + 1.
-        self._stencil = []
-        for v in grid.v_axis:
-            t0 = 0.0 - grid.foot_offset(v, dt)
-            s0 = math.floor(t0)
-            self._stencil.append((1.0 - ((s0 + 1) - t0), s0 % n))
+        # Per j: b = 1 - a and the lower node's offset lo = s of node 0's foot: out[i]
+        # blends the nodes (i + lo) mod n_x and (i + lo + 1) mod n_x.
+        self._stencil = [(1.0 - fw.a, fw.s) for fw in (grid.foot(0, v, dt) for v in grid.v_axis)]
         # per block of a slab's columns, its rotated copy and its blend (n_x rows each),
         # both contiguous in one chunk, so the ufuncs on them run unbuffered
         cols = grid.n_v**2 * grid.n_i  # a slab is (n_x, n_v**2 * n_i)

@@ -104,6 +104,19 @@ def test_relax_holds_no_second_table(field, kappa, limit):
     assert _tables_beyond_output(lambda: relax(field, macro, params, 0.1)) < limit
 
 
+@pytest.mark.parametrize("kappa", [1.0, 1e-3])  # c_m <= 1/2, c_m > 1/2
+def test_gaussian_norm_takes_no_tile_of_its_own(field, kappa):
+    # the Gaussian's weighted norm comes from its factors, in the relaxation's one tile
+    # buffer: 0.918 tables with it and 0.914 without on GRID's 1.4-tile cells, where a tile
+    # of its weighted values and one of its weights read 1.62
+    params = SchemeParams(nu=0.0, theta=1.0, delta=2.0, kappa=kappa, q=8.0)
+    macro = compute_moments(field, params, dt=0.1)
+    with_norm, without = (_tables_beyond_output(
+        lambda: _relax_into(field, macro, params, 0.1, "all", gauss_norm=norm))
+        for norm in (True, False))
+    assert with_norm - without < 0.05, (with_norm, without)
+
+
 def test_gaussian_field_writes_into_its_field(field):
     params = SchemeParams(nu=0.0, theta=1.0, delta=2.0, kappa=1.0, q=8.0)
     macro = compute_moments(field, params, dt=0.0)

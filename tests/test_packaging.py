@@ -186,6 +186,27 @@ def test_every_per_cell_pass_walks_cell_tiles():
                     missing.append(passes[-1])
     assert not missing, f"per-cell passes that do not walk cell_tiles: {missing}"
     assert sorted(passes) == ["diagnostics.conserved_quantities", "diagnostics.entropy",
-                              "diagnostics.equilibrium_distance", "field._sup_norm",
-                              "moments._moments_of_stack", "stepper._relax_into"], passes
+                              "field._sup_norm", "moments._moments_of_stack",
+                              "stepper._relax_into"], passes
     assert not hasattr(polykin.field, "stack_tiles")
+
+
+def _src_readers(name: str) -> list[str]:
+    """_readers of name over every module of src/polykin, in file order."""
+    root = Path(polykin.__file__).resolve().parent
+    readers = []
+    for path in sorted(root.glob("*.py")):
+        _readers(ast.parse(path.read_text(encoding="utf-8")), name, path.stem, readers)
+    return readers
+
+
+def test_only_sup_norm_calls_tile_sup():
+    # one sup-norm kernel: the weighted norms, the error norms and the equilibrium distance
+    # all take their sups through field._sup_norm
+    assert _src_readers("tile_sup") == ["field._sup_norm"]
+
+
+def test_relax_gathers_weights_at_one_site():
+    # the output's norm gathers each tile's weights; the Gaussian's norm reads the shell
+    # table from its factors, with no gather of its own ("stepper" is the import)
+    assert _src_readers("weight_tile") == ["field._sup_norm", "stepper", "stepper._relax_into"]

@@ -652,21 +652,35 @@ def _same_bits(got, expected):
 @given(n_x=st.integers(2, 50), n_v=st.integers(3, 9), n_i=st.integers(1, 16),
        nu_theta=st.sampled_from([(0.0, 1.0), (0.5, 0.8), (-0.3, 0.6)]),
        kappa=st.sampled_from([1.0, 1e-3]), tile_bytes=st.sampled_from([64, 800, TILE_BYTES]),
-       seed=st.integers(0, 2**32 - 1))
-@example(n_x=50, n_v=5, n_i=4, nu_theta=(0.5, 0.8), kappa=1.0, tile_bytes=TILE_BYTES, seed=0)
-@example(n_x=50, n_v=3, n_i=1, nu_theta=(0.0, 1.0), kappa=1e-3, tile_bytes=800, seed=1)
+       seed=st.integers(0, 2**32 - 1), extreme=st.none())
+@example(n_x=50, n_v=5, n_i=4, nu_theta=(0.5, 0.8), kappa=1.0, tile_bytes=TILE_BYTES, seed=0,
+         extreme=None)
+@example(n_x=50, n_v=3, n_i=1, nu_theta=(0.0, 1.0), kappa=1e-3, tile_bytes=800, seed=1,
+         extreme=None)
+@example(n_x=7, n_v=5, n_i=4, nu_theta=(0.5, 0.8), kappa=1.0, tile_bytes=800, seed=2,
+         extreme="overflow")
+@example(n_x=9, n_v=9, n_i=16, nu_theta=(-0.3, 0.6), kappa=1e-3, tile_bytes=64, seed=3,
+         extreme="subnormal")
+@example(n_x=12, n_v=5, n_i=4, nu_theta=(0.0, 1.0), kappa=1.0, tile_bytes=TILE_BYTES, seed=4,
+         extreme="ties")
 def test_grouped_passes_equal_the_per_cell_loops(n_x, n_v, n_i, nu_theta, kappa, tile_bytes,
-                                                 seed):
+                                                 seed, extreme):
     # groups of whole cells that fill half a tile (32 cells at (n_v, n_i) = (5, 4), 22 at
     # (9, 1)), the last often short, inside Gaussian blocks of tile_rows(n_v^3) cells (a
     # tile holds 3 cells of 27 rows at 800 bytes); at 64 bytes every cell spans row tiles.
     # The fields hold exact zeros, which f ln f takes on its own path.  The envelope
     # underflows to 0 at the far nodes, where it bounds nothing, and is subnormal (its
-    # quotients overflow to inf) in between
+    # quotients overflow to inf) in between.  The relaxation takes the Gaussian's norm from
+    # each |v|^2 shell's largest velocity factor: the extremes scale the density past what
+    # compute_moments admits, so that weighted Gaussian values overflow to inf or are
+    # subnormal, or make each cell uniform in velocity, so that u = 0, the temperature
+    # tensor is diagonal and a shell's mirror nodes tie
     with mock.patch.object(field, "TILE_BYTES", tile_bytes):
         grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
         rng = np.random.default_rng(seed)
         values = rng.random(grid.field_shape) * (rng.random(grid.field_shape) > 0.3)
+        if extreme == "ties":
+            values = values[:, :1, :1, :1] + 0.1 + np.zeros(grid.field_shape)
         ref = rng.random((2 * n_x,) + grid.field_shape[1:]).reshape(2 * n_x, n_v**3, n_i)
         params = SchemeParams(nu=nu_theta[0], theta=nu_theta[1], delta=1.5, kappa=kappa,
                               q=7.0)
@@ -683,6 +697,15 @@ def test_grouped_passes_equal_the_per_cell_loops(n_x, n_v, n_i, nu_theta, kappa,
                    else error_sup_norm(f, b, 7.0, 1.5))
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
         macro = compute_moments(f, params, dt=0.1)
+        if extreme in ("overflow", "subnormal"):
+            macro.rho *= 1e305 if extreme == "overflow" else 1e-310
+            table, rows = grid.norm_weight(7.0, 1.5)
+            pev, ei = _gaussian_flat(macro, slice(0, n_x), grid,
+                                     normalizer_discrete(1.5, grid), 1.5)
+            with np.errstate(over="ignore"):
+                weighted = pev[:, :, None] * ei[:, None] * table[rows]
+            assert (np.isinf(weighted).any() if extreme == "overflow"
+                    else (weighted < np.finfo(float).tiny).any() and weighted.max() > 0)
         for mac, gauss_norm in [(macro, True), (macro, False), (None, True)]:
             got, expected = (DistField(values.copy(), grid) for _ in range(2))
             (mass, mom, energy), *rest = _relax_into(got, mac, params, 0.1, "all", gauss_norm)

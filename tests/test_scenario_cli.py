@@ -467,8 +467,9 @@ class TestConvergenceCli:
         monkeypatch.setattr(stepper, "run", no_run)
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         cell = 8 * 33**3
-        if transport_only:  # the finest level: 0.45 of memory, beside a half and a quarter
-            finest = 4 * int(0.45 * memory / cell / 4)
+        if transport_only:  # the finest level: 0.55 of memory, beside a half and a quarter;
+            # its error loop holds every level's field and the coarsest's exact one, 1.1
+            finest = 4 * int(0.55 * memory / cell / 4)
             levels, reference = [finest // 4, finest // 2, finest], 2 * finest
         else:  # the reference: 0.6 of memory, beside an eighth, a quarter and a half
             finest = 8 * int(0.6 * memory / cell / 8)
@@ -492,6 +493,25 @@ class TestConvergenceCli:
         assert "physical memory" in captured.err
         assert "level" not in captured.out
         assert peak < 64 * 2**20, peak
+
+    def test_transport_only_study_that_fits_reaches_its_first_level(self, tmp_path,
+                                                                    monkeypatch):
+        # finest level 0.45 of memory, beside a half and a quarter: its runs peak near 0.8
+        # and its error loop at 0.9 (level i's exact field beside levels i on), so the guard
+        # lets it run
+        def no_run(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(stepper, "run", no_run)
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        finest = 4 * int(0.45 * memory / (8 * 33**3) / 4)
+        levels = [finest // 4, finest // 2, finest]
+        scn = write(tmp_path, f"n_x = 8\nn_v = 33\nn_i = 1\nv_max = 8.0\ni_max = 40.0\n"
+                              f"dt = {1 / finest!r}\nt_final = 0.25\n")
+        with pytest.raises(AssertionError, match="a level ran"):
+            main(["convergence", str(scn), "--levels", ",".join(map(str, levels)),
+                  "--reference", str(2 * finest), "--out", str(tmp_path / "o"),
+                  "--transport-only"])
 
     def test_transport_only_smoke(self, tmp_path):
         # tiny sizes: exercises the machinery, not the observed order

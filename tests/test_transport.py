@@ -92,3 +92,14 @@ def test_identity_slabs_come_back_byte_identical(rng):
             Advector(g, dt).apply(out)
             for j in slabs:
                 assert out.values[:, j].tobytes() == f[:, j].tobytes()
+
+
+def test_a_foot_within_rounding_below_a_node_takes_that_node():
+    # v*dt*n_x of 1.4e-291 at v > 0: b = 1 - (1 - v*dt*n_x) rounds to 1, where the blend
+    # lo + (hi - lo) rounded 1 + (6.2e-288 - 1) to 0, below both nodes.  Every foot is its
+    # own node within rounding, so the field comes back as it was
+    grid = build_grid(GridConfig(n_x=2, n_v=4, v_max=1.0, n_i=1, i_max=1.0))
+    vals = np.ones(grid.field_shape)
+    vals[0, 2, 0, 0, 0] = 6.17034804e-288
+    f = DistField(vals, grid)
+    assert advect(f, 2.136650486388644e-291).values.tobytes() == vals.tobytes()
