@@ -126,6 +126,12 @@ class Scenario:
     def resolved_q(self) -> float:
         return self.q if self.q is not None else 6.0 + self.delta
 
+    @property
+    def x_uniform(self) -> bool:
+        """Whether the initial data take one value in every cell: ic = maxwellian, the one
+        initial condition whose function never reads x."""
+        return self.ic == "maxwellian"
+
     def n_steps(self) -> int:
         if self.t_final == 0.0:
             return 0
@@ -264,12 +270,12 @@ def make_initial(scn: Scenario, grid: PhaseGrid):
     lam_delta = normalizer_discrete(scn.delta, grid)
     delta = scn.delta
 
-    if scn.ic in ("maxwellian", "smooth"):
+    if scn.ic != "riemann":
         t_tr = scn.t_tr if scn.t_tr is not None else scn.temperature
         t_int = scn.t_int if scn.t_int is not None else scn.temperature
         u = np.asarray(scn.u0, dtype=float)
         rho0, alpha = scn.rho0, scn.alpha
-        uniform = scn.ic == "maxwellian"
+        uniform = scn.x_uniform
 
         def ic(x, v1, v2, v3, i_nodes):
             rho = rho0 if uniform else rho0 * (1.0 + alpha * np.sin(2.0 * math.pi * x))
@@ -330,7 +336,7 @@ def certified_envelope(scn: Scenario, grid: PhaseGrid) -> StabilityEnvelope | No
 
     # density minimum over the continuum of x: rho0 for the uniform family,
     # rho0*(1 - alpha) at the trough of the sinusoid
-    x_min = np.array(0.0 if scn.ic == "maxwellian" else 0.75)
+    x_min = np.array(0.0 if scn.x_uniform else 0.75)
     ic = make_initial(scn, grid)
     v = grid.v_axis
     profile_min = ic(

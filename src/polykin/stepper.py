@@ -287,6 +287,12 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
     "no_entropy" the entropy is NaN.  With "off" nothing is taken beside the field:
     each report keeps its step and time, its numbers are NaN and its monitors None,
     and so are the initial norm and sums.  The field is the same in every mode.
+
+    The first step's f~ is the initial function sampled at the feet, and each later
+    step advects f^n in place.  With "off" and at least one step the nodal f^0 is read
+    by nothing, so only the feet are sampled.  When Scenario.x_uniform holds, the feet
+    take the nodes' values and every step's field is x-uniform, which advects to
+    itself bit for bit: f^0 is sampled once and no step advects.
     """
     if diagnostics not in DIAGNOSTICS:
         raise InvalidConfig(f"diagnostics must be one of {DIAGNOSTICS}, got {diagnostics!r}")
@@ -297,7 +303,12 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
     if diagnostics == "off":
         envelope = None
 
-    f = _sample_initial(scn, ic, grid, 0.0)
+    # one field: f^0's sums are taken, then it holds the exact foot values (no initial
+    # error), and each later step advects and relaxes it in place.  An "off" run of some
+    # steps reads no nodal f^0 and samples the feet at once, before the stepping starts
+    x_uniform = scn.x_uniform
+    feet_only = diagnostics == "off" and n_steps > 0 and not x_uniform
+    f = _sample_initial(scn, ic, grid, scn.dt if feet_only else 0.0)
     # f^0 is nonnegative (sample checks it), so the transport-only pass takes its
     # weighted_sup_norm and conserved_quantities, bit for bit, in one walk
     initial_cons, _, initial_norm, _ = _relax_into(
@@ -305,10 +316,9 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
     if n_steps == 0:
         return RunResult(grid, params, scn.dt, [], f, initial_norm, initial_cons)
 
-    # one field: f^0's sums are taken, then it holds the exact foot values (no initial
-    # error), and each later step advects and relaxes it in place
-    advector = Advector(grid, scn.dt)
-    _sample_initial(scn, ic, grid, scn.dt, out=f)
+    advector = Advector(grid, scn.dt)  # built by every run of some steps: it checks dt
+    if not (feet_only or x_uniform):
+        _sample_initial(scn, ic, grid, scn.dt, out=f)
     env_table = envelope.table(grid) if envelope is not None else None
 
     scales = _defect_scales(initial_cons, params.delta)
@@ -317,7 +327,9 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
     reports: list[StepReport] = []
 
     for n in range(n_steps):
-        if n > 0:
+        # x-uniform f^n advects to itself: every node blends two equal values, and the
+        # sampled and relaxed values are finite and >= 0, with no -0.0
+        if n > 0 and not x_uniform:
             advector.apply(f)
 
         monitors = {}  # of f~, read before the relaxation overwrites it

@@ -3,7 +3,8 @@ module imports is used there, unless the benchmark wraps it in that module's nam
 every benchmark wrap point is called.  Only field.py reads the tile size: the other modules
 take their blocks from its row_tiles.  Only moments.energy_contraction reads the energy
 weights, so no pass forks its own contraction, only transport._blend blends in the
-advection, and stepper blends and builds Gaussians at one call site each."""
+advection, stepper blends and builds Gaussians at one call site each, and only
+Scenario.x_uniform tells x-uniform initial data by their ic."""
 
 from __future__ import annotations
 
@@ -210,3 +211,32 @@ def test_relax_gathers_weights_at_one_site():
     # the output's norm gathers each tile's weights; the Gaussian's norm reads the shell
     # table from its factors, with no gather of its own ("stepper" is the import)
     assert _src_readers("weight_tile") == ["field._sup_norm", "stepper", "stepper._relax_into"]
+
+
+def _ic_comparisons(node: ast.AST, where: str, out: list) -> None:
+    """Append the dotted function in which each comparison of an ic with "maxwellian" lies
+    (ic == "maxwellian", ic in ("maxwellian", ...) and the like)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = f"{where}.{node.name}"
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        if (any(isinstance(o, ast.Name) and o.id == "ic"
+                or isinstance(o, ast.Attribute) and o.attr == "ic" for o in operands)
+                and any(isinstance(c, ast.Constant) and c.value == "maxwellian"
+                        for o in operands for c in ast.walk(o))):
+            out.append(where)
+    for child in ast.iter_child_nodes(node):
+        _ic_comparisons(child, where, out)
+
+
+def test_scenario_decides_x_uniform_data_at_one_site():
+    # run() skips the advection and the foot sample of x-uniform data, and make_initial
+    # builds them, on Scenario.x_uniform alone: no other line tells them from ic by name
+    root = Path(polykin.__file__).resolve().parent
+    sites = []
+    for path in sorted(root.glob("*.py")):
+        _ic_comparisons(ast.parse(path.read_text(encoding="utf-8")), path.stem, sites)
+    assert sites == ["scenario.Scenario.x_uniform"], sites
+    readers = set(_src_readers("x_uniform"))
+    assert {"scenario.make_initial", "stepper.run"} <= readers, readers
+    assert readers <= {"scenario.certified_envelope", "scenario.make_initial", "stepper.run"}

@@ -52,7 +52,7 @@ from polykin import (
     weighted_sup_norm,
     write_snapshot,
 )
-from polykin import cli, field, transport
+from polykin import cli, field, stepper, transport
 from polykin.errors import (DegenerateTemperature, NegativeField, NonFiniteField,
                             NonFiniteGaussian, PolykinError, ZeroDensity)
 from polykin.diagnostics import conserved_totals, masked_min_ratio, tile_flogf
@@ -777,8 +777,8 @@ def test_equilibrium_distance_errors_name_the_cell_the_oracle_names(rng):
 @example(n_x=7, n_v=9, n_i=4, drift=(0.3, -0.2, 0.1), seed=0)
 def test_a_cells_moments_depend_only_on_its_table(n_x, n_v, n_i, drift, seed):
     # every moment is reduced inside its cell: each cell of a random stack has the
-    # moments table_moments gives it alone, and a uniform drifting Maxwellian, whose cells
-    # advection keeps identical, stays bitwise uniform through run()
+    # moments table_moments gives it alone, and a uniform drifting Maxwellian stays bitwise
+    # uniform through run(), which therefore never advects it
     grid = build_grid(GridConfig(n_x=n_x, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
     params = SchemeParams(nu=0.5, theta=0.8, delta=2.0, kappa=1.0, q=8.0)
     values = np.random.default_rng(seed).random(grid.field_shape) + 0.05
@@ -792,6 +792,57 @@ def test_a_cells_moments_depend_only_on_its_table(n_x, n_v, n_i, drift, seed):
                    ic="maxwellian", u0=drift, nu=0.5, theta=0.8)
     final = run(scn, diagnostics="no_entropy").final.values
     assert (final == final[:1]).all()
+
+
+def _outcome(scn: Scenario, diagnostics: str) -> tuple:
+    """run()'s final field and every field of its reports and initial sums, as bytes, or the
+    type and message of the error it raised, with its calls to sample and Advector.apply."""
+    samples, applies = [], []
+    real_sample, real_apply = stepper.sample, Advector.apply
+    with mock.patch.object(stepper, "sample",
+                           lambda *a, **k: samples.append(1) or real_sample(*a, **k)), \
+            mock.patch.object(Advector, "apply",
+                              lambda *a, **k: applies.append(1) or real_apply(*a, **k)):
+        try:
+            res = run(scn, diagnostics=diagnostics)
+        except PolykinError as exc:
+            return (type(exc), str(exc)), len(samples), len(applies)
+    def as_bytes(x):
+        return None if x is None else np.asarray(x, dtype=np.float64).tobytes()
+
+    reports = [tuple(as_bytes(getattr(r, f.name)) for f in dataclasses.fields(r))
+               for r in res.reports]
+    got = (res.final.values.tobytes(), reports, as_bytes(res.initial_norm_q),
+           [as_bytes(x) for x in res.initial_conserved])
+    return got, len(samples), len(applies)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(n_x=st.integers(2, 6), n_v=st.integers(3, 5), n_i=st.integers(1, 4),
+       u0=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+       nu=st.floats(-0.5, 1.0, exclude_min=True, exclude_max=True), theta=st.floats(0.1, 1.0),
+       kappa_exp=st.floats(-6.0, 2.0), dt=st.floats(0.01, 0.3), n_steps=st.integers(1, 3),
+       envelope=st.sampled_from(["off", "auto"]), transport_only=st.booleans(),
+       diagnostics=st.sampled_from(["all", "no_entropy", "off"]))
+def test_an_x_uniform_run_skips_the_advection_and_the_foot_sample(
+        n_x, n_v, n_i, u0, nu, theta, kappa_exp, dt, n_steps, envelope, transport_only,
+        diagnostics):
+    # x-uniform data take the nodes' values at the feet and advect to themselves: run()
+    # samples once and never advects, and gives what the advecting path gives, bit for bit.
+    # kappa spans both sides of A*dt, so both of the blend's forms are taken.  With
+    # x_uniform patched, make_initial takes the smooth profile, which alpha = 0 makes
+    # rho0 * (1 + 0*sin) = rho0 in every cell: the same data, bit for bit
+    scn = Scenario(n_x=n_x, n_v=n_v, n_i=n_i, v_max=3.0, i_max=6.0, dt=dt,
+                   t_final=n_steps * dt, ic="maxwellian", u0=u0, t_tr=1.1, t_int=0.85, nu=nu,
+                   theta=theta, kappa=10.0**kappa_exp, envelope=envelope,
+                   transport_only=transport_only, alpha=0.0)
+    assert scn.x_uniform
+    got, samples, applies = _outcome(scn, diagnostics)
+    assert (samples, applies) == (1, 0)
+    with mock.patch.object(Scenario, "x_uniform", False):
+        expected, samples, applies = _outcome(scn, diagnostics)
+    assert (samples, applies) == (1 if diagnostics == "off" else 2, n_steps - 1)
+    assert got == expected
 
 
 FINITE_EXTREME = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)

@@ -25,7 +25,7 @@ from polykin import (
     step,
     weighted_sup_norm,
 )
-from polykin.errors import ValidationError
+from polykin.errors import NegativeInitialData, ValidationError
 from polykin.field import row_tiles
 from polykin import stepper
 from polykin.stepper import _blend_into, _envelope_min_ratio
@@ -101,16 +101,44 @@ class TestRelax:
 
 
 class TestRun:
-    def test_zero_final_time_returns_initial(self):
+    @pytest.mark.parametrize("diagnostics", ["all", "off"])
+    @pytest.mark.parametrize("ic", ["maxwellian", "smooth"])
+    def test_zero_final_time_returns_initial(self, ic, diagnostics):
         scn = Scenario(n_x=4, n_v=5, n_i=4, dt=0.1, t_final=0.0,
-                       v_max=2.0, i_max=2.0)
-        res = run(scn)
+                       v_max=2.0, i_max=2.0, ic=ic)
+        res = run(scn, diagnostics=diagnostics)
         assert res.reports == []
         from polykin import make_initial, sample
 
         grid, _ = scn.validate()
         f0 = sample(make_initial(scn, grid), grid, 0.0)
         assert (res.final.values == f0.values).all()
+
+    @pytest.mark.parametrize("ic, diagnostics, shifts", [
+        ("smooth", "all", [0.0, 0.1]), ("smooth", "no_entropy", [0.0, 0.1]),
+        ("smooth", "off", [0.1]),  # nothing reads the nodal f^0
+        # x-uniform data: the nodes' values are the feet's
+        ("maxwellian", "all", [0.0]), ("maxwellian", "no_entropy", [0.0]),
+        ("maxwellian", "off", [0.0])])
+    def test_run_samples_what_it_reads(self, monkeypatch, ic, diagnostics, shifts):
+        calls, real = [], stepper.sample
+        monkeypatch.setattr(stepper, "sample",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        scn = Scenario(n_x=4, n_v=5, n_i=4, dt=0.1, t_final=0.2, v_max=2.0, i_max=2.0,
+                       ic=ic, u0=(0.3, -0.1, 0.2))
+        res = run(scn, diagnostics=diagnostics)
+        assert calls == shifts
+        monkeypatch.setattr(stepper, "sample", real)
+        assert res.final.values.tobytes() == run(scn).final.values.tobytes()
+
+    @pytest.mark.parametrize("ic", ["maxwellian", "smooth"])
+    def test_an_off_run_names_non_finite_initial_data_as_the_others_do(self, ic):
+        # (2*pi*T)^1.5 underflows, so every sample is +inf, at the nodes and at the feet
+        scn = Scenario(n_x=4, n_v=5, n_i=4, dt=0.1, t_final=0.2, ic=ic, temperature=1e-300)
+        for diagnostics in stepper.DIAGNOSTICS:
+            with pytest.raises(NegativeInitialData) as exc:
+                run(scn, diagnostics=diagnostics)
+            assert str(exc.value) == f"initial data has non-finite sample inf (ic = {ic})"
 
     def test_step_count_enforced(self):
         scn = Scenario(n_x=4, n_v=5, n_i=4, dt=0.125, t_final=1.0,
