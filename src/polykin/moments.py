@@ -187,14 +187,15 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
     )
 
 
-def compute_moments(field: DistField, params: SchemeParams, dt: float) -> MacroFields:
-    """Moments of every spatial cell of a distribution field.
+def compute_moments(field: DistField, params: SchemeParams, dt: float,
+                    n_cells: int | None = None) -> MacroFields:
+    """Moments of every spatial cell of a distribution field, or of its first n_cells.
 
     dt enters only through the blend factors baked into the temperature
     tensor; pass dt = 0 to obtain the unblended (continuous-form) tensor for
     diagnostics.
     """
-    return _moments_of_stack(field.cells, field.grid, params, dt)
+    return _moments_of_stack(field.cells[:n_cells], field.grid, params, dt)
 
 
 def table_moments(table: np.ndarray, grid: PhaseGrid, params: SchemeParams,

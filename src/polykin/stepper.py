@@ -29,7 +29,7 @@ from .diagnostics import (cell_conserved, conserved_quantities, conserved_totals
 # unused here, but benchmarks/spans.py wraps stepper.entropy and stepper.equilibrium_distance
 from .diagnostics import entropy, equilibrium_distance  # noqa: F401
 from .errors import InvalidConfig, NegativeInitialData, PolykinError
-from .field import (DistField, cell_tiles, max_nan, row_tiles, sample, weight_tile,
+from .field import (DistField, _sup_norm, cell_tiles, max_nan, row_tiles, sample, weight_tile,
                     weighted_sup_norm)
 from .gaussian import _gaussian_flat, gaussian_table
 from .grid import PhaseGrid
@@ -99,7 +99,7 @@ def _untracked() -> tuple:
 
 
 def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemeParams, dt: float,
-                diagnostics: str = "all", gauss_norm: bool = False):
+                diagnostics: str = "all", gauss_norm: bool = False, uniform: bool = False):
     """Overwrite f~ with its blend with its Gaussian, a tile at a time, in one pass per tile.
 
     The Gaussian factors come a block of cells at a time (a row tile of the (n_x, n_v**3)
@@ -120,6 +120,9 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     norm (None unless gauss_norm), as conserved_quantities, entropy and weighted_sup_norm
     give them on the output, bit for bit; with diagnostics "off", _untracked().  With macro
     None (transport only, or run()'s f^0) f~ stays as it is and the Gaussian norm is None.
+    With uniform, f~'s cells are equal and macro holds cell 0's moments alone: only cell 0
+    is read and written, and its conserved sums and f ln f row sum are each added n_x times,
+    in the adds the pass makes over n_x equal cells, so every number is the same, bit for bit.
     """
     if macro is None and diagnostics == "off":
         return _untracked()
@@ -136,7 +139,8 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     sums = np.zeros(5)
     total_flogf = 0.0
     norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None and track else None)
-    for block in row_tiles(grid.n_x, n_rows):
+    n_cells, reps = (1, grid.n_x) if uniform else (grid.n_x, 1)
+    for block in row_tiles(n_cells, n_rows):
         if macro is not None:
             pev, ei = _gaussian_flat(macro, block, grid, lambda_delta, params.delta)
             if g_norm is not None:  # each cell's largest velocity factor on each shell
@@ -157,8 +161,10 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                 if macro is not None:
                     if g_norm is not None and s.start < len(table):
                         r = slice(s.start, min(s.stop, len(table)))  # the shells in s's rows
-                        g = np.multiply(peak[c, r, None], ei[c, None], m[:, : r.stop - r.start])
-                        g *= table[r]
+                        with np.errstate(over="ignore"):  # an overflow is an infinite norm
+                            g = np.multiply(peak[c, r, None], ei[c, None],
+                                            m[:, : r.stop - r.start])
+                            g *= table[r]
                         g_norm = max_nan(g_norm, float(g.max()))
                     gaussian_table(pev[c, s], ei[c], m)
                     _blend_into(t, m, c_f, c_m)
@@ -174,9 +180,18 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                     tile_flogf(t, grid.i_weights, flogf_rows[o, s], m)
                 energy_contraction(t, grid, params.delta, contracted[o, s])
             if track_entropy:
-                for x in flogf_rows[o].sum(axis=1).tolist():
-                    total_flogf += x
-            if track:
+                with np.errstate(over="ignore"):  # an infinite sum is a non-finite entropy
+                    row_sums = flogf_rows[o].sum(axis=1).tolist()
+                for x in row_sums:
+                    for _ in range(reps):
+                        total_flogf += x
+            if track and uniform:
+                # cell 0's sums, taken onto zeros: that turns at most a -0.0 into +0.0, which
+                # adds the same to a running sum that starts at +0.0 and so is never -0.0
+                part = cell_conserved(contracted[o], grid, np.zeros(5))
+                for _ in range(reps):
+                    sums = sums + part
+            elif track:
                 sums = cell_conserved(contracted[o], grid, sums)
         pev = ei = peak = None  # freed before the next block's factors are built
         if len(tiles) == 1:  # and so are one-tile cells' buffers, with the views into them
@@ -210,14 +225,16 @@ def step(f: DistField, params: SchemeParams, dt: float) -> tuple[DistField, Step
 
 def _relax_step(f_tilde: DistField, n: int, params: SchemeParams, dt: float, prev, scales,
                 transport_only: bool = False, diagnostics: str = "all",
-                gauss_norm: bool = False, **monitors) -> StepReport:
+                gauss_norm: bool = False, uniform: bool = False, **monitors) -> StepReport:
     """The step body of step() and run(): relax f~ in place as step n, its errors named
     "step {n}: ", and report it against the conserved sums before it and the defect
-    scales; monitors (read off f~ by the caller) fill the optional fields."""
+    scales; monitors (read off f~ by the caller) fill the optional fields.  With uniform
+    (f~'s cells are equal) only cell 0 is relaxed, as _relax_into says."""
     try:
-        macro = None if transport_only else compute_moments(f_tilde, params, dt)
+        macro = (None if transport_only
+                 else compute_moments(f_tilde, params, dt, n_cells=1 if uniform else None))
         (mass, mom, energy), ent, norm, g_norm = _relax_into(f_tilde, macro, params, dt,
-                                                             diagnostics, gauss_norm)
+                                                             diagnostics, gauss_norm, uniform)
     except PolykinError as exc:
         exc.args = (f"step {n}: {exc}",)
         raise
@@ -258,9 +275,9 @@ def _defect_scales(cons0, delta: float) -> tuple[float, float, float]:
     return mass_scale, mom_scale, energy_scale
 
 
-def _envelope_min_ratio(f_tilde: DistField, env_table: np.ndarray) -> float:
-    """min of f~ / envelope over the nodes where the envelope is > 0."""
-    return masked_min_ratio(f_tilde.cells, env_table)
+def _envelope_min_ratio(cells: np.ndarray, env_table: np.ndarray) -> float:
+    """min of f~ / envelope over a stack of f~'s cells, at the nodes where the envelope is > 0."""
+    return masked_min_ratio(cells, env_table)
 
 
 def _sample_initial(scn: Scenario, ic, grid: PhaseGrid, shift_dt: float,
@@ -292,7 +309,10 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
     step advects f^n in place.  With "off" and at least one step the nodal f^0 is read
     by nothing, so only the feet are sampled.  When Scenario.x_uniform holds, the feet
     take the nodes' values and every step's field is x-uniform, which advects to
-    itself bit for bit: f^0 is sampled once and no step advects.
+    itself bit for bit: f^0 is sampled once and no step advects.  Every cell then
+    steps as cell 0 does, so f^0's sums and each step's moments, relaxation, sums and
+    monitors are taken on cell 0 alone, with every number as the whole field gives it;
+    cell 0 is copied into the others before each snapshot_writer call and at the end.
     """
     if diagnostics not in DIAGNOSTICS:
         raise InvalidConfig(f"diagnostics must be one of {DIAGNOSTICS}, got {diagnostics!r}")
@@ -312,7 +332,8 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
     # f^0 is nonnegative (sample checks it), so the transport-only pass takes its
     # weighted_sup_norm and conserved_quantities, bit for bit, in one walk
     initial_cons, _, initial_norm, _ = _relax_into(
-        f, None, params, scn.dt, "off" if diagnostics == "off" else "no_entropy")
+        f, None, params, scn.dt, "off" if diagnostics == "off" else "no_entropy",
+        uniform=x_uniform)
     if n_steps == 0:
         return RunResult(grid, params, scn.dt, [], f, initial_norm, initial_cons)
 
@@ -326,22 +347,28 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
     snapshot_steps = scn.snapshot_steps()
     reports: list[StepReport] = []
 
+    # x-uniform f^n advects to itself: every node blends two equal values, and the
+    # sampled and relaxed values are finite and >= 0, with no -0.0.  Its cells stay
+    # equal, so only cell 0 is stepped, and the others are copied from it where read
+    stepped = f.cells[:1] if x_uniform else f.cells
     for n in range(n_steps):
-        # x-uniform f^n advects to itself: every node blends two equal values, and the
-        # sampled and relaxed values are finite and >= 0, with no -0.0
         if n > 0 and not x_uniform:
             advector.apply(f)
 
         monitors = {}  # of f~, read before the relaxation overwrites it
         if envelope is not None:
-            monitors = dict(tilde_norm_q=weighted_sup_norm(f, params.q, params.delta),
-                            envelope_min_ratio=_envelope_min_ratio(f, env_table))
+            monitors = dict(tilde_norm_q=_sup_norm(stepped, None, grid, params.q, params.delta),
+                            envelope_min_ratio=_envelope_min_ratio(stepped, env_table))
         report = _relax_step(f, n, params, scn.dt, prev_cons, scales, scn.transport_only,
-                             diagnostics, gauss_norm=envelope is not None, **monitors)
+                             diagnostics, gauss_norm=envelope is not None, uniform=x_uniform,
+                             **monitors)
         reports.append(report)
         prev_cons = (report.mass, report.momentum, report.energy)
 
-        if snapshot_writer is not None and n + 1 in snapshot_steps:
+        written = snapshot_writer is not None and n + 1 in snapshot_steps
+        if x_uniform and (written or n + 1 == n_steps):
+            np.copyto(f.cells[1:], stepped)
+        if written:
             snapshot_writer(report.time, f)
 
     return RunResult(grid, params, scn.dt, reports, f, initial_norm, initial_cons)

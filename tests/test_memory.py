@@ -155,7 +155,7 @@ def test_tiled_reductions_hold_under_a_quarter_table(large_fields, name):
         "weighted_sup_norm": lambda: weighted_sup_norm(a, 8.0, 2.0),
         "error_sup_norm": lambda: error_sup_norm(a, b, 8.0, 2.0),
         "entropy": lambda: entropy(a),
-        "envelope_min_ratio": lambda: _envelope_min_ratio(a, env_table),
+        "envelope_min_ratio": lambda: _envelope_min_ratio(a.cells, env_table),
     }[name]
     assert _tables_beyond_output(reduce, LARGE) < 0.25
 

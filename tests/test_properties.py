@@ -690,7 +690,7 @@ def test_grouped_passes_equal_the_per_cell_loops(n_x, n_v, n_i, nu_theta, kappa,
         env = StabilityEnvelope(c01=1e-300, c02=10.0, a_exp=2.0, b_exp=2.0).table(grid)
         assert (env == 0).any() and (env > 0).any()
         for g in (f, DistField(values + 0.5 * rng.random(grid.field_shape), grid)):
-            _same_bits([_envelope_min_ratio(g, env)], [_per_cell_min_ratio(g, env)])
+            _same_bits([_envelope_min_ratio(g.cells, env)], [_per_cell_min_ratio(g, env)])
         for b in (None, ref[::2]):  # a strided view of a reference's cells
             expected = _per_cell_sup_norm(f.cells, b, grid, 7.0, 1.5)
             got = (weighted_sup_norm(f, 7.0, 1.5) if b is None
@@ -794,55 +794,108 @@ def test_a_cells_moments_depend_only_on_its_table(n_x, n_v, n_i, drift, seed):
     assert (final == final[:1]).all()
 
 
-def _outcome(scn: Scenario, diagnostics: str) -> tuple:
-    """run()'s final field and every field of its reports and initial sums, as bytes, or the
-    type and message of the error it raised, with its calls to sample and Advector.apply."""
-    samples, applies = [], []
+def _outcome(scn: Scenario, diagnostics: str, tile_bytes: int = TILE_BYTES) -> tuple:
+    """run()'s final field, the field each snapshot_writer call saw, and every field of its
+    reports and initial sums, as bytes, or the type and message of the error it raised; with
+    the calls to sample and Advector.apply, and the numbers of cells that compute_moments
+    returned and that the relaxation's walk was handed (a block of cells at a time)."""
+    samples, applies, cells = [], [], (set(), set())
     real_sample, real_apply = stepper.sample, Advector.apply
-    with mock.patch.object(stepper, "sample",
-                           lambda *a, **k: samples.append(1) or real_sample(*a, **k)), \
+    real_moments, real_tiles = stepper.compute_moments, stepper.cell_tiles
+
+    def moments(*args, **kwargs):
+        macro = real_moments(*args, **kwargs)
+        cells[0].add(len(macro))
+        return macro
+
+    snapshots = []
+    with mock.patch.object(field, "TILE_BYTES", tile_bytes), \
+            mock.patch.object(stepper, "sample",
+                              lambda *a, **k: samples.append(1) or real_sample(*a, **k)), \
             mock.patch.object(Advector, "apply",
-                              lambda *a, **k: applies.append(1) or real_apply(*a, **k)):
+                              lambda *a, **k: applies.append(1) or real_apply(*a, **k)), \
+            mock.patch.object(stepper, "compute_moments", moments), \
+            mock.patch.object(stepper, "cell_tiles",
+                              lambda n, *a: cells[1].add(n) or real_tiles(n, *a)):
         try:
-            res = run(scn, diagnostics=diagnostics)
+            res = run(scn, lambda t, f: snapshots.append((t, f.values.tobytes())), diagnostics)
         except PolykinError as exc:
-            return (type(exc), str(exc)), len(samples), len(applies)
+            return (type(exc), str(exc)), len(samples), len(applies), cells
     def as_bytes(x):
         return None if x is None else np.asarray(x, dtype=np.float64).tobytes()
 
     reports = [tuple(as_bytes(getattr(r, f.name)) for f in dataclasses.fields(r))
                for r in res.reports]
-    got = (res.final.values.tobytes(), reports, as_bytes(res.initial_norm_q),
+    got = (res.final.values.tobytes(), snapshots, reports, as_bytes(res.initial_norm_q),
            [as_bytes(x) for x in res.initial_conserved])
-    return got, len(samples), len(applies)
+    return got, len(samples), len(applies), cells
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+# the walk of cell_tiles: at 256 KB every draw's cells are one group; at 8 KB groups of 1, 2,
+# 4 or all cells, the last often short (4 and 2 of 6 at n_v = 3, n_i = 4); at 800 bytes
+# groups of one cell of 1-5 row tiles; at 64 bytes every cell spans 4-63 row tiles
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(n_x=st.integers(2, 6), n_v=st.integers(3, 5), n_i=st.integers(1, 4),
        u0=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
        nu=st.floats(-0.5, 1.0, exclude_min=True, exclude_max=True), theta=st.floats(0.1, 1.0),
        kappa_exp=st.floats(-6.0, 2.0), dt=st.floats(0.01, 0.3), n_steps=st.integers(1, 3),
-       envelope=st.sampled_from(["off", "auto"]), transport_only=st.booleans(),
-       diagnostics=st.sampled_from(["all", "no_entropy", "off"]))
+       snapshots=st.integers(0, 7), envelope=st.sampled_from(["off", "auto"]),
+       transport_only=st.booleans(), diagnostics=st.sampled_from(["all", "no_entropy", "off"]),
+       tile_bytes=st.sampled_from([64, 800, 8192, TILE_BYTES]))
+@example(n_x=6, n_v=3, n_i=4, u0=(0.1, 0.0, -0.2), nu=0.3, theta=0.7, kappa_exp=0.0, dt=0.05,
+         n_steps=3, snapshots=5, envelope="auto", transport_only=False, diagnostics="all",
+         tile_bytes=8192)
+@example(n_x=3, n_v=5, n_i=4, u0=(0.1, 0.0, -0.2), nu=0.3, theta=0.7, kappa_exp=-6.0,
+         dt=0.05, n_steps=2, snapshots=3, envelope="auto", transport_only=False,
+         diagnostics="no_entropy", tile_bytes=64)
 def test_an_x_uniform_run_skips_the_advection_and_the_foot_sample(
-        n_x, n_v, n_i, u0, nu, theta, kappa_exp, dt, n_steps, envelope, transport_only,
-        diagnostics):
+        n_x, n_v, n_i, u0, nu, theta, kappa_exp, dt, n_steps, snapshots, envelope,
+        transport_only, diagnostics, tile_bytes):
     # x-uniform data take the nodes' values at the feet and advect to themselves: run()
-    # samples once and never advects, and gives what the advecting path gives, bit for bit.
-    # kappa spans both sides of A*dt, so both of the blend's forms are taken.  With
-    # x_uniform patched, make_initial takes the smooth profile, which alpha = 0 makes
-    # rho0 * (1 + 0*sin) = rho0 in every cell: the same data, bit for bit
+    # samples once and never advects.  Its cells stay equal, so the moments and the
+    # relaxation are handed cell 0 alone, and the other cells are copied from it before
+    # each snapshot and at the end; the final field, every snapshot and every number are
+    # what the advecting, all-cell path gives, bit for bit.  kappa spans both sides of
+    # A*dt, so both of the blend's forms are taken.  With x_uniform patched, make_initial
+    # takes the smooth profile, which alpha = 0 makes rho0 * (1 + 0*sin) = rho0 in every
+    # cell: the same data, bit for bit
+    times = tuple(k * dt for k in range(1, n_steps + 1) if snapshots >> (k - 1) & 1)
     scn = Scenario(n_x=n_x, n_v=n_v, n_i=n_i, v_max=3.0, i_max=6.0, dt=dt,
                    t_final=n_steps * dt, ic="maxwellian", u0=u0, t_tr=1.1, t_int=0.85, nu=nu,
                    theta=theta, kappa=10.0**kappa_exp, envelope=envelope,
-                   transport_only=transport_only, alpha=0.0)
+                   transport_only=transport_only, alpha=0.0, snapshot_times=times)
     assert scn.x_uniform
-    got, samples, applies = _outcome(scn, diagnostics)
+    got, samples, applies, cells = _outcome(scn, diagnostics, tile_bytes)
     assert (samples, applies) == (1, 0)
+    # the f^0 pass walks f unless "off", and so does each step but an "off" transport-only one
+    assert cells == (set() if transport_only else {1},
+                     set() if diagnostics == "off" and transport_only else {1})
+    assert len(got[1]) == len(times)
     with mock.patch.object(Scenario, "x_uniform", False):
-        expected, samples, applies = _outcome(scn, diagnostics)
+        expected, samples, applies, cells = _outcome(scn, diagnostics, tile_bytes)
     assert (samples, applies) == (1 if diagnostics == "off" else 2, n_steps - 1)
+    assert cells[0] == (set() if transport_only else {n_x})
     assert got == expected
+
+
+@pytest.mark.parametrize("diagnostics", ["all", "no_entropy", "off"])
+@pytest.mark.parametrize("tile_bytes", [64, TILE_BYTES])
+@pytest.mark.parametrize("rho0, temperatures, error", [
+    (1e-300, (10.0, 10.0), "step 0: cell 0 has non-positive density 1.05885659320126"),
+    (1e303, (0.5, 0.5), "step 0: cell 0: Gaussian prefactor inf is not positive"),
+    (1e305, (1.1, 0.85), "step 1: cell 0: Gaussian prefactor inf is not positive")],
+    ids=["zero_density", "gaussian_step_0", "gaussian_step_1"])
+def test_an_x_uniform_run_fails_as_the_all_cell_path_does(rho0, temperatures, error,
+                                                           tile_bytes, diagnostics):
+    # the one-cell step raises the error of the whole field, with the same step and cell
+    scn = Scenario(n_x=3, n_v=3, n_i=2, v_max=3.0, i_max=6.0, dt=0.1, t_final=0.3,
+                   ic="maxwellian", t_tr=temperatures[0], t_int=temperatures[1], rho0=rho0,
+                   alpha=0.0, snapshot_times=(0.1,))
+    got = _outcome(scn, diagnostics, tile_bytes)[0]
+    with mock.patch.object(Scenario, "x_uniform", False):
+        expected = _outcome(scn, diagnostics, tile_bytes)[0]
+    assert got == expected
+    assert got[0] in (ZeroDensity, NonFiniteGaussian) and got[1].startswith(error), got
 
 
 FINITE_EXTREME = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)

@@ -131,6 +131,24 @@ class TestRun:
         monkeypatch.setattr(stepper, "sample", real)
         assert res.final.values.tobytes() == run(scn).final.values.tobytes()
 
+    @pytest.mark.parametrize("ic, snapshot_times, copies", [
+        ("maxwellian", (), 1), ("maxwellian", (0.1,), 2), ("maxwellian", (0.1, 0.3), 2),
+        ("maxwellian", (0.3,), 1), ("smooth", (0.1,), 0)])
+    def test_an_x_uniform_run_copies_cell_0_out_where_the_field_is_read(
+            self, monkeypatch, ic, snapshot_times, copies):
+        # before each snapshot and at the end, never twice when the last step wrote one;
+        # in place, from cell 0 into the others, and never for x-dependent data
+        calls, real = [], np.copyto
+        monkeypatch.setattr(np, "copyto", lambda dst, src: calls.append(
+            (dst.base is src.base, len(dst), len(src))) or real(dst, src))
+        written = []
+        scn = Scenario(n_x=4, n_v=5, n_i=4, dt=0.1, t_final=0.3, v_max=2.0, i_max=2.0, ic=ic,
+                       snapshot_times=snapshot_times)
+        res = run(scn, lambda t, f: written.append(f.values.copy()))
+        assert calls == [(True, 3, 1)] * copies
+        if ic == "maxwellian":
+            assert all((w == w[:1]).all() for w in [*written, res.final.values])
+
     @pytest.mark.parametrize("ic", ["maxwellian", "smooth"])
     def test_an_off_run_names_non_finite_initial_data_as_the_others_do(self, ic):
         # (2*pi*T)^1.5 underflows, so every sample is +inf, at the nodes and at the feet
@@ -291,7 +309,7 @@ class TestFusedPass:
             # the f~ monitors are read before the relaxation overwrites f~
             assert rep.tilde_norm_q == weighted_sup_norm(tilde, params.q, params.delta)
             env_table = certified_envelope(scn, grid).table(grid)
-            assert rep.envelope_min_ratio == _envelope_min_ratio(tilde, env_table)
+            assert rep.envelope_min_ratio == _envelope_min_ratio(tilde.cells, env_table)
         else:
             assert rep.tilde_norm_q is None and rep.envelope_min_ratio is None
 
@@ -306,7 +324,7 @@ class TestFusedPass:
             raise AssertionError("a diagnostic ran with diagnostics off")
 
         for name in ("weight_tile", "energy_contraction", "cell_conserved", "tile_flogf",
-                     "conserved_totals", "weighted_sup_norm", "_envelope_min_ratio"):
+                     "conserved_totals", "weighted_sup_norm", "_sup_norm", "_envelope_min_ratio"):
             monkeypatch.setattr(stepper, name, forbidden)
         blends = []
         real_blend = stepper._blend_into
