@@ -66,12 +66,17 @@ def conserved_quantities(fld: DistField, delta: float) -> tuple[float, np.ndarra
     return conserved_totals(sums, g)
 
 
-def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray, b: np.ndarray) -> None:
+def tile_flogf(t: np.ndarray, wk: np.ndarray, rows: np.ndarray, b: np.ndarray,
+               least: float = -math.inf) -> None:
     """rows = (t ln t) @ wk over one tile of field.cell_tiles, with 0 ln 0 := 0; b is a
-    scratch tile of t's shape."""
-    zero = t == 0  # exact zeros only: NaN and inf propagate as they would in xlogy
-    # a zero's log is taken of 1, not 0 (log's -inf path is slow), and 0 * t keeps its sign
-    np.log(np.add(t, zero, out=b) if zero.any() else t, out=b)
+    scratch tile of t's shape.  least is a lower bound of t, such as the t.min() its caller
+    took: above 0 it leaves no zero to find, and a zero, -0.0 or NaN bound scans t."""
+    logged = t
+    if not least > 0:
+        zero = t == 0  # exact zeros only: NaN and inf propagate as they would in xlogy
+        if zero.any():  # a zero's log is taken of 1, not 0 (log's -inf path is slow)
+            logged = np.add(t, zero, out=b)
+    np.log(logged, out=b)  # and 0 * t below keeps the zero's sign
     with np.errstate(over="ignore"):  # an infinite f ln f is reported as a non-finite entropy
         b *= t
     np.matmul(b, wk, out=rows)
@@ -89,10 +94,11 @@ def entropy(fld: DistField) -> float:
         r = rows[: c.stop - c.start]
         for s in tiles:
             t = stack[c, s]
-            if t.min() < 0:  # checked in cache, before the tile's log
+            least = t.min()
+            if least < 0:  # checked in cache, before the tile's log
                 raise NegativeField("entropy requires a nonnegative field")
-            tile_flogf(t, g.i_weights, r[:, s], buf[: len(t), : s.stop - s.start])
-        for x in r.sum(axis=1).tolist():
+            tile_flogf(t, g.i_weights, r[:, s], buf[: len(t), : s.stop - s.start], least)
+        for x in np.add.reduce(r, axis=1).tolist():
             total += x
     return g.dx * g.dv**3 * total
 

@@ -105,13 +105,30 @@ def _check_density(rho: np.ndarray) -> None:
         raise ZeroDensity(int(bad[0]), float(rho[bad[0]]))
 
 
+def _contract_cells(stack: np.ndarray, grid: PhaseGrid, delta: float, out: np.ndarray,
+                    mn: np.float64) -> np.float64:
+    """Contract a stack of cells into out, each tile of field.cell_tiles checked for its
+    minimum and contracted in one visit; returns mn folded with the tiles' minima in order
+    (NaN once any entry is)."""
+    parts, tiles = cell_tiles(len(stack), grid.n_v**3, grid.n_i)
+    for c in parts:
+        for r in tiles:
+            t = stack[c, r]
+            mn = np.minimum(mn, t.min())
+            energy_contraction(t, grid, delta, out[c, r])
+    return mn
+
+
 def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
-                      dt: float) -> MacroFields:
+                      dt: float, carried: tuple[np.ndarray, np.float64] | None = None
+                      ) -> MacroFields:
     """Moments of a (n_cells, n_v^3, n_i) stack of distribution tables.
 
-    The stack is contracted one block of cells at a time (moments_tiling) into one buffer,
-    each tile of the block's field.cell_tiles checked for its minimum and contracted in one
-    visit.  The axis and pair sums are kept for one group of blocks, whose cells are centred
+    The stack is contracted one block of cells at a time (moments_tiling) into one buffer
+    by _contract_cells, each block reduced before the next is contracted.  With carried, the
+    (n_cells, n_v^3, 2) contraction and the minimum of the stack that another pass took as
+    _contract_cells takes them, the blocks are reduced from it and values is not read.
+    The axis and pair sums are kept for one group of blocks, whose cells are centred
     before the next group is contracted, so beside the moments it holds about two tiles.
     The blocks stay on their own rule: a cell of several row tiles takes its pair sums with
     the rest of its block, since alone it took them 30% slower at (256, 17, 16).
@@ -126,21 +143,22 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
     block, span = moments_tiling(n_cells, nv)
     rho, eps_tot = np.empty(n_cells), np.empty(n_cells)
     u, p = np.empty((n_cells, 3)), np.empty((n_cells, 3, 3))
-    buf = np.empty((block, nv**3, 2))  # each block's contraction, in turn
+    if carried is None:
+        buf = np.empty((block, nv**3, 2))  # each block's contraction, in turn
+        mn = np.float64(np.inf)
+    else:
+        whole, mn = carried
     pairs = np.empty((3, span, nv, nv))  # the group's (12, 13, 23) pair sums
     axes = np.empty((3, span, nv))  # the group's axis sums
-    mn = np.float64(np.inf)
     for start in range(0, n_cells, span):
         group = slice(start, min(start + span, n_cells))
         for s in range(start, group.stop, block):
             cells = slice(s, min(s + block, group.stop))
-            contracted, stack = buf[: cells.stop - s], values[cells]
-            parts, tiles = cell_tiles(len(stack), nv**3, grid.n_i)
-            for c in parts:
-                for r in tiles:
-                    t = stack[c, r]
-                    mn = np.minimum(mn, t.min())  # NaN once any entry is
-                    energy_contraction(t, grid, params.delta, contracted[c, r])
+            if carried is None:
+                contracted = buf[: cells.stop - s]
+                mn = _contract_cells(values[cells], grid, params.delta, contracted, mn)
+            else:
+                contracted = whole[cells]
             g = contracted[..., 0]
             np.multiply(dv3, g.sum(axis=1), out=rho[cells])
             contracted[..., 1].sum(axis=1, out=eps_tot[cells])
@@ -188,14 +206,23 @@ def _moments_of_stack(values: np.ndarray, grid: PhaseGrid, params: SchemeParams,
 
 
 def compute_moments(field: DistField, params: SchemeParams, dt: float,
-                    n_cells: int | None = None) -> MacroFields:
+                    n_cells: int | None = None,
+                    carried: tuple[np.ndarray, np.float64] | None = None) -> MacroFields:
     """Moments of every spatial cell of a distribution field, or of its first n_cells.
 
     dt enters only through the blend factors baked into the temperature
     tensor; pass dt = 0 to obtain the unblended (continuous-form) tensor for
     diagnostics.
+
+    carried, when given, is the (k, n_v^3, 2) energy contraction and the minimum of the
+    first k cells that the pass which wrote them took while they were in cache (stepper's
+    relaxation of an x-uniform run hands cell 0's to the next step): the moments of those
+    cells are reduced from it, bit for bit, with the same errors in the same order, and the
+    field is not read.
     """
-    return _moments_of_stack(field.cells[:n_cells], field.grid, params, dt)
+    if carried is not None:
+        n_cells = len(carried[0])
+    return _moments_of_stack(field.cells[:n_cells], field.grid, params, dt, carried)
 
 
 def table_moments(table: np.ndarray, grid: PhaseGrid, params: SchemeParams,

@@ -93,13 +93,15 @@ def _blend_into(ft: np.ndarray, m: np.ndarray, c_f: float, c_m: float) -> None:
         ft += m
 
 
-def _untracked() -> tuple:
-    """What _relax_into returns with diagnostics "off": every number NaN, no Gaussian norm."""
-    return (math.nan, np.full(3, math.nan), math.nan), math.nan, math.nan, None
+def _untracked(carried=None) -> tuple:
+    """What _relax_into returns with diagnostics "off": every number NaN, no Gaussian norm,
+    and the carry as given."""
+    return (math.nan, np.full(3, math.nan), math.nan), math.nan, math.nan, None, carried
 
 
 def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemeParams, dt: float,
-                diagnostics: str = "all", gauss_norm: bool = False, uniform: bool = False):
+                diagnostics: str = "all", gauss_norm: bool = False, uniform: bool = False,
+                carry: bool = False):
     """Overwrite f~ with its blend with its Gaussian, a tile at a time, in one pass per tile.
 
     The Gaussian factors come a block of cells at a time (a row tile of the (n_x, n_v**3)
@@ -116,17 +118,24 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     takes the shell rows among its rows, in its buffer.  The buffers are taken once the
     first block's factor temporaries are freed; one-tile cells' are freed with each block's
     factors and taken anew, a larger cell's kept for the call.  Returns the output's
-    conserved sums, entropy (NaN unless "all"), weighted norm and the Gaussian's weighted
+    conserved sums, entropy (NaN unless "all"), weighted norm, the Gaussian's weighted
     norm (None unless gauss_norm), as conserved_quantities, entropy and weighted_sup_norm
-    give them on the output, bit for bit; with diagnostics "off", _untracked().  With macro
-    None (transport only, or run()'s f^0) f~ stays as it is and the Gaussian norm is None.
+    give them on the output, bit for bit, and the carry (None unless carry); with
+    diagnostics "off", _untracked() with the carry.  With macro None (transport only, or run()'s
+    f^0) f~ stays as it is and the Gaussian norm is None; with both, nothing is read.
     With uniform, f~'s cells are equal and macro holds cell 0's moments alone: only cell 0
     is read and written, and its conserved sums and f ln f row sum are each added n_x times,
     in the adds the pass makes over n_x equal cells, so every number is the same, bit for bit.
+    With carry (and uniform), each output tile's minimum is folded while the tile is in
+    cache, as moments._contract_cells folds it, and the (1, n_v**3, 2) energy contraction
+    is kept, in every diagnostics mode: the carry is that (contraction, minimum), from
+    which compute_moments takes the next step's moments without reading the field.  With
+    "all" the same minimum is f ln f's zero test.
     """
     if macro is None and diagnostics == "off":
         return _untracked()
     track, track_entropy = diagnostics != "off", diagnostics == "all"
+    contract = track or carry
     grid = f_tilde.grid
     n_rows = grid.n_v**3
     lambda_delta = normalizer_discrete(params.delta, grid)
@@ -135,10 +144,11 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
     c_m = a * dt / (params.kappa + a * dt)
     weights = table, _ = grid.norm_weight(params.q, params.delta)
     _, _, order, starts = grid.velocity_shells()
-    buf = None
+    buf = carried = None
     sums = np.zeros(5)
     total_flogf = 0.0
     norm, g_norm = 0.0, (0.0 if gauss_norm and macro is not None and track else None)
+    mn = np.float64(np.inf)
     n_cells, reps = (1, grid.n_x) if uniform else (grid.n_x, 1)
     for block in row_tiles(n_cells, n_rows):
         if macro is not None:
@@ -149,8 +159,9 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
         cells, tiles = cell_tiles(len(stack), n_rows, grid.n_i)
         if buf is None:  # taken once the factor pass's temporaries are freed
             buf = np.empty(stack[cells[0], tiles[0]].shape)  # the Gaussian, then scratch
-            if track:
+            if contract:
                 contracted = np.empty((cells[0].stop, n_rows, 2))  # a group's, tile by tile
+            if track:
                 flogf_rows = np.empty(contracted.shape[:2]) if track_entropy else None
                 slot = np.empty(stack[0].shape) if cells[0].stop > 1 else None  # one-tile cells
         for c in cells:
@@ -162,26 +173,32 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
                     if g_norm is not None and s.start < len(table):
                         r = slice(s.start, min(s.stop, len(table)))  # the shells in s's rows
                         with np.errstate(over="ignore"):  # an overflow is an infinite norm
-                            g = np.multiply(peak[c, r, None], ei[c, None],
-                                            m[:, : r.stop - r.start])
+                            # the outer product, which a broadcast np.multiply would take
+                            # through buffers of about twice its output
+                            g = np.einsum("cr,ci->cri", peak[c, r], ei[c],
+                                          out=m[:, : r.stop - r.start])
                             g *= table[r]
                         g_norm = max_nan(g_norm, float(g.max()))
                     gaussian_table(pev[c, s], ei[c], m)
                     _blend_into(t, m, c_f, c_m)
-                if not track:
-                    continue
-                # f~ is nonnegative (sampled so, advected by convex interpolation, checked by
-                # compute_moments), and so are the Gaussian and the blend: |t| is t, and a
-                # -0.0 cannot change the max.  m is scratch by now
-                ws = weight_tile(weights, s, m[0] if slot is None else slot)
-                w = np.multiply(t, ws[None], m)
-                norm = max_nan(norm, float(w.max()))
-                if track_entropy:
-                    tile_flogf(t, grid.i_weights, flogf_rows[o, s], m)
-                energy_contraction(t, grid, params.delta, contracted[o, s])
+                if carry or track_entropy:  # in cache
+                    least = t.min()
+                    if carry:
+                        mn = np.minimum(mn, least)  # NaN once any entry is
+                if track:
+                    # f~ is nonnegative (sampled so, advected by convex interpolation, checked
+                    # by compute_moments), and so are the Gaussian and the blend: |t| is t,
+                    # and a -0.0 cannot change the max.  m is scratch by now
+                    ws = weight_tile(weights, s, m[0] if slot is None else slot)
+                    w = np.multiply(t, ws[None], m)
+                    norm = max_nan(norm, float(w.max()))
+                    if track_entropy:
+                        tile_flogf(t, grid.i_weights, flogf_rows[o, s], m, least)
+                if contract:
+                    energy_contraction(t, grid, params.delta, contracted[o, s])
             if track_entropy:
                 with np.errstate(over="ignore"):  # an infinite sum is a non-finite entropy
-                    row_sums = flogf_rows[o].sum(axis=1).tolist()
+                    row_sums = np.add.reduce(flogf_rows[o], axis=1).tolist()
                 for x in row_sums:
                     for _ in range(reps):
                         total_flogf += x
@@ -194,12 +211,14 @@ def _relax_into(f_tilde: DistField, macro: MacroFields | None, params: SchemePar
             elif track:
                 sums = cell_conserved(contracted[o], grid, sums)
         pev = ei = peak = None  # freed before the next block's factors are built
+        if carry:  # of cell 0, the one block
+            carried = contracted, mn
         if len(tiles) == 1:  # and so are one-tile cells' buffers, with the views into them
             buf = contracted = flogf_rows = slot = m = w = ws = g = None
     if not track:
-        return _untracked()
+        return _untracked(carried)
     ent = grid.dx * grid.dv**3 * total_flogf if track_entropy else math.nan
-    return conserved_totals(sums, grid), ent, norm, g_norm
+    return conserved_totals(sums, grid), ent, norm, g_norm, carried
 
 
 def relax(f_tilde: DistField, macro: MacroFields, params: SchemeParams,
@@ -218,23 +237,27 @@ def step(f: DistField, params: SchemeParams, dt: float) -> tuple[DistField, Step
         raise InvalidConfig(f"step requires dt > 0 and finite, got {dt!r}")
     out = advect(f, dt)  # f~, which the relaxation overwrites
     prev = conserved_quantities(f, params.delta)
-    report = _relax_step(out, 0, params, dt, prev, _defect_scales(prev, params.delta),
-                         tilde_norm_q=weighted_sup_norm(out, params.q, params.delta))
+    report, _ = _relax_step(out, 0, params, dt, prev, _defect_scales(prev, params.delta),
+                            tilde_norm_q=weighted_sup_norm(out, params.q, params.delta))
     return out, report
 
 
 def _relax_step(f_tilde: DistField, n: int, params: SchemeParams, dt: float, prev, scales,
                 transport_only: bool = False, diagnostics: str = "all",
-                gauss_norm: bool = False, uniform: bool = False, **monitors) -> StepReport:
+                gauss_norm: bool = False, uniform: bool = False, carried=None, carry: bool = False,
+                **monitors) -> tuple[StepReport, tuple | None]:
     """The step body of step() and run(): relax f~ in place as step n, its errors named
     "step {n}: ", and report it against the conserved sums before it and the defect
     scales; monitors (read off f~ by the caller) fill the optional fields.  With uniform
-    (f~'s cells are equal) only cell 0 is relaxed, as _relax_into says."""
+    (f~'s cells are equal) only cell 0 is relaxed, as _relax_into says; its moments come
+    from carried, the carry of the pass that wrote f~, if given, and with carry the pass
+    hands its own carry on.  Returns the report and that carry (None unless carry)."""
     try:
         macro = (None if transport_only
-                 else compute_moments(f_tilde, params, dt, n_cells=1 if uniform else None))
-        (mass, mom, energy), ent, norm, g_norm = _relax_into(f_tilde, macro, params, dt,
-                                                             diagnostics, gauss_norm, uniform)
+                 else compute_moments(f_tilde, params, dt, n_cells=1 if uniform else None,
+                                      carried=carried))
+        (mass, mom, energy), ent, norm, g_norm, carried = _relax_into(
+            f_tilde, macro, params, dt, diagnostics, gauss_norm, uniform, carry)
     except PolykinError as exc:
         exc.args = (f"step {n}: {exc}",)
         raise
@@ -251,7 +274,7 @@ def _relax_step(f_tilde: DistField, n: int, params: SchemeParams, dt: float, pre
         norm_q=norm,
         gaussian_norm_q=g_norm,
         **monitors,
-    )
+    ), carried
 
 
 def _norm(v: np.ndarray) -> float:
@@ -309,10 +332,13 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
     step advects f^n in place.  With "off" and at least one step the nodal f^0 is read
     by nothing, so only the feet are sampled.  When Scenario.x_uniform holds, the feet
     take the nodes' values and every step's field is x-uniform, which advects to
-    itself bit for bit: f^0 is sampled once and no step advects.  Every cell then
-    steps as cell 0 does, so f^0's sums and each step's moments, relaxation, sums and
-    monitors are taken on cell 0 alone, with every number as the whole field gives it;
-    cell 0 is copied into the others before each snapshot_writer call and at the end.
+    itself bit for bit: f^0 is sampled once and no step advects.  Every cell then steps
+    as cell 0 does, so f^0's sums and each step's moments, relaxation, sums and monitors
+    are taken on cell 0 alone, with every number as the whole field gives it; cell 0 is
+    copied into the others before each snapshot_writer call and at the end.  Each pass over
+    cell 0 that a step's moments follow (f^0's, unless "off", and every step's but the
+    last) hands them its carry (_relax_into), so only step 0's moments under "off" read
+    the field; a transport-only run takes no moments and carries nothing.
     """
     if diagnostics not in DIAGNOSTICS:
         raise InvalidConfig(f"diagnostics must be one of {DIAGNOSTICS}, got {diagnostics!r}")
@@ -331,9 +357,10 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
     f = _sample_initial(scn, ic, grid, scn.dt if feet_only else 0.0)
     # f^0 is nonnegative (sample checks it), so the transport-only pass takes its
     # weighted_sup_norm and conserved_quantities, bit for bit, in one walk
-    initial_cons, _, initial_norm, _ = _relax_into(
+    carry = x_uniform and not scn.transport_only  # each pass hands the next moments its carry
+    initial_cons, _, initial_norm, _, carried = _relax_into(
         f, None, params, scn.dt, "off" if diagnostics == "off" else "no_entropy",
-        uniform=x_uniform)
+        uniform=x_uniform, carry=carry and n_steps > 0)
     if n_steps == 0:
         return RunResult(grid, params, scn.dt, [], f, initial_norm, initial_cons)
 
@@ -359,9 +386,10 @@ def run(scn: Scenario, snapshot_writer=None, diagnostics: str = "all") -> RunRes
         if envelope is not None:
             monitors = dict(tilde_norm_q=_sup_norm(stepped, None, grid, params.q, params.delta),
                             envelope_min_ratio=_envelope_min_ratio(stepped, env_table))
-        report = _relax_step(f, n, params, scn.dt, prev_cons, scales, scn.transport_only,
-                             diagnostics, gauss_norm=envelope is not None, uniform=x_uniform,
-                             **monitors)
+        report, carried = _relax_step(
+            f, n, params, scn.dt, prev_cons, scales, scn.transport_only, diagnostics,
+            gauss_norm=envelope is not None, uniform=x_uniform, carried=carried,
+            carry=carry and n + 1 < n_steps, **monitors)
         reports.append(report)
         prev_cons = (report.mass, report.momentum, report.energy)
 

@@ -15,9 +15,10 @@ from polykin import (
     table_moments,
     tensor_sandwich_check,
 )
-from polykin import moments, stepper
+from polykin import field as field_module, moments, stepper
 from polykin.field import cell_tiles
-from polykin.errors import BoundViolated, NegativeField, NonFiniteField, ZeroDensity
+from polykin.errors import (BoundViolated, NegativeField, NonFiniteField, PolykinError,
+                            ZeroDensity)
 from polykin.stepper import _relax_into
 from tests.conftest import random_field_values
 from tests.test_field import maxwellian
@@ -175,6 +176,54 @@ class TestComputeMoments:
             _relax_into(f, macro, default_params, 0.1)
             assert sum(rows) / n_v**3 == n_x, sum(rows) / n_v**3  # cells contracted
             assert len(rows) == calls, len(rows)
+
+    @pytest.mark.parametrize("bad", [None, "negative", "nan", "inf", "zero_density"])
+    @pytest.mark.parametrize("n_v, n_i, tile_bytes", [(5, 4, 256 * 1024), (9, 16, 800)],
+                             ids=["one_tile", "row_tiles"])
+    def test_carried_contraction_gives_the_moments_of_the_field(
+            self, default_params, rng, monkeypatch, bad, n_v, n_i, tile_bytes):
+        # the contraction and the minimum that a pass over cell 0 carries give what reading
+        # the cell gives, bit for bit, or raise the same error with the same message; the
+        # field is not read.  A pass that leaves f~ as it is (macro None) carries f~'s own,
+        # a relaxing one its output's
+        monkeypatch.setattr(field_module, "TILE_BYTES", tile_bytes)
+        grid = build_grid(GridConfig(n_x=3, n_v=n_v, v_max=3.0, n_i=n_i, i_max=8.0))
+        vals = random_field_values(rng, grid) + 0.05
+        vals[:] = vals[:1]  # x-uniform
+        cell = vals[0].reshape(n_v**3, n_i)
+        if bad == "zero_density":
+            cell[:] = 0.0
+        elif bad is not None:
+            cell[n_v**3 // 2, n_i - 1] = {"negative": -1e-9, "nan": np.nan, "inf": np.inf}[bad]
+        f = DistField(vals, grid)
+
+        def outcome(carried):
+            try:
+                macro = compute_moments(f, default_params, 0.1, n_cells=1, carried=carried)
+            except PolykinError as exc:
+                return type(exc), str(exc)
+            return [getattr(macro, name).tobytes() for name in vars(macro)]
+
+        def unread(carried):  # with moments._contract_cells, which reads the field, gone
+            with monkeypatch.context() as m:
+                m.setattr(moments, "_contract_cells", None)
+                return outcome(carried)
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            *_, carried = _relax_into(f, None, default_params, 0.1, "no_entropy", uniform=True,
+                                      carry=True)
+            read = outcome(None)
+            assert unread(carried) == read
+        assert (bad is None) == isinstance(read, list), read
+        if bad is not None:
+            assert read[0] is {"negative": NegativeField,
+                               "zero_density": ZeroDensity}.get(bad, NonFiniteField), read
+            return
+        for diagnostics in ("all", "no_entropy", "off"):
+            macro = compute_moments(f, default_params, 0.1, n_cells=1)
+            *_, carried = _relax_into(f, macro, default_params, 0.1, diagnostics, uniform=True,
+                                      carry=True)
+            assert unread(carried) == outcome(None)
 
     @pytest.mark.parametrize("n_x", [2, 3, 4, 7])
     def test_table_moments_matches_field_path(self, default_params, rng, n_x):

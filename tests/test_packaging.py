@@ -187,7 +187,7 @@ def test_every_per_cell_pass_walks_cell_tiles():
                     missing.append(passes[-1])
     assert not missing, f"per-cell passes that do not walk cell_tiles: {missing}"
     assert sorted(passes) == ["diagnostics.conserved_quantities", "diagnostics.entropy",
-                              "field._sup_norm", "moments._moments_of_stack",
+                              "field._sup_norm", "moments._contract_cells",
                               "stepper._relax_into"], passes
     assert not hasattr(polykin.field, "stack_tiles")
 

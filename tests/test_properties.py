@@ -52,7 +52,7 @@ from polykin import (
     weighted_sup_norm,
     write_snapshot,
 )
-from polykin import cli, field, stepper, transport
+from polykin import cli, field, moments, stepper, transport
 from polykin.errors import (DegenerateTemperature, NegativeField, NonFiniteField,
                             NonFiniteGaussian, PolykinError, ZeroDensity)
 from polykin.diagnostics import conserved_totals, masked_min_ratio, tile_flogf
@@ -581,7 +581,8 @@ def _per_cell_relax(f, macro, params, dt, gauss_norm):
                     gaussian_table(pev[i][s], ei[i], m)
                     if g_norm is not None:
                         g = weight_tile(weights, s, bufs[1])
-                        g *= m
+                        with np.errstate(over="ignore"):  # an overflow is an infinite norm
+                            g *= m
                         g_norm = max_nan(g_norm, float(g.max()))
                     _blend_into(t, m, c_f, c_m)
                 w = weight_tile(weights, s, m)
@@ -589,7 +590,8 @@ def _per_cell_relax(f, macro, params, dt, gauss_norm):
                 norm = max_nan(norm, float(w.max()))
                 tile_flogf(t, grid.i_weights, flogf_rows[s], m)
                 energy_contraction(t, grid, params.delta, contracted[s])
-            total += float(flogf_rows.sum())
+            with np.errstate(over="ignore"):  # an infinite sum is a non-finite entropy
+                total += float(flogf_rows.sum())
             sums = _per_cell_conserved(contracted, grid, sums)
     return (*conserved_totals(np.array(sums), grid), grid.dx * grid.dv**3 * total, norm,
             g_norm)
@@ -640,6 +642,31 @@ def _per_cell_min_ratio(f, table):
                 q = np.divide(cell[s], env, out=np.full(env.shape, math.inf), where=env > 0)
             worst = min(worst, float(q.min()))
     return worst
+
+
+FLOGF_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308]),
+    st.floats(0.0, 1e308))
+
+
+@PROPERTY
+@given(t=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 5)),
+                elements=FLOGF_ENTRIES))
+@example(t=np.full((2, 3, 4), 5e-324))  # subnormals alone: a positive minimum
+@example(t=np.array([[[1e-310, 2.0], [3.0, 1e300]]]))
+@example(t=np.array([[[-0.0, 2.0], [3.0, 1e300]]]))  # a -0.0 minimum scans
+@example(t=np.array([[[math.nan, 2.0], [0.0, 1.0]]]))  # a NaN minimum scans
+@example(t=np.array([[[math.inf, 2.0], [0.5, 1.0]]]))
+def test_tile_flogf_given_the_minimum_writes_the_rows_of_the_scan(t):
+    # a positive minimum leaves no exact zero to find, so skipping the t == 0 scan writes
+    # the same rows; a zero, -0.0 or NaN minimum takes the scan
+    wk = np.linspace(0.5, 1.5, t.shape[-1])
+    before = t.tobytes()
+    rows = np.empty((2,) + t.shape[:2])
+    tile_flogf(t, wk, rows[0], np.empty_like(t), t.min())
+    tile_flogf(t, wk, rows[1], np.empty_like(t))
+    assert rows[0].tobytes() == rows[1].tobytes()
+    assert t.tobytes() == before
 
 
 def _same_bits(got, expected):
@@ -708,7 +735,9 @@ def test_grouped_passes_equal_the_per_cell_loops(n_x, n_v, n_i, nu_theta, kappa,
                     else (weighted < np.finfo(float).tiny).any() and weighted.max() > 0)
         for mac, gauss_norm in [(macro, True), (macro, False), (None, True)]:
             got, expected = (DistField(values.copy(), grid) for _ in range(2))
-            (mass, mom, energy), *rest = _relax_into(got, mac, params, 0.1, "all", gauss_norm)
+            (mass, mom, energy), *rest, carried = _relax_into(got, mac, params, 0.1, "all",
+                                                              gauss_norm)
+            assert carried is None
             _same_bits([mass, mom, energy, *rest],
                        _per_cell_relax(expected, mac, params, 0.1, gauss_norm))
             assert got.values.tobytes() == expected.values.tobytes()
@@ -797,16 +826,23 @@ def test_a_cells_moments_depend_only_on_its_table(n_x, n_v, n_i, drift, seed):
 def _outcome(scn: Scenario, diagnostics: str, tile_bytes: int = TILE_BYTES) -> tuple:
     """run()'s final field, the field each snapshot_writer call saw, and every field of its
     reports and initial sums, as bytes, or the type and message of the error it raised; with
-    the calls to sample and Advector.apply, and the numbers of cells that compute_moments
-    returned and that the relaxation's walk was handed (a block of cells at a time)."""
-    samples, applies, cells = [], [], (set(), set())
+    the calls to sample and Advector.apply, the numbers of cells that compute_moments
+    returned and that the relaxation's walk was handed (a block of cells at a time), and,
+    for each compute_moments call, the blocks of cells it contracted from the field."""
+    samples, applies, cells, walks = [], [], (set(), set()), []
     real_sample, real_apply = stepper.sample, Advector.apply
     real_moments, real_tiles = stepper.compute_moments, stepper.cell_tiles
+    real_contract = moments._contract_cells
 
-    def moments(*args, **kwargs):
+    def spy_moments(*args, **kwargs):
+        walks.append(0)
         macro = real_moments(*args, **kwargs)
         cells[0].add(len(macro))
         return macro
+
+    def contract(*args):
+        walks[-1] += 1
+        return real_contract(*args)
 
     snapshots = []
     with mock.patch.object(field, "TILE_BYTES", tile_bytes), \
@@ -814,13 +850,15 @@ def _outcome(scn: Scenario, diagnostics: str, tile_bytes: int = TILE_BYTES) -> t
                               lambda *a, **k: samples.append(1) or real_sample(*a, **k)), \
             mock.patch.object(Advector, "apply",
                               lambda *a, **k: applies.append(1) or real_apply(*a, **k)), \
-            mock.patch.object(stepper, "compute_moments", moments), \
+            mock.patch.object(stepper, "compute_moments", spy_moments), \
+            mock.patch.object(moments, "_contract_cells", contract), \
             mock.patch.object(stepper, "cell_tiles",
                               lambda n, *a: cells[1].add(n) or real_tiles(n, *a)):
         try:
             res = run(scn, lambda t, f: snapshots.append((t, f.values.tobytes())), diagnostics)
         except PolykinError as exc:
-            return (type(exc), str(exc)), len(samples), len(applies), cells
+            return (type(exc), str(exc)), len(samples), len(applies), cells, walks
+
     def as_bytes(x):
         return None if x is None else np.asarray(x, dtype=np.float64).tobytes()
 
@@ -828,7 +866,7 @@ def _outcome(scn: Scenario, diagnostics: str, tile_bytes: int = TILE_BYTES) -> t
                for r in res.reports]
     got = (res.final.values.tobytes(), snapshots, reports, as_bytes(res.initial_norm_q),
            [as_bytes(x) for x in res.initial_conserved])
-    return got, len(samples), len(applies), cells
+    return got, len(samples), len(applies), cells, walks
 
 
 # the walk of cell_tiles: at 256 KB every draw's cells are one group; at 8 KB groups of 1, 2,
@@ -858,22 +896,27 @@ def test_an_x_uniform_run_skips_the_advection_and_the_foot_sample(
     # what the advecting, all-cell path gives, bit for bit.  kappa spans both sides of
     # A*dt, so both of the blend's forms are taken.  With x_uniform patched, make_initial
     # takes the smooth profile, which alpha = 0 makes rho0 * (1 + 0*sin) = rho0 in every
-    # cell: the same data, bit for bit
+    # cell: the same data, bit for bit.  Nor do the steps' moments read the field: each
+    # pass hands the next step the contraction and the minimum of the cell it wrote, so only
+    # step 0 under "off", which has no f^0 pass, contracts the field in compute_moments
     times = tuple(k * dt for k in range(1, n_steps + 1) if snapshots >> (k - 1) & 1)
     scn = Scenario(n_x=n_x, n_v=n_v, n_i=n_i, v_max=3.0, i_max=6.0, dt=dt,
                    t_final=n_steps * dt, ic="maxwellian", u0=u0, t_tr=1.1, t_int=0.85, nu=nu,
                    theta=theta, kappa=10.0**kappa_exp, envelope=envelope,
                    transport_only=transport_only, alpha=0.0, snapshot_times=times)
     assert scn.x_uniform
-    got, samples, applies, cells = _outcome(scn, diagnostics, tile_bytes)
+    got, samples, applies, cells, walks = _outcome(scn, diagnostics, tile_bytes)
     assert (samples, applies) == (1, 0)
+    assert walks == ([] if transport_only
+                     else [int(n == 0 and diagnostics == "off") for n in range(n_steps)])
     # the f^0 pass walks f unless "off", and so does each step but an "off" transport-only one
     assert cells == (set() if transport_only else {1},
                      set() if diagnostics == "off" and transport_only else {1})
     assert len(got[1]) == len(times)
     with mock.patch.object(Scenario, "x_uniform", False):
-        expected, samples, applies, cells = _outcome(scn, diagnostics, tile_bytes)
+        expected, samples, applies, cells, walks = _outcome(scn, diagnostics, tile_bytes)
     assert (samples, applies) == (1 if diagnostics == "off" else 2, n_steps - 1)
+    assert len(walks) == (0 if transport_only else n_steps) and all(walks)
     assert cells[0] == (set() if transport_only else {n_x})
     assert got == expected
 

@@ -26,7 +26,7 @@ from polykin import (
     weighted_sup_norm,
 )
 from polykin.errors import NegativeInitialData, ValidationError
-from polykin.field import row_tiles
+from polykin.field import cell_tiles, row_tiles
 from polykin import stepper
 from polykin.stepper import _blend_into, _envelope_min_ratio
 from tests.conftest import random_field_values
@@ -313,28 +313,37 @@ class TestFusedPass:
         else:
             assert rep.tilde_norm_q is None and rep.envelope_min_ratio is None
 
+    @pytest.mark.parametrize("ic", ["maxwellian", "smooth"])
     @pytest.mark.parametrize("extents", EXTENTS, ids=EXTENT_IDS)
     @pytest.mark.parametrize("kappa, transport_only", [(1.0, False), (1.0, True)],
                              ids=["1.0", "transport_only"])
     def test_an_off_run_takes_no_diagnostic(self, monkeypatch, kappa, transport_only,
-                                            extents):
+                                            extents, ic):
         # "off" keeps the one pass and only branches: it blends each tile and gathers no
-        # weights, takes no norm, contraction, conserved sum or f ln f, and reads no monitor
+        # weights, takes no norm, conserved sum or f ln f, and reads no monitor.  It
+        # contracts only where an x-uniform step hands the next step's moments their
+        # contraction: cell 0's tiles, in every step but the last, unless transport-only
         def forbidden(*args, **kwargs):
             raise AssertionError("a diagnostic ran with diagnostics off")
 
-        for name in ("weight_tile", "energy_contraction", "cell_conserved", "tile_flogf",
-                     "conserved_totals", "weighted_sup_norm", "_sup_norm", "_envelope_min_ratio"):
+        for name in ("weight_tile", "cell_conserved", "tile_flogf", "conserved_totals",
+                     "weighted_sup_norm", "_sup_norm", "_envelope_min_ratio"):
             monkeypatch.setattr(stepper, name, forbidden)
-        blends = []
-        real_blend = stepper._blend_into
+        blends, contractions = [], []
+        real_blend, real_contraction = stepper._blend_into, stepper.energy_contraction
         monkeypatch.setattr(stepper, "_blend_into",
                             lambda *args: blends.append(1) or real_blend(*args))
-        scn = Scenario(kappa=kappa, envelope="auto", transport_only=transport_only,
+        monkeypatch.setattr(stepper, "energy_contraction", lambda *args: contractions.append(
+            args[0].shape[0]) or real_contraction(*args))
+        scn = Scenario(kappa=kappa, envelope="auto", transport_only=transport_only, ic=ic,
                        **dict(TILED, **extents))
         res = run(scn, diagnostics="off")
         assert len(res.reports) == 2
         assert bool(blends) != transport_only
+        grid, _ = scn.validate()
+        carried = ic == "maxwellian" and not transport_only
+        tiles = cell_tiles(1, grid.n_v**3, grid.n_i)[1]
+        assert contractions == ([1] * len(tiles) if carried else [])
 
     @pytest.mark.parametrize("kappa", [1.0, 1e-6])
     def test_step_report_equals_standalone_diagnostics(self, kappa, rng):
